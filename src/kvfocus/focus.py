@@ -524,14 +524,18 @@ class Pipeline:
     def run(self, query_text: str, k: int, *, schedule: PruningSchedule | None = None,
             strategy: str = "none", gen_tokens: int = 20, stop_token: int | None = None,
             meter: CostMeter | None = None) -> PipelineResult:
-        """End-to-end run; k=0 answers from the prefix and query alone."""
+        """End-to-end run; k=0 answers from the prefix and query alone.
+
+        The loaded entries are released once the decode cache is assembled,
+        so they are not held while decoding widens that cache to float64.
+        """
         retrieved = search(self.index, query_text, k) if k > 0 else []
-        entries = [self.store.load_entry(doc_id) for doc_id, _ in retrieved]
-        return self.run_with_entries(query_text, entries,
-                                     retrieved_ids=[d for d, _ in retrieved],
-                                     schedule=schedule, strategy=strategy,
-                                     gen_tokens=gen_tokens, stop_token=stop_token,
-                                     meter=meter)
+        meter = meter if meter is not None else CostMeter()
+        cache, first, trace = self._prefill(
+            query_text, [self.store.load_entry(doc_id) for doc_id, _ in retrieved],
+            retrieved_ids=[doc_id for doc_id, _ in retrieved], schedule=schedule,
+            strategy=strategy, gen_tokens=gen_tokens, meter=meter, prefix=None)
+        return self._decode(cache, first, trace, gen_tokens, stop_token, meter)
 
     def run_with_entries(self, query_text: str, entries: list[CacheStoreEntry], *,
                          retrieved_ids: list[str] | None = None,
@@ -540,11 +544,22 @@ class Pipeline:
                          meter: CostMeter | None = None,
                          prefix: PrefixCacheEntry | None = None) -> PipelineResult:
         """The pipeline on explicit entries (used when caches are built online)."""
+        meter = meter if meter is not None else CostMeter()
+        cache, first, trace = self._prefill(
+            query_text, entries, retrieved_ids=retrieved_ids, schedule=schedule,
+            strategy=strategy, gen_tokens=gen_tokens, meter=meter, prefix=prefix)
+        return self._decode(cache, first, trace, gen_tokens, stop_token, meter)
+
+    def _prefill(self, query_text, entries, *, retrieved_ids, schedule, strategy, gen_tokens,
+                 meter, prefix):
+        """Plan, prefill with pruning and assemble the decode cache.
+
+        Returns (cache, first token, trace without decode timings or op counts).
+        """
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         if gen_tokens < 1:
             raise ValueError("gen_tokens must be >= 1")
-        meter = meter if meter is not None else CostMeter()
         meter.phase = "prefill"
         t0 = time.perf_counter()
 
@@ -571,23 +586,13 @@ class Pipeline:
             warnings.warn(
                 f"query plus generation ({len(query_tokens)} + {gen_tokens}) exceeds the "
                 f"reserved budget of {self.query_reserve}; positions may extrapolate",
-                stacklevel=2,
+                stacklevel=3,
             )
 
         prefill = prefill_with_pruning(self.model, prefix, entries, query_tokens,
                                        schedule, plan, meter=meter)
         survivors = [e for e in entries if e.doc_id in set(prefill.surviving_ids)]
         cache = final_reposition(cfg.rope, prefix, survivors, prefill, strategy, plan)
-        first = prefill.first_token
-        t1 = time.perf_counter()
-
-        meter.phase = "decode"
-        tokens = [first]
-        if stop_token is None or first != stop_token:
-            tokens += self.model.decode(cache, first, gen_tokens - 1,
-                                        stop_token=stop_token, meter=meter)
-        t2 = time.perf_counter()
-
         trace = PipelineTrace(
             query=query_text,
             retrieved_ids=retrieved_ids if retrieved_ids is not None
@@ -598,10 +603,22 @@ class Pipeline:
             pruned_at_layer=prefill.state.pruned_at_layer,
             final_ids=list(prefill.surviving_ids),
             strategy=strategy,
-            timings={"prefill_s": t1 - t0, "decode_s": t2 - t1, "total_s": t2 - t0},
-            op_counts={"prefill_mults": meter.prefill_mults,
-                       "decode_mults": meter.decode_mults},
+            timings={"prefill_s": time.perf_counter() - t0},
+            op_counts={},
         )
+        return cache, prefill.first_token, trace
+
+    def _decode(self, cache, first, trace, gen_tokens, stop_token, meter) -> PipelineResult:
+        t1 = time.perf_counter()
+        meter.phase = "decode"
+        tokens = [first]
+        if stop_token is None or first != stop_token:
+            tokens += self.model.decode(cache, first, gen_tokens - 1,
+                                        stop_token=stop_token, meter=meter)
+        decode_s = time.perf_counter() - t1
+        trace.timings.update(decode_s=decode_s, total_s=trace.timings["prefill_s"] + decode_s)
+        trace.op_counts = {"prefill_mults": meter.prefill_mults,
+                           "decode_mults": meter.decode_mults}
         return PipelineResult(text=self.tokenizer.decode(tokens), tokens=tokens, trace=trace)
 
 

@@ -11,12 +11,18 @@ how the context was assembled.
 
 Caches carry explicit per-token position ids, segment ids tagging the source
 of each token (prefix, a document, or the query), and a visibility flag so
-padding keys can be masked out of attention.
+padding keys can be masked out of attention. Caches assembled from parts,
+loaded from disk, sliced or copied hold float32 arrays. A cache that the
+model appends to, as in prefill and decoding, keeps the same float32-rounded
+values in float64 buffers that grow geometrically (the widening is exact),
+so each decoded token writes only its own rows and attention reads the cache
+in place, with no concatenate and no cast.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import warnings
 import zlib
@@ -102,8 +108,14 @@ def make_config(
 class LayerCache:
     """Cached keys/values for one layer, with per-token bookkeeping.
 
-    keys/values: (num_heads, tokens, head_dim) float32; keys are rotated at
-    position_ids. visible=False marks padding keys that attention must skip.
+    keys/values: (num_heads, tokens, head_dim), float32-rounded; keys are
+    rotated at position_ids. visible=False marks padding keys that attention
+    must skip. A cache is built from float32 arrays. Its first append moves
+    it into float64 buffers with room to grow (the widening is exact); from
+    then on the five fields are views of the buffers' first token_count rows,
+    and appends write new rows in place, so a view taken earlier keeps its
+    values. Replace a cache rather than its fields. slice() and copy()
+    return independent float32 caches.
     """
 
     keys: np.ndarray
@@ -111,6 +123,8 @@ class LayerCache:
     position_ids: np.ndarray
     segment_ids: np.ndarray
     visible: np.ndarray
+    # (keys, values, position_ids, segment_ids, visible) with spare rows
+    _buffers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def empty(cls, num_heads: int, head_dim: int) -> "LayerCache":
@@ -126,17 +140,59 @@ class LayerCache:
     def token_count(self) -> int:
         return self.keys.shape[1]
 
+    @property
+    def capacity(self) -> int:
+        """Tokens the buffers hold before the next append must reallocate."""
+        return 0 if self._buffers is None else self._buffers[2].size
+
+    def reserve(self, extra: int) -> None:
+        """Make room for `extra` more tokens, so appending them allocates nothing."""
+        end = self.token_count + extra
+        if extra > 0 and end > self.capacity:
+            self._reallocate(end)
+
     def append(self, keys, values, position_ids, segment_ids, visible) -> None:
-        self.keys = np.concatenate([self.keys, keys], axis=1)
-        self.values = np.concatenate([self.values, values], axis=1)
-        self.position_ids = np.concatenate([self.position_ids, np.asarray(position_ids, np.int64)])
-        self.segment_ids = np.concatenate([self.segment_ids, np.asarray(segment_ids, np.int64)])
-        self.visible = np.concatenate([self.visible, np.asarray(visible, bool)])
+        keys = np.asarray(keys, np.float32)
+        start = self.token_count
+        end = start + keys.shape[1]
+        if end > self.capacity:
+            self._reallocate(max(end, 2 * self.capacity))
+        k, v, pos, seg, vis = self._buffers
+        k[:, start:end] = keys
+        v[:, start:end] = np.asarray(values, np.float32)
+        pos[start:end] = position_ids
+        seg[start:end] = segment_ids
+        vis[start:end] = visible
+        self._expose(end)
+
+    def _reallocate(self, capacity: int) -> None:
+        n = self.token_count
+        heads, _, dim = self.keys.shape
+        k = np.empty((heads, capacity, dim), dtype=np.float64)
+        v = np.empty((heads, capacity, dim), dtype=np.float64)
+        pos = np.empty(capacity, dtype=np.int64)
+        seg = np.empty(capacity, dtype=np.int64)
+        vis = np.empty(capacity, dtype=bool)
+        k[:, :n] = self.keys
+        v[:, :n] = self.values
+        pos[:n] = self.position_ids
+        seg[:n] = self.segment_ids
+        vis[:n] = self.visible
+        self._buffers = (k, v, pos, seg, vis)
+        self._expose(n)
+
+    def _expose(self, n: int) -> None:
+        k, v, pos, seg, vis = self._buffers
+        self.keys = k[:, :n]
+        self.values = v[:, :n]
+        self.position_ids = pos[:n]
+        self.segment_ids = seg[:n]
+        self.visible = vis[:n]
 
     def slice(self, start: int, stop: int) -> "LayerCache":
         return LayerCache(
-            keys=self.keys[:, start:stop].copy(),
-            values=self.values[:, start:stop].copy(),
+            keys=self.keys[:, start:stop].astype(np.float32),
+            values=self.values[:, start:stop].astype(np.float32),
             position_ids=self.position_ids[start:stop].copy(),
             segment_ids=self.segment_ids[start:stop].copy(),
             visible=self.visible[start:stop].copy(),
@@ -167,6 +223,11 @@ class KVCache:
         if self.token_count == 0:
             return 0
         return int(self.layers[0].position_ids.max()) + 1
+
+    def reserve(self, extra: int) -> None:
+        """Make room in every layer for `extra` more tokens."""
+        for layer in self.layers:
+            layer.reserve(extra)
 
     def slice(self, start: int, stop: int) -> "KVCache":
         return KVCache([layer.slice(start, stop) for layer in self.layers])
@@ -395,7 +456,9 @@ class Model:
 
         The new tokens attend to every visible cached key plus themselves
         under a causal mask, and their keys/values (float32, rotated at
-        `positions`) are appended to layer_cache unless append=False.
+        `positions`) are appended to layer_cache unless append=False. When
+        appending, attention reads the grown cache in place; otherwise it
+        reads a concatenation of the cache and the new rows.
         Returns (new_hidden, new_keys, new_values, attention_map_or_None).
         """
         cfg = self.config
@@ -414,14 +477,9 @@ class Model:
         k32 = rotate(cfg.rope, self._split_heads(x @ w[p + "wk"]), positions).astype(np.float32)
         v32 = self._split_heads(x @ w[p + "wv"]).astype(np.float32)
 
+        if append and layer_cache is None:
+            raise ValueError("append=True requires a layer cache")
         ctx = layer_cache.token_count if layer_cache is not None else 0
-        if ctx:
-            keys = np.concatenate([layer_cache.keys, k32], axis=1)
-            values = np.concatenate([layer_cache.values, v32], axis=1)
-            col_segments = np.concatenate([layer_cache.segment_ids, segments])
-        else:
-            keys, values, col_segments = k32, v32, segments
-
         mask = np.empty((t, ctx + t), dtype=bool)
         if ctx:
             mask[:, :ctx] = layer_cache.visible[None, :]
@@ -430,17 +488,23 @@ class Model:
             visible[None, :] | np.eye(t, dtype=bool)
         )
 
+        if append:
+            layer_cache.append(k32, v32, positions, segments, visible)
+            keys, values = layer_cache.keys, layer_cache.values
+            col_segments = layer_cache.segment_ids
+        elif ctx:
+            keys = np.concatenate([layer_cache.keys, k32], axis=1)
+            values = np.concatenate([layer_cache.values, v32], axis=1)
+            col_segments = np.concatenate([layer_cache.segment_ids, segments])
+        else:
+            keys, values, col_segments = k32, v32, segments
+
         out, amap = attention(
             q, keys, values, mask, segments=col_segments, meter=meter, collect_map=collect_map
         )
         hidden = hidden + self._merge_heads(out) @ w[p + "wo"]
         x2 = _rms_norm(hidden, w[p + "ffn_norm"])
         hidden = hidden + _silu(x2 @ w[p + "w1"]) @ w[p + "w2"]
-
-        if append:
-            if layer_cache is None:
-                raise ValueError("append=True requires a layer cache")
-            layer_cache.append(k32, v32, positions, segments, visible)
         return hidden, k32, v32, amap
 
     def forward(
@@ -457,8 +521,10 @@ class Model:
         """Run tokens through every layer, extending the cache in place.
 
         positions default to the next sequential positions after the highest
-        one already cached. Returns final hidden states (tokens, hidden_dim),
-        plus per-layer attention maps when collect_maps is set.
+        one already cached, which cannot collide with a cached one; explicit
+        positions that do collide raise a warning. Returns final hidden
+        states (tokens, hidden_dim), plus per-layer attention maps when
+        collect_maps is set.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
@@ -468,13 +534,13 @@ class Model:
             positions = np.arange(start, start + ids.size, dtype=np.int64)
         else:
             positions = np.asarray(positions, dtype=np.int64)
-        existing = cache.layers[0].position_ids
-        if existing.size and np.intersect1d(existing, positions).size:
-            warnings.warn(
-                "new tokens share positions with cached tokens (parallel windows "
-                "legitimately do this)",
-                stacklevel=2,
-            )
+            existing = cache.layers[0].position_ids
+            if existing.size and np.intersect1d(existing, positions).size:
+                warnings.warn(
+                    "new tokens share positions with cached tokens (parallel windows "
+                    "legitimately do this)",
+                    stacklevel=2,
+                )
         hidden = self.embed(ids)
         maps: list[AttentionMap] = []
         for layer_index in range(self.config.num_layers):
@@ -535,6 +601,7 @@ class Model:
         )
         visible = np.ones(ids.size, dtype=bool) if visible is None else np.asarray(visible, bool)
 
+        cache.reserve(ids.size)
         hidden = None
         for lo in range(0, ids.size, chunk_size):
             hi = min(lo + chunk_size, ids.size)
@@ -562,8 +629,10 @@ class Model:
 
         New tokens sit immediately after the highest occupied position.
         Returns up to max_tokens generated tokens (prev_token not included);
-        stops early after emitting stop_token.
+        stops early after emitting stop_token. Room for max_tokens is
+        reserved up front, so the loop itself does not reallocate the cache.
         """
+        cache.reserve(max_tokens)
         out: list[int] = []
         token = int(prev_token)
         for _ in range(max_tokens):
@@ -576,15 +645,21 @@ class Model:
 
 
 def save_weights(config: ModelConfig, weights: dict[str, np.ndarray], path) -> None:
-    """Write the weight file: header, float32 tensors in canonical order, crc."""
+    """Write the weight file: header, float32 tensors in canonical order, crc.
+
+    The file is written under a temporary name and renamed into place, so a
+    failed write leaves any earlier file at `path` intact.
+    """
     body = bytearray()
     for name in weight_names(config):
         body += np.ascontiguousarray(weights[name]).tobytes()
     header = WEIGHT_MAGIC + struct.pack("<I", WEIGHT_VERSION) + config.packed()
-    with open(path, "wb") as fh:
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF))
+    os.replace(tmp, path)
 
 
 def load_weights(path, max_cache_tokens: int = 16384):
@@ -593,10 +668,14 @@ def load_weights(path, max_cache_tokens: int = 16384):
         raw = fh.read()
     if raw[:4] != WEIGHT_MAGIC:
         raise WeightFormatError(f"bad magic {raw[:4]!r}")
+    if len(raw) < 8:
+        raise WeightFormatError(f"weight file ends inside its header ({len(raw)} bytes)")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != WEIGHT_VERSION:
         raise WeightFormatError(f"unsupported weight format version {version}")
     offset = 8
+    if len(raw) < offset + _CONFIG_STRUCT.size:
+        raise WeightFormatError(f"weight file ends inside its config ({len(raw)} bytes)")
     layers, heads, head_dim, vocab, max_position, base, pairing = _CONFIG_STRUCT.unpack_from(raw, offset)
     offset += _CONFIG_STRUCT.size
     if pairing != PAIRING_INTERLEAVED:
@@ -611,17 +690,20 @@ def load_weights(path, max_cache_tokens: int = 16384):
         max_cache_tokens=max_cache_tokens,
     )
     body_len = len(raw) - offset - 4
+    if body_len < 0:
+        raise WeightFormatError(f"weight file ends before its checksum ({len(raw)} bytes)")
     body = raw[offset:offset + body_len]
     (crc,) = struct.unpack_from("<I", raw, offset + body_len)
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise WeightFormatError("weight file checksum mismatch")
+    shapes = _weight_shapes(config)
+    if body_len != 4 * sum(int(np.prod(shape)) for shape in shapes.values()):
+        raise WeightFormatError("weight file length does not match its config")
     weights: dict[str, np.ndarray] = {}
     cursor = 0
-    for name, shape in _weight_shapes(config).items():
+    for name, shape in shapes.items():
         n = int(np.prod(shape))
         arr = np.frombuffer(body, dtype="<f4", count=n, offset=cursor).reshape(shape)
         weights[name] = arr.copy()
         cursor += 4 * n
-    if cursor != body_len:
-        raise WeightFormatError("weight file length does not match its config")
     return config, weights

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kvfocus.cli import main, report_to_csv, report_to_json, score_answer
+from kvfocus.model import Model, make_config
 
 SMALL_MODEL_FLAGS = [
     "--num-layers", "2", "--num-heads", "2", "--head-dim", "8",
@@ -104,6 +105,20 @@ class TestRunCommand:
                      "--gen-tokens", "4", *SMALL_MODEL_FLAGS, *extra])
         assert code == 0
         return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("damage", ["short-header", "short-config", "short-body"])
+    def test_malformed_weight_file_is_user_error(self, workspace, capsys, damage):
+        path = workspace["tmp"] / "m.cfwt"
+        Model.from_seed(make_config(num_layers=2, num_heads=2, head_dim=8), 7).save_weights(path)
+        raw = path.read_bytes()
+        path.write_bytes({"short-header": b"CFWT",
+                          "short-config": b"CFWT\x01\x00\x00\x00\x08",
+                          "short-body": raw[:-5] + raw[-4:]}[damage])
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     "--weights", str(path)])
+        assert code == 1
+        assert "weight file" in capsys.readouterr().err
 
     def test_k_zero_answers_from_prefix_and_query(self, workspace, capsys):
         payload = self.run_json(workspace, capsys, "--query", "capital", "--k", "0",

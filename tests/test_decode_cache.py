@@ -1,0 +1,237 @@
+"""Decode caches: in-place growth against the concatenate-and-cast reference."""
+
+import tracemalloc
+import weakref
+
+import numpy as np
+
+from kvfocus.cache_store import CacheStore
+from kvfocus.focus import Pipeline
+from kvfocus.model import (
+    QUERY_SEGMENT,
+    Model,
+    _rms_norm,
+    _silu,
+    attention,
+    make_config,
+)
+from kvfocus.retrieval import index_corpus
+from kvfocus.rope import rotate
+from kvfocus.tokenizer import ByteTokenizer
+
+FIELDS = ("keys", "values", "position_ids", "segment_ids", "visible")
+
+
+def tiny_model(seed=0, **overrides):
+    defaults = dict(num_layers=3, num_heads=2, head_dim=8, max_position=128, vocab_size=61)
+    defaults.update(overrides)
+    return Model.from_seed(make_config(**defaults), seed)
+
+
+def float32_context(model, length=20):
+    """A float32 cache like the one the pipeline assembles: several segments,
+    a position gap and invisible padding keys."""
+    cache = model.new_cache()
+    tokens = (np.arange(length) * 5 + 3) % model.config.vocab_size
+    positions = np.concatenate([np.arange(length // 2), np.arange(length // 2) + 40])
+    segments = np.repeat(np.arange(4), length // 4)
+    visible = np.arange(length) % 7 != 6
+    first, _ = model.prefill(cache, tokens, positions=positions, segments=segments,
+                             visible=visible)
+    return first, cache.copy()
+
+
+def reference_layers(cache):
+    """Plain float32 copies of every layer's fields, for the reference decode."""
+    return [{name: getattr(layer, name).astype(np.float32) if name in ("keys", "values")
+             else getattr(layer, name).copy() for name in FIELDS}
+            for layer in cache.layers]
+
+
+def reference_decode(model, layers, token, steps):
+    """Greedy decode as the cache used to work: each step concatenates the
+    float32 cache with the new rows, casts keys/values to float64 and attends."""
+    cfg = model.config
+    w = model._w64
+
+    def heads(m):
+        return m.reshape(1, cfg.num_heads, cfg.head_dim).transpose(1, 0, 2)
+
+    out = []
+    for _ in range(steps):
+        position = np.array([int(layers[0]["position_ids"].max()) + 1])
+        hidden = model.embed([token])
+        for i, layer in enumerate(layers):
+            p = f"layers.{i}."
+            x = _rms_norm(hidden, w[p + "attn_norm"])
+            q = rotate(cfg.rope, heads(x @ w[p + "wq"]), position)
+            k32 = rotate(cfg.rope, heads(x @ w[p + "wk"]), position).astype(np.float32)
+            v32 = heads(x @ w[p + "wv"]).astype(np.float32)
+            layer["keys"] = np.concatenate([layer["keys"], k32], axis=1)
+            layer["values"] = np.concatenate([layer["values"], v32], axis=1)
+            layer["position_ids"] = np.concatenate([layer["position_ids"], position])
+            layer["segment_ids"] = np.concatenate([layer["segment_ids"], [QUERY_SEGMENT]])
+            layer["visible"] = np.concatenate([layer["visible"], [True]])
+            mask = layer["visible"][None, :].copy()
+            mask[0, -1] = True
+            o, _ = attention(q, layer["keys"].astype(np.float64),
+                             layer["values"].astype(np.float64), mask, collect_map=False)
+            hidden = hidden + o.transpose(1, 0, 2).reshape(1, -1) @ w[p + "wo"]
+            x2 = _rms_norm(hidden, w[p + "ffn_norm"])
+            hidden = hidden + _silu(x2 @ w[p + "w1"]) @ w[p + "w2"]
+        token = int(np.argmax(model.logits(hidden)[0]))
+        out.append(token)
+    return out
+
+
+def assert_matches_reference(cache, layers):
+    for layer, ref in zip(cache.layers, layers):
+        for name in FIELDS:
+            got = getattr(layer, name)
+            assert got.shape == ref[name].shape, name
+            assert np.array_equal(got, ref[name]), name
+
+
+class TestBufferedDecode:
+    def test_growth_mid_decode_matches_reference(self):
+        model = tiny_model(seed=3)
+        first, cache = float32_context(model)
+        layers = reference_layers(cache)
+        expected = reference_decode(model, layers, first, 14)
+
+        cache.reserve(3)
+        start = cache.token_count
+        capacities = []
+        token, tokens = first, []
+        for _ in range(14):
+            hidden = model.forward(cache, [token])
+            token = int(np.argmax(model.logits(hidden[-1:])[0]))
+            tokens.append(token)
+            capacities.append(cache.layers[0].capacity)
+        assert capacities[0] == start + 3
+        assert capacities[-1] > capacities[0], "the buffers should have grown mid-decode"
+        assert tokens == expected
+        assert_matches_reference(cache, layers)
+
+    def test_model_decode_matches_reference_and_allocates_once(self):
+        model = tiny_model(seed=4)
+        first, cache = float32_context(model, length=24)
+        layers = reference_layers(cache)
+        expected = reference_decode(model, layers, first, 9)
+        start = cache.token_count
+        tokens = model.decode(cache, first, 9)
+        assert tokens == expected
+        assert_matches_reference(cache, layers)
+        assert all(layer.capacity == start + 9 for layer in cache.layers)
+        # a second decode, past the first reservation, grows the buffers again
+        more = reference_decode(model, layers, tokens[-1], 5)
+        assert model.decode(cache, tokens[-1], 5) == more
+        assert_matches_reference(cache, layers)
+        assert all(layer.capacity == start + 14 for layer in cache.layers)
+
+    def test_zero_token_decode_keeps_float32_cache(self):
+        model = tiny_model()
+        first, cache = float32_context(model)
+        assert model.decode(cache, first, 0) == []
+        assert cache.layers[0].keys.dtype == np.float32
+        assert cache.layers[0].capacity == 0
+
+
+class TestViewsAndCopies:
+    def test_view_taken_before_append_is_unchanged(self):
+        model = tiny_model(seed=5)
+        first, cache = float32_context(model)
+        views, capacities = [], set()
+        for step in range(6):  # widening to float64, then in-place writes and growth
+            layer = cache.layers[1]
+            views.append({name: (getattr(layer, name), getattr(layer, name).copy())
+                          for name in FIELDS})
+            model.forward(cache, [(first + step) % model.config.vocab_size])
+            capacities.add(layer.capacity)
+        assert len(capacities) > 1
+        for snapshot in views:
+            for name, (view, before) in snapshot.items():
+                assert view.shape == before.shape, name
+                assert np.array_equal(view, before), name
+
+    def test_copy_and_slice_independent_of_original(self):
+        model = tiny_model(seed=6)
+        cache = model.new_cache()
+        model.forward(cache, [1, 2, 3, 4, 5])
+        dup = cache.copy()
+        part = cache.slice(1, 4)
+        saved = [[getattr(layer, name).copy() for name in FIELDS]
+                 for kv in (dup, part) for layer in kv.layers]
+        for layer in dup.layers + part.layers:
+            assert layer.keys.dtype == np.float32 and layer.values.dtype == np.float32
+
+        for token in (6, 7, 8, 9):  # appends, including a reallocation
+            model.forward(cache, [token])
+        for layer in cache.layers:
+            for name in FIELDS:
+                getattr(layer, name)[:] = 0
+        now = [[getattr(layer, name) for name in FIELDS]
+               for kv in (dup, part) for layer in kv.layers]
+        for before, after in zip(saved, now):
+            for a, b in zip(before, after):
+                assert np.array_equal(a, b)
+
+
+class TestPipelineReleasesEntries:
+    def test_entries_collected_before_decode(self, tmp_path, monkeypatch):
+        model = tiny_model(seed=8, num_layers=2, max_position=256, vocab_size=300)
+        corpus = [(f"d{i}", "t", f"capital city {i}") for i in range(4)]
+        store = CacheStore(tmp_path / "store", model)
+        store.build(ByteTokenizer().encode("ctx:", add_bos=True), corpus, passage_len=12)
+
+        finalizers = []
+        load_entry = store.load_entry
+
+        def tracked(doc_id):
+            entry = load_entry(doc_id)
+            finalizers.append(weakref.finalize(entry, lambda: None))
+            return entry
+
+        alive_at_decode = []
+        decode = Model.decode
+
+        def checked(self, *args, **kwargs):
+            alive_at_decode.append(sum(f.alive for f in finalizers))
+            return decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(store, "load_entry", tracked)
+        monkeypatch.setattr(Model, "decode", checked)
+        pipeline = Pipeline(model, store, index_corpus(corpus), query_reserve=64)
+        result = pipeline.run("capital city", k=4, gen_tokens=3)
+        assert len(result.tokens) == 3
+        assert len(finalizers) == 4
+        assert alive_at_decode == [0]
+
+
+def test_decode_step_allocates_less_than_one_layer():
+    """A decode step must not copy the whole cache: its peak allocation stays
+    below one layer's float32 keys at a 2,000-token context."""
+    model = Model.from_seed(make_config(max_position=4096), 0)
+    cache = model.new_cache()
+    context = 2000
+    first, _ = model.prefill(cache, (np.arange(context) * 31 + 7) % model.config.vocab_size)
+    cfg = model.config
+    one_layer_keys = cfg.num_heads * context * cfg.head_dim * np.dtype(np.float32).itemsize
+    steps = 4
+    cache.reserve(1 + steps)
+
+    tracemalloc.start()
+    try:
+        token = first
+        peaks = []
+        for step in range(1 + steps):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            hidden = model.forward(cache, [token])
+            token = int(np.argmax(model.logits(hidden[-1:])[0]))
+            _, peak = tracemalloc.get_traced_memory()
+            if step:  # the first step is a warm-up
+                peaks.append(peak - before)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < one_layer_keys, (peaks, one_layer_keys)

@@ -1,10 +1,12 @@
 """Transformer core: attention oracle, cache equivalence, weight persistence."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
+from kvfocus import model as model_module
 from kvfocus.model import (
     PREFIX_SEGMENT,
     QUERY_SEGMENT,
@@ -256,6 +258,35 @@ class TestWeights:
         path.write_bytes(bytes(raw))
         with pytest.raises(WeightFormatError):
             load_weights(path)
+
+    @pytest.mark.parametrize("damage", ["short-header", "short-config", "short-body"])
+    def test_truncated_file_rejected(self, tmp_path, damage):
+        path = tmp_path / "m.cfwt"
+        tiny_model().save_weights(path)
+        raw = path.read_bytes()
+        path.write_bytes({"short-header": b"CFWT",
+                          "short-config": b"CFWT\x01\x00\x00\x00\x08",
+                          "short-body": raw[:-5] + raw[-4:]}[damage])
+        with pytest.raises(WeightFormatError):
+            load_weights(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.cfwt"
+        old = tiny_model(seed=13)
+        old.save_weights(path)
+
+        class FailingFile(io.FileIO):
+            def write(self, data):
+                if self.tell():
+                    raise OSError("disk full")
+                return super().write(data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "open", FailingFile, raising=False)
+            with pytest.raises(OSError, match="disk full"):
+                tiny_model(seed=14).save_weights(path)
+        config, weights = load_weights(path)
+        assert fingerprint(config, weights) == old.fingerprint
 
     def test_cache_slice_and_copy(self):
         model = tiny_model()
