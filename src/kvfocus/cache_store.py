@@ -206,6 +206,8 @@ def _read_kv_file(path: Path):
     raw = path.read_bytes()
     if raw[:4] != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < _HEADER_STRUCT.size + 4:
+        raise CacheFormatError(f"{path}: file ends inside its header ({len(raw)} bytes)")
     (magic, version, fp, ph, num_layers, num_heads, head_dim, token_count, rope_base, pairing
      ) = _HEADER_STRUCT.unpack_from(raw, 0)
     if version != CACHE_VERSION:
@@ -216,24 +218,27 @@ def _read_kv_file(path: Path):
     expected = num_layers * 2 * num_heads * token_count * head_dim * 4
     if body_len != expected:
         raise CacheFormatError(f"{path}: body length {body_len}, expected {expected}")
-    body = raw[_HEADER_STRUCT.size:_HEADER_STRUCT.size + body_len]
     (crc,) = struct.unpack_from("<I", raw, _HEADER_STRUCT.size + body_len)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
+    if zlib.crc32(memoryview(raw)[_HEADER_STRUCT.size:-4]) & 0xFFFFFFFF != crc:
         raise CacheFormatError(f"{path}: checksum mismatch")
+    try:
+        fingerprint, prefix_hash = fp.decode("ascii"), ph.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"{path}: header ids are not ascii") from exc
     layers = []
-    cursor = 0
+    cursor = _HEADER_STRUCT.size
     n = num_heads * token_count * head_dim
     for _ in range(num_layers):
-        keys = np.frombuffer(body, dtype="<f4", count=n, offset=cursor).reshape(
+        keys = np.frombuffer(raw, dtype="<f4", count=n, offset=cursor).reshape(
             num_heads, token_count, head_dim).copy()
         cursor += 4 * n
-        values = np.frombuffer(body, dtype="<f4", count=n, offset=cursor).reshape(
+        values = np.frombuffer(raw, dtype="<f4", count=n, offset=cursor).reshape(
             num_heads, token_count, head_dim).copy()
         cursor += 4 * n
         layers.append((keys, values))
     header = {
-        "model_fingerprint": fp.decode("ascii"),
-        "prefix_hash": ph.decode("ascii"),
+        "model_fingerprint": fingerprint,
+        "prefix_hash": prefix_hash,
         "num_layers": num_layers,
         "num_heads": num_heads,
         "head_dim": head_dim,
@@ -383,8 +388,9 @@ class CacheStore:
             self._write_manifest(manifest)
         return size
 
-    def load_prefix(self) -> PrefixCacheEntry:
-        manifest = self.verify()
+    def load_prefix(self, *, manifest: dict | None = None) -> PrefixCacheEntry:
+        """Load the prefix cache; pass a manifest already read to skip reading it."""
+        manifest = self.verify(manifest)
         header, layers = _read_kv_file(self.root / "prefix.cfkv")
         self._check_header(header, manifest["prefix_hash"])
         count = header["token_count"]
@@ -405,8 +411,9 @@ class CacheStore:
             kv=kv,
         )
 
-    def load_entry(self, doc_id: str) -> CacheStoreEntry:
-        manifest = self.verify()
+    def load_entry(self, doc_id: str, *, manifest: dict | None = None) -> CacheStoreEntry:
+        """Load one document's entry; pass a manifest already read to skip reading it."""
+        manifest = self.verify(manifest)
         info = manifest["docs"].get(doc_id)
         if info is None:
             raise MissingEntryError(f"no cache entry for document {doc_id!r}")

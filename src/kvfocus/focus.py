@@ -16,6 +16,15 @@ Pruning: document scores start at zero and accumulate layer by layer; at
 every interval-th layer the lowest-scoring caches are dropped. The per-event
 removal count is (k - k_finish) divided by the number of events, floored,
 with the final event trimmed or extended so exactly k_finish caches remain.
+
+Context assembly: one helper lays out a layer's context as the prefix, then
+each cache with its keys rotated to its target positions, then the query.
+Pre-fill refills one float64 buffer per layer with the prefix and the caches
+still alive at that layer, so a pruned cache is never rotated again, and the
+model appends the query's rows to the same buffer and attends over it in
+place. Each document's columns form one contiguous block, so its attention
+mass is a sum over that block of the float32 map. Final allocation lays out
+the survivors and the query's keys at their decode positions in float32.
 """
 
 from __future__ import annotations
@@ -181,17 +190,18 @@ class PruningState:
 
     surviving_ids: list[str]
     scores: dict[str, float]
-    schedule: PruningSchedule
+    schedule: PruningSchedule | None
     k_prune: int
     num_events: int
-    ranks: dict[str, int]
-    segment_of: dict[str, int]
+    segment_of: dict[str, int]        # retrieval rank, also the cache's segment id
     events_done: int = 0
     pruned_at_layer: dict[int, list[str]] = field(default_factory=dict)
 
     @classmethod
-    def start(cls, ids: list[str], schedule: PruningSchedule, num_layers: int) -> "PruningState":
-        active = len(ids) > schedule.k_finish
+    def start(cls, ids: list[str], schedule: PruningSchedule | None,
+              num_layers: int) -> "PruningState":
+        """A state that never prunes when schedule is None or k <= k_finish."""
+        active = schedule is not None and len(ids) > schedule.k_finish
         k_prune = removals_per_event(len(ids), schedule.k_finish, num_layers,
                                      schedule.interval) if active else 0
         return cls(
@@ -200,7 +210,6 @@ class PruningState:
             schedule=schedule,
             k_prune=k_prune,
             num_events=(num_layers // schedule.interval) if active else 0,
-            ranks={i: r for r, i in enumerate(ids)},
             segment_of={i: r for r, i in enumerate(ids)},
         )
 
@@ -222,7 +231,7 @@ class PruningState:
         if target <= 0:
             return []
         order = sorted(self.surviving_ids,
-                       key=lambda i: (self.scores[i], -self.ranks[i]))
+                       key=lambda i: (self.scores[i], -self.segment_of[i]))
         removed = set(order[:target])
         self.surviving_ids = [i for i in self.surviving_ids if i not in removed]
         self.pruned_at_layer[layer] = [i for i in order[:target]]
@@ -234,24 +243,50 @@ def accumulate_scores(attention_map: AttentionMap, state: PruningState) -> Pruni
 
     The increment is the softmax mass landing on the document's key columns,
     summed per row and averaged over heads and query rows, so long queries do
-    not dominate. Only surviving ids are scored.
+    not dominate. Only surviving ids are scored. Every segment's columns must
+    form one contiguous block, as in every layout the pipeline builds; the
+    block is summed in float64 straight from the float32 map.
     """
-    weights = attention_map.weights.astype(np.float64)
-    col_segments = attention_map.col_segments
+    weights = attention_map.weights
+    blocks = _segment_blocks(attention_map.col_segments)
     for cache_id in state.surviving_ids:
-        cols = col_segments == state.segment_of[cache_id]
-        if cols.any():
-            state.scores[cache_id] += float(weights[:, :, cols].sum(axis=2).mean())
+        block = blocks.get(state.segment_of[cache_id])
+        if block is not None:
+            state.scores[cache_id] += float(
+                weights[:, :, block].sum(axis=2, dtype=np.float64).mean())
     return state
 
 
-def _repositioned_layers(rope: RopeConfig, entry: CacheStoreEntry, positions: np.ndarray):
-    """Per-layer (keys, values) float32 with keys moved to target positions."""
-    out = []
-    for layer in entry.kv.layers:
-        keys = reposition_array(rope, layer.keys, layer.position_ids, positions)
-        out.append((keys, layer.values))
-    return out
+def _segment_blocks(col_segments: np.ndarray) -> dict[int, slice]:
+    """The column block of each segment id; raises if one is split."""
+    if col_segments.size == 0:
+        return {}
+    starts = np.flatnonzero(np.diff(col_segments)) + 1
+    bounds = [0, *starts.tolist(), col_segments.size]
+    blocks = {int(col_segments[a]): slice(a, b) for a, b in zip(bounds, bounds[1:])}
+    if len(blocks) != len(bounds) - 1:
+        raise ValueError("a segment's columns are split over several blocks")
+    return blocks
+
+
+def _assemble_layer(ctx: LayerCache, rope: RopeConfig, layer_index: int,
+                    prefix_layers: list[LayerCache], caches) -> LayerCache:
+    """Lay out one layer's context in `ctx`, replacing what it held.
+
+    The prefix's layer comes first, then each cache of `caches`, given as
+    (per-layer LayerCaches, target positions, segment id, visible), with its
+    layer's keys moved from their positions to the target ones. The query is
+    one more such cache where its rows are already known.
+    """
+    ctx.clear()
+    prefix = prefix_layers[layer_index]
+    ctx.append(prefix.keys, prefix.values, prefix.position_ids, prefix.segment_ids,
+               prefix.visible)
+    for layers, target, segment, visible in caches:
+        source = layers[layer_index]
+        ctx.append(reposition_array(rope, source.keys, source.position_ids, target),
+                   source.values, target, segment, visible)
+    return ctx
 
 
 @dataclass
@@ -286,11 +321,14 @@ def prefill_with_pruning(
 ) -> PrefillResult:
     """Layer-by-layer query pass over [prefix] + [surviving document caches].
 
-    Per layer: reposition the stored caches to their planned ranges, attend,
-    accumulate per-document attention mass, and at every interval-th layer
-    drop the weakest caches. With k <= k_finish (or schedule None) pruning is
-    disabled and the pass only accumulates scores. Returns the query's own
-    per-layer KV, the survivor set, and the score trajectory.
+    Per layer: lay out the prefix and the caches still alive, keys moved to
+    their planned ranges, in one float64 buffer allocated once per call with
+    room for the query; append the query's rows and attend over the buffer
+    in place; accumulate per-document attention mass; and at every
+    interval-th layer drop the weakest caches, which are not repositioned
+    again. With k <= k_finish (or schedule None) pruning is disabled and the
+    pass only accumulates scores. Returns the query's own per-layer KV, the
+    survivor set, and the score trajectory.
     """
     cfg = model.config
     query_tokens = np.asarray(query_tokens, dtype=np.int64)
@@ -305,22 +343,10 @@ def prefill_with_pruning(
             raise ValueError(f"plan does not cover cache id {entry.doc_id!r}")
 
     ids = [e.doc_id for e in entries]
-    state = PruningState.start(ids, schedule or PruningSchedule(k_finish=max(len(ids), 1)),
-                               cfg.num_layers)
-    pruning = schedule is not None and len(ids) > state.schedule.k_finish
-    if not pruning:
-        state.num_events = 0
-
-    repositioned = {
-        e.doc_id: _repositioned_layers(cfg.rope, e, plan.positions(e.doc_id))
-        for e in entries
-    }
-    doc_meta = {
-        e.doc_id: (
-            plan.positions(e.doc_id),
-            np.full(e.token_count, state.segment_of[e.doc_id], dtype=np.int64),
-            np.arange(e.token_count) < e.valid_len,
-        )
+    state = PruningState.start(ids, schedule, cfg.num_layers)
+    placement = {
+        e.doc_id: (e.kv.layers, plan.positions(e.doc_id), state.segment_of[e.doc_id],
+                   np.arange(e.token_count) < e.valid_len)
         for e in entries
     }
 
@@ -332,37 +358,24 @@ def prefill_with_pruning(
     query_values: list[np.ndarray] = []
     per_layer_scores: list[dict[str, float]] = []
     kept_maps: list[AttentionMap] = []
+    query_segments = np.full(query_tokens.size, QUERY_SEGMENT, dtype=np.int64)
+    ctx = LayerCache.with_capacity(
+        cfg.num_heads, cfg.head_dim,
+        prefix.kv.layers[0].token_count + sum(e.token_count for e in entries)
+        + query_tokens.size)
 
     for layer_index in range(cfg.num_layers):
-        parts_k = [prefix.kv.layers[layer_index].keys]
-        parts_v = [prefix.kv.layers[layer_index].values]
-        parts_pos = [prefix.kv.layers[layer_index].position_ids]
-        parts_seg = [prefix.kv.layers[layer_index].segment_ids]
-        parts_vis = [prefix.kv.layers[layer_index].visible]
-        for cache_id in state.surviving_ids:
-            keys, values = repositioned[cache_id][layer_index]
-            positions, segments, visible = doc_meta[cache_id]
-            parts_k.append(keys)
-            parts_v.append(values)
-            parts_pos.append(positions)
-            parts_seg.append(segments)
-            parts_vis.append(visible)
-        ctx = LayerCache(
-            keys=np.concatenate(parts_k, axis=1),
-            values=np.concatenate(parts_v, axis=1),
-            position_ids=np.concatenate(parts_pos),
-            segment_ids=np.concatenate(parts_seg),
-            visible=np.concatenate(parts_vis),
-        )
+        _assemble_layer(ctx, cfg.rope, layer_index, prefix.kv.layers,
+                        [placement[cache_id] for cache_id in state.surviving_ids])
         hidden, k32, v32, amap = model.forward_layer(
             layer_index,
             hidden,
             ctx,
             query_positions,
-            segments=np.full(query_tokens.size, QUERY_SEGMENT, dtype=np.int64),
+            segments=query_segments,
             meter=meter,
             collect_map=True,
-            append=False,
+            append=True,
         )
         query_keys.append(k32)
         query_values.append(v32)
@@ -370,10 +383,10 @@ def prefill_with_pruning(
             kept_maps.append(amap)
         accumulate_scores(amap, state)
         per_layer_scores.append(dict(state.scores))
-        if pruning and state.active and (layer_index + 1) % state.schedule.interval == 0:
+        if state.active and (layer_index + 1) % state.schedule.interval == 0:
             state.prune_event(layer_index + 1)
 
-    if pruning and len(state.surviving_ids) != state.schedule.k_finish:
+    if state.num_events and len(state.surviving_ids) != state.schedule.k_finish:
         raise AssertionError(
             f"pruning ended with {len(state.surviving_ids)} caches, "
             f"expected {state.schedule.k_finish}"
@@ -400,7 +413,8 @@ def final_reposition(
     strategy: str,
     plan: AllocationPlan,
 ) -> KVCache:
-    """Assemble the decode-ready cache: prefix, surviving caches, query KV.
+    """Assemble the decode-ready float32 cache: prefix, surviving caches,
+    query KV, laid out per layer by the same helper as pre-fill.
 
     align compacts survivors into a contiguous block just before the query,
     keeping their current order; sort orders the block by ascending
@@ -422,9 +436,9 @@ def final_reposition(
         if strategy == "sort":
             if not prefill.scores:
                 raise ValueError("sort strategy requires accumulated scores")
-            ranks = prefill.state.ranks
+            rank = prefill.state.segment_of
             placed = sorted(entries,
-                            key=lambda e: (prefill.scores[e.doc_id], -ranks[e.doc_id]))
+                            key=lambda e: (prefill.scores[e.doc_id], -rank[e.doc_id]))
         else:
             placed = entries  # align: keep current relative order
         targets = {}
@@ -436,38 +450,22 @@ def final_reposition(
         query_positions = np.arange(cursor, cursor + prefill.query_positions.size,
                                     dtype=np.int64)
 
-    num_layers = len(prefix.kv.layers)
-    layers: list[LayerCache] = []
     q_len = prefill.query_positions.size
-    for layer_index in range(num_layers):
-        parts_k = [prefix.kv.layers[layer_index].keys]
-        parts_v = [prefix.kv.layers[layer_index].values]
-        parts_pos = [prefix.kv.layers[layer_index].position_ids]
-        parts_seg = [prefix.kv.layers[layer_index].segment_ids]
-        parts_vis = [prefix.kv.layers[layer_index].visible]
-        for entry in entries:
-            layer = entry.kv.layers[layer_index]
-            target = targets[entry.doc_id]
-            parts_k.append(reposition_array(rope, layer.keys, layer.position_ids, target))
-            parts_v.append(layer.values)
-            parts_pos.append(target)
-            parts_seg.append(np.full(entry.token_count,
-                                     prefill.state.segment_of[entry.doc_id], dtype=np.int64))
-            parts_vis.append(np.arange(entry.token_count) < entry.valid_len)
-        parts_k.append(reposition_array(rope, prefill.query_keys[layer_index],
-                                        prefill.query_positions, query_positions))
-        parts_v.append(prefill.query_values[layer_index])
-        parts_pos.append(query_positions)
-        parts_seg.append(np.full(q_len, QUERY_SEGMENT, dtype=np.int64))
-        parts_vis.append(np.ones(q_len, dtype=bool))
-        layers.append(LayerCache(
-            keys=np.concatenate(parts_k, axis=1),
-            values=np.concatenate(parts_v, axis=1),
-            position_ids=np.concatenate(parts_pos),
-            segment_ids=np.concatenate(parts_seg),
-            visible=np.concatenate(parts_vis),
-        ))
-    return KVCache(layers)
+    query_segments = np.full(q_len, QUERY_SEGMENT, dtype=np.int64)
+    query_visible = np.ones(q_len, dtype=bool)
+    query_layers = [LayerCache(keys, values, prefill.query_positions, query_segments,
+                               query_visible)
+                    for keys, values in zip(prefill.query_keys, prefill.query_values)]
+    caches = [(e.kv.layers, targets[e.doc_id], prefill.state.segment_of[e.doc_id],
+               np.arange(e.token_count) < e.valid_len) for e in entries]
+    caches.append((query_layers, query_positions, QUERY_SEGMENT, True))
+    heads, prefix_len, dim = prefix.kv.layers[0].keys.shape
+    total = prefix_len + sum(e.token_count for e in entries) + q_len
+    return KVCache([
+        _assemble_layer(LayerCache.with_capacity(heads, dim, total, np.float32), rope,
+                        layer_index, prefix.kv.layers, caches)
+        for layer_index in range(len(prefix.kv.layers))
+    ])
 
 
 @dataclass
@@ -526,15 +524,20 @@ class Pipeline:
             meter: CostMeter | None = None) -> PipelineResult:
         """End-to-end run; k=0 answers from the prefix and query alone.
 
-        The loaded entries are released once the decode cache is assembled,
-        so they are not held while decoding widens that cache to float64.
+        The store's manifest is read once per run and shared by every load, so
+        entries saved since the previous run are found. The loaded entries
+        are released once the decode cache is assembled, so they are not held
+        while decoding widens that cache to float64.
         """
         retrieved = search(self.index, query_text, k) if k > 0 else []
         meter = meter if meter is not None else CostMeter()
+        manifest = self.store.read_manifest()
         cache, first, trace = self._prefill(
-            query_text, [self.store.load_entry(doc_id) for doc_id, _ in retrieved],
+            query_text,
+            [self.store.load_entry(doc_id, manifest=manifest) for doc_id, _ in retrieved],
             retrieved_ids=[doc_id for doc_id, _ in retrieved], schedule=schedule,
-            strategy=strategy, gen_tokens=gen_tokens, meter=meter, prefix=None)
+            strategy=strategy, gen_tokens=gen_tokens, meter=meter, prefix=None,
+            manifest=manifest)
         return self._decode(cache, first, trace, gen_tokens, stop_token, meter)
 
     def run_with_entries(self, query_text: str, entries: list[CacheStoreEntry], *,
@@ -551,10 +554,12 @@ class Pipeline:
         return self._decode(cache, first, trace, gen_tokens, stop_token, meter)
 
     def _prefill(self, query_text, entries, *, retrieved_ids, schedule, strategy, gen_tokens,
-                 meter, prefix):
+                 meter, prefix, manifest=None):
         """Plan, prefill with pruning and assemble the decode cache.
 
-        Returns (cache, first token, trace without decode timings or op counts).
+        Without a prefix, it is loaded from the store (through `manifest` when
+        given). Returns (cache, first token, trace without decode timings or
+        op counts).
         """
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -563,7 +568,7 @@ class Pipeline:
         meter.phase = "prefill"
         t0 = time.perf_counter()
 
-        prefix = prefix if prefix is not None else self.store.load_prefix()
+        prefix = prefix if prefix is not None else self.store.load_prefix(manifest=manifest)
         query_tokens = self.tokenizer.encode(query_text)
         cfg = self.model.config
 

@@ -110,10 +110,11 @@ class LayerCache:
 
     keys/values: (num_heads, tokens, head_dim), float32-rounded; keys are
     rotated at position_ids. visible=False marks padding keys that attention
-    must skip. A cache is built from float32 arrays. Its first append moves
-    it into float64 buffers with room to grow (the widening is exact); from
-    then on the five fields are views of the buffers' first token_count rows,
-    and appends write new rows in place, so a view taken earlier keeps its
+    must skip. A cache is built from float32 arrays, or empty with fixed
+    buffers from with_capacity(). An append that does not fit moves it into
+    float64 buffers with room to grow (the widening is exact); from then on
+    the five fields are views of the buffers' first token_count rows, and
+    appends write new rows in place, so a view taken earlier keeps its
     values. Replace a cache rather than its fields. slice() and copy()
     return independent float32 caches.
     """
@@ -135,6 +136,16 @@ class LayerCache:
             segment_ids=np.zeros(0, dtype=np.int64),
             visible=np.zeros(0, dtype=bool),
         )
+
+    @classmethod
+    def with_capacity(cls, num_heads: int, head_dim: int, capacity: int,
+                      dtype=np.float64) -> "LayerCache":
+        """An empty cache whose buffers hold `capacity` tokens, keys and
+        values in `dtype`; appends that fit allocate nothing."""
+        cache = cls.empty(num_heads, head_dim)
+        cache._buffers = _new_buffers(num_heads, capacity, head_dim, dtype)
+        cache._expose(0)
+        return cache
 
     @property
     def token_count(self) -> int:
@@ -165,14 +176,15 @@ class LayerCache:
         vis[start:end] = visible
         self._expose(end)
 
+    def clear(self) -> None:
+        """Drop every token of a buffered cache, keeping the buffers to refill
+        (so, unlike appends, refilling overwrites what earlier views show)."""
+        self._expose(0)
+
     def _reallocate(self, capacity: int) -> None:
         n = self.token_count
         heads, _, dim = self.keys.shape
-        k = np.empty((heads, capacity, dim), dtype=np.float64)
-        v = np.empty((heads, capacity, dim), dtype=np.float64)
-        pos = np.empty(capacity, dtype=np.int64)
-        seg = np.empty(capacity, dtype=np.int64)
-        vis = np.empty(capacity, dtype=bool)
+        k, v, pos, seg, vis = _new_buffers(heads, capacity, dim, np.float64)
         k[:, :n] = self.keys
         v[:, :n] = self.values
         pos[:n] = self.position_ids
@@ -200,6 +212,14 @@ class LayerCache:
 
     def copy(self) -> "LayerCache":
         return self.slice(0, self.token_count)
+
+
+def _new_buffers(heads: int, capacity: int, dim: int, dtype) -> tuple:
+    return (np.empty((heads, capacity, dim), dtype=dtype),
+            np.empty((heads, capacity, dim), dtype=dtype),
+            np.empty(capacity, dtype=np.int64),
+            np.empty(capacity, dtype=np.int64),
+            np.empty(capacity, dtype=bool))
 
 
 @dataclass
@@ -295,10 +315,12 @@ def attention(queries, keys, values, causal_mask, *, segments=None, meter=None, 
 
     heads, rows, dim = q.shape
     cols = k.shape[1]
-    scores = np.matmul(q, k.transpose(0, 2, 1)) / np.sqrt(float(dim))
-    scores = np.where(mask[None, :, :], scores, -np.inf)
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
+    # one (heads, rows, cols) array, updated in place from scores to weights
+    weights = np.matmul(q, k.transpose(0, 2, 1))
+    weights /= np.sqrt(float(dim))
+    np.copyto(weights, -np.inf, where=~mask)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     if meter is not None:
         meter.add(2 * heads * dim * int(mask.sum()))
@@ -308,7 +330,7 @@ def attention(queries, keys, values, causal_mask, *, segments=None, meter=None, 
     if collect_map:
         if segments is None:
             segments = np.full(cols, QUERY_SEGMENT, dtype=np.int64)
-        amap = AttentionMap(weights.astype(np.float32), np.asarray(segments, np.int64))
+        amap = AttentionMap(weights.astype(np.float32), np.array(segments, np.int64))
     return outputs, amap
 
 

@@ -150,9 +150,12 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
+    """Read an index file; a malformed one raises IndexFormatError."""
     raw = Path(path).read_bytes()
     if raw[:4] != INDEX_MAGIC:
         raise IndexFormatError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 12:
+        raise IndexFormatError(f"{path}: file ends inside its header ({len(raw)} bytes)")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != INDEX_VERSION:
         raise IndexFormatError(f"{path}: unsupported index version {version}")
@@ -160,13 +163,21 @@ def load_index(path) -> InvertedIndex:
     (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise IndexFormatError(f"{path}: checksum mismatch")
+    try:
+        return _parse_index_body(body)
+    except (struct.error, ValueError) as exc:
+        raise IndexFormatError(f"{path}: malformed index body ({exc})") from exc
 
+
+def _parse_index_body(body: bytes) -> InvertedIndex:
     offset = 0
 
     def read_str() -> str:
         nonlocal offset
         (n,) = struct.unpack_from("<H", body, offset)
         offset += 2
+        if offset + n > len(body):
+            raise ValueError(f"a string of {n} bytes runs past the body")
         value = body[offset:offset + n].decode("utf-8")
         offset += n
         return value
@@ -192,4 +203,6 @@ def load_index(path) -> InvertedIndex:
             offset += 8
             plist.append((doc_index, tf))
         postings[term] = plist
+    if offset != len(body):
+        raise ValueError(f"{len(body) - offset} bytes left after the last term")
     return InvertedIndex(doc_ids=doc_ids, doc_lengths=doc_lengths, postings=postings)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,9 +48,17 @@ class RopeConfig:
             raise ValueError(f"max_position must be >= 1, got {self.max_position}")
 
     def pair_frequencies(self) -> np.ndarray:
-        """Angular frequency of each 2-D slice: base**(-2t/head_dim), float64."""
-        t = np.arange(self.head_dim // 2, dtype=np.float64)
-        return self.base ** (-2.0 * t / self.head_dim)
+        """Angular frequency of each 2-D slice: base**(-2t/head_dim), float64
+        (computed once per schedule and read-only)."""
+        return _pair_frequencies(self.head_dim, self.base)
+
+
+@lru_cache(maxsize=None)
+def _pair_frequencies(head_dim: int, base: float) -> np.ndarray:
+    t = np.arange(head_dim // 2, dtype=np.float64)
+    freqs = base ** (-2.0 * t / head_dim)
+    freqs.flags.writeable = False
+    return freqs
 
 
 @dataclass(frozen=True)
@@ -110,7 +119,10 @@ def reposition_array(config: RopeConfig, vectors: np.ndarray, old_positions, new
 
     Undo-then-redo (R_new applied after the inverse of R_old) commutes into a
     single rotation by (new - old) per slice. When all targets equal the
-    sources the input array is returned untouched, bit for bit.
+    sources the input array is returned untouched, bit for bit. A shift
+    shared by every token, the common case of moving a stored cache, takes
+    one row of angles that broadcasts over the tokens, with the same float64
+    operations as the per-token path.
     """
     vec = np.asarray(vectors)
     if vec.ndim < 2 or vec.shape[-1] != config.head_dim:
@@ -121,25 +133,33 @@ def reposition_array(config: RopeConfig, vectors: np.ndarray, old_positions, new
         raise ValueError("old/new positions must be 1-D and match the token count")
     if old.size == 0:
         return vec
-    if (old < 0).any() or (new < 0).any():
-        raise ValueError("positions must be non-negative")
+    if old.min() < 0:
+        raise ValueError(f"positions must be non-negative, got {int(old.min())}")
     _check_positions(config, new)
     delta = new - old
-    if not delta.any():
-        return vec
+    if (delta == delta[0]).all():
+        if delta[0] == 0:
+            return vec
+        delta = delta[:1]
     angles = delta[:, None].astype(np.float64) * config.pair_frequencies()[None, :]
     return _rotate_by(vec, angles)
 
 
 def _rotate_by(vec: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """(even, odd) -> (even cos - odd sin, even sin + odd cos) in float64,
+    each half written in place into the output."""
     cos = np.cos(angles)
     sin = np.sin(angles)
     x = vec.astype(np.float64, copy=False)
     even = x[..., 0::2]
     odd = x[..., 1::2]
     out = np.empty(x.shape, dtype=np.float64)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    out_even = out[..., 0::2]
+    out_odd = out[..., 1::2]
+    np.multiply(even, cos, out=out_even)
+    out_even -= odd * sin
+    np.multiply(even, sin, out=out_odd)
+    out_odd += odd * cos
     return out.astype(vec.dtype, copy=False)
 
 

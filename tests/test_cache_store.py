@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kvfocus.cache_store import (
+    CacheFormatError,
     CacheStore,
     MissingEntryError,
     StaleCacheError,
@@ -12,7 +13,9 @@ from kvfocus.cache_store import (
     hash_tokens,
     passage_tokens,
 )
+from kvfocus.focus import Pipeline
 from kvfocus.model import PREFIX_SEGMENT, Model, make_config
+from kvfocus.retrieval import index_corpus
 from kvfocus.tokenizer import PAD_ID, ByteTokenizer
 
 
@@ -182,3 +185,57 @@ class TestStore:
     def test_hash_tokens_is_stable(self):
         assert hash_tokens([1, 2, 3]) == hash_tokens(np.array([1, 2, 3]))
         assert hash_tokens([1, 2, 3]) != hash_tokens([1, 2, 4])
+
+
+class TestManifestPerQuery:
+    def corpus(self):
+        return [("doc1", "alpha", "first passage"), ("doc2", "beta", "second passage"),
+                ("doc3", "gamma", "late arrival")]
+
+    def test_one_manifest_read_per_run(self, model, tmp_path, monkeypatch):
+        store = CacheStore(tmp_path / "store", model)
+        store.build([1, 2], self.corpus(), passage_len=12)
+        reads = []
+        read_manifest = CacheStore.read_manifest
+        monkeypatch.setattr(CacheStore, "read_manifest",
+                            lambda self: reads.append(1) or read_manifest(self))
+        pipeline = Pipeline(model, store, index_corpus(self.corpus()), query_reserve=32)
+        pipeline.run("passage alpha beta gamma", k=3, gen_tokens=2)
+        assert len(reads) == 1
+
+    def test_entry_saved_between_queries_is_found(self, model, tmp_path):
+        root = tmp_path / "store"
+        corpus = self.corpus()
+        store = CacheStore(root, model)
+        store.build([1, 2], corpus[:2], passage_len=12)
+        pipeline = Pipeline(model, store, index_corpus(corpus), query_reserve=32)
+        assert pipeline.run("alpha", k=1, gen_tokens=2).trace.final_ids == ["doc1"]
+        with pytest.raises(MissingEntryError):
+            pipeline.run("late arrival", k=1, gen_tokens=2)
+
+        writer = CacheStore(root, model)
+        prefix = writer.load_prefix()
+        tokens, valid = passage_tokens(ByteTokenizer(), "gamma", "late arrival", 12)
+        writer.save_entry(build_document_cache(model, prefix, tokens, doc_id="doc3",
+                                               valid_len=valid))
+        assert pipeline.run("late arrival", k=1, gen_tokens=2).trace.final_ids == ["doc3"]
+
+
+class TestMalformedFiles:
+    def test_short_header_is_format_error(self, model, tmp_path):
+        store = CacheStore(tmp_path / "store", model)
+        store.build([1, 2], [("doc1", "alpha", "first passage")], passage_len=12)
+        path = store.root / "prefix.cfkv"
+        path.write_bytes(path.read_bytes()[:18])
+        with pytest.raises(CacheFormatError, match="header"):
+            store.load_prefix()
+
+    def test_non_ascii_ids_are_format_error(self, model, tmp_path):
+        store = CacheStore(tmp_path / "store", model)
+        store.build([1, 2], [("doc1", "alpha", "first passage")], passage_len=12)
+        path = store.root / "prefix.cfkv"
+        raw = bytearray(path.read_bytes())
+        raw[8] = 0xFF  # first byte of the model fingerprint; the crc covers only the body
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CacheFormatError, match="ascii"):
+            store.load_prefix()

@@ -120,6 +120,14 @@ class TestRunCommand:
         assert code == 1
         assert "weight file" in capsys.readouterr().err
 
+    def test_short_index_file_is_user_error(self, workspace, capsys):
+        workspace["index"].write_bytes(b"CFIX\x01\x00")
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     *SMALL_MODEL_FLAGS])
+        assert code == 1
+        assert "header" in capsys.readouterr().err
+
     def test_k_zero_answers_from_prefix_and_query(self, workspace, capsys):
         payload = self.run_json(workspace, capsys, "--query", "capital", "--k", "0",
                                 "--mode", "cache")

@@ -187,8 +187,8 @@ class TestPipelineReleasesEntries:
         finalizers = []
         load_entry = store.load_entry
 
-        def tracked(doc_id):
-            entry = load_entry(doc_id)
+        def tracked(doc_id, **kwargs):
+            entry = load_entry(doc_id, **kwargs)
             finalizers.append(weakref.finalize(entry, lambda: None))
             return entry
 

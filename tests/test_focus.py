@@ -198,6 +198,13 @@ class TestAccumulateScores:
         # mean over rows of the mass on document columns: (0.3 + 0.8) / 2
         assert state.scores["a"] == pytest.approx(0.55, abs=1e-6)
 
+    def test_split_document_columns_rejected(self):
+        state = self.make_state(["a", "b"])
+        amap = AttentionMap(np.full((1, 1, 4), 0.25, dtype=np.float32),
+                            np.array([-1, 0, 1, 0]))
+        with pytest.raises(ValueError, match="split"):
+            accumulate_scores(amap, state)
+
     def test_symmetric_documents_score_equally(self):
         model = small_model(seed=9)
         prefix = build_prefix_cache(model, [1, 2])

@@ -1,6 +1,8 @@
 """BM25 retrieval against a brute-force per-document scoring oracle."""
 
 import math
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from kvfocus.retrieval import (
     B,
     K1,
+    IndexFormatError,
     index_corpus,
     load_index,
     save_index,
@@ -165,3 +168,34 @@ class TestPersistence:
         save_index(index_corpus(corpus), a)
         save_index(index_corpus(list(reversed(corpus))), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestMalformedIndex:
+    def framed(self, body: bytes) -> bytes:
+        """A CFIX file around `body` with a valid checksum."""
+        return b"CFIX" + struct.pack("<I", 1) + body + struct.pack("<I", zlib.crc32(body))
+
+    def test_file_ending_inside_header(self, tmp_path):
+        path = tmp_path / "short.cfix"
+        path.write_bytes(b"CFIX\x01\x00")
+        with pytest.raises(IndexFormatError, match="header"):
+            load_index(path)
+
+    @pytest.mark.parametrize("body", [
+        b"\x03\x00",                                   # no room for the doc count
+        struct.pack("<Id", 3, 1.0),                     # no document table
+        struct.pack("<Id", 3, 1.0) + b"\x02\x00a",      # an id cut short
+    ], ids=["count", "table", "id"])
+    def test_body_shorter_than_its_doc_count(self, tmp_path, body):
+        path = tmp_path / "short-body.cfix"
+        path.write_bytes(self.framed(body))
+        with pytest.raises(IndexFormatError, match="malformed"):
+            load_index(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "trailing.cfix"
+        save_index(index_corpus([("d", "", "alpha beta")]), path)
+        raw = path.read_bytes()
+        path.write_bytes(self.framed(raw[8:-4] + b"\x00"))
+        with pytest.raises(IndexFormatError, match="left after"):
+            load_index(path)
