@@ -37,7 +37,7 @@ from .model import (
     make_config,
 )
 from .retrieval import InvertedIndex, index_corpus, load_index, save_index, search
-from .rope import PositionedVector, RopeConfig, apply_rope, reposition, rotation_angle
+from .rope import RopeConfig
 from .tokenizer import ByteTokenizer
 
 __version__ = "0.1.0"
@@ -56,13 +56,11 @@ __all__ = [
     "Model",
     "ModelConfig",
     "Pipeline",
-    "PositionedVector",
     "PrefixCacheEntry",
     "PruningSchedule",
     "PruningState",
     "RopeConfig",
     "StaleCacheError",
-    "apply_rope",
     "attention",
     "build_document_cache",
     "build_prefix_cache",
@@ -73,8 +71,6 @@ __all__ = [
     "make_config",
     "plan_positions",
     "prefill_with_pruning",
-    "reposition",
-    "rotation_angle",
     "run_full_context",
     "save_index",
     "search",

@@ -8,36 +8,30 @@ reached later by re-positioning. Entries are valid only for the exact
 (model fingerprint, prefix hash) pair recorded in the manifest, which makes
 invalidation after a model or prefix change a directory-level check.
 
-Cache file layout (little-endian):
-    magic "CFKV" | version u32 | model_fingerprint 16s | prefix_hash 16s |
-    num_layers u32 | num_heads u32 | head_dim u32 | token_count u32 |
-    rope_base f64 | pairing u8 |
-    per layer: keys then values, row-major float32 (heads, tokens, head_dim) |
-    crc32 of the tensor body, u32
+Cache files use the shared frame of `framing` with magic "CFKV". Header
+(little-endian): model_fingerprint 16s | prefix_hash 16s | num_layers u32 |
+num_heads u32 | head_dim u32 | token_count u32 | rope_base f64 | pairing u8.
+Body: per layer, keys then values, row-major float32 (heads, tokens,
+head_dim).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .framing import Framing, read_framed, write_atomic, write_framed
 from .model import PREFIX_SEGMENT, CostMeter, KVCache, LayerCache, Model
 from .rope import PAIRING_INTERLEAVED
 from .tokenizer import PAD_ID, ByteTokenizer
 
-CACHE_MAGIC = b"CFKV"
-CACHE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
-
-_HEADER_STRUCT = struct.Struct("<4sI16s16sIIIIdB")
 
 
 class StaleCacheError(RuntimeError):
@@ -50,6 +44,9 @@ class CacheFormatError(RuntimeError):
 
 class MissingEntryError(KeyError):
     """No cache entry exists for the requested document."""
+
+
+CACHE_FRAME = Framing(b"CFKV", 1, struct.Struct("<16s16sIIIIdB"), CacheFormatError, "cache file")
 
 
 @dataclass
@@ -175,67 +172,54 @@ def build_document_cache(
 
 def _write_kv_file(path: Path, *, model_fingerprint: str, prefix_hash: str, kv: KVCache, rope_base: float) -> int:
     layers = kv.layers
-    num_layers = len(layers)
     num_heads, token_count, head_dim = layers[0].keys.shape
     body = bytearray()
     for layer in layers:
         body += np.ascontiguousarray(layer.keys, dtype=np.float32).tobytes()
         body += np.ascontiguousarray(layer.values, dtype=np.float32).tobytes()
-    header = _HEADER_STRUCT.pack(
-        CACHE_MAGIC,
-        CACHE_VERSION,
+    header = CACHE_FRAME.header.pack(
         model_fingerprint.encode("ascii"),
         prefix_hash.encode("ascii"),
-        num_layers,
+        len(layers),
         num_heads,
         head_dim,
         token_count,
         rope_base,
         PAIRING_INTERLEAVED,
     )
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF))
-    os.replace(tmp, path)
-    return _HEADER_STRUCT.size + len(body) + 4
+    return write_framed(path, CACHE_FRAME, header, body)
 
 
-def _read_kv_file(path: Path):
-    raw = path.read_bytes()
-    if raw[:4] != CACHE_MAGIC:
-        raise CacheFormatError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < _HEADER_STRUCT.size + 4:
-        raise CacheFormatError(f"{path}: file ends inside its header ({len(raw)} bytes)")
-    (magic, version, fp, ph, num_layers, num_heads, head_dim, token_count, rope_base, pairing
-     ) = _HEADER_STRUCT.unpack_from(raw, 0)
-    if version != CACHE_VERSION:
-        raise CacheFormatError(f"{path}: unsupported cache version {version}")
+def _read_kv_file(path: Path, *, start: int, segment: int, valid: int | None = None):
+    """Read a cache file into (header dict, KVCache).
+
+    Token i sits at position start + i in `segment`; tokens from `valid` on
+    (default: none) are padding and not visible.
+    """
+    (fp, ph, num_layers, num_heads, head_dim, token_count, rope_base, pairing
+     ), body = read_framed(path, CACHE_FRAME)
     if pairing != PAIRING_INTERLEAVED:
-        raise CacheFormatError(f"{path}: unknown pairing convention {pairing}")
-    body_len = len(raw) - _HEADER_STRUCT.size - 4
-    expected = num_layers * 2 * num_heads * token_count * head_dim * 4
-    if body_len != expected:
-        raise CacheFormatError(f"{path}: body length {body_len}, expected {expected}")
-    (crc,) = struct.unpack_from("<I", raw, _HEADER_STRUCT.size + body_len)
-    if zlib.crc32(memoryview(raw)[_HEADER_STRUCT.size:-4]) & 0xFFFFFFFF != crc:
-        raise CacheFormatError(f"{path}: checksum mismatch")
+        raise CACHE_FRAME.fail(path, f"unknown pairing convention {pairing}")
+    n = num_heads * token_count * head_dim
+    if len(body) != num_layers * 2 * 4 * n:
+        raise CACHE_FRAME.fail(path, f"body length {len(body)}, expected {num_layers * 2 * 4 * n}")
     try:
         fingerprint, prefix_hash = fp.decode("ascii"), ph.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise CacheFormatError(f"{path}: header ids are not ascii") from exc
-    layers = []
-    cursor = _HEADER_STRUCT.size
-    n = num_heads * token_count * head_dim
-    for _ in range(num_layers):
-        keys = np.frombuffer(raw, dtype="<f4", count=n, offset=cursor).reshape(
-            num_heads, token_count, head_dim).copy()
-        cursor += 4 * n
-        values = np.frombuffer(raw, dtype="<f4", count=n, offset=cursor).reshape(
-            num_heads, token_count, head_dim).copy()
-        cursor += 4 * n
-        layers.append((keys, values))
+        raise CACHE_FRAME.fail(path, "header ids are not ascii") from exc
+    shape = (num_heads, token_count, head_dim)
+    tensors = np.frombuffer(body, dtype="<f4").reshape(num_layers, 2, *shape)
+    visible = np.arange(token_count) < (token_count if valid is None else valid)
+    kv = KVCache([
+        LayerCache(
+            keys=keys.copy(),
+            values=values.copy(),
+            position_ids=np.arange(start, start + token_count, dtype=np.int64),
+            segment_ids=np.full(token_count, segment, dtype=np.int64),
+            visible=visible.copy(),
+        )
+        for keys, values in tensors
+    ])
     header = {
         "model_fingerprint": fingerprint,
         "prefix_hash": prefix_hash,
@@ -245,7 +229,7 @@ def _read_kv_file(path: Path):
         "token_count": token_count,
         "rope_base": rope_base,
     }
-    return header, layers
+    return header, kv
 
 
 def _entry_filename(doc_id: str) -> str:
@@ -283,9 +267,8 @@ class CacheStore:
 
     def _write_manifest(self, manifest: dict) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.manifest_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        os.replace(tmp, self.manifest_path)
+        write_atomic(self.manifest_path,
+                     (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
     def verify(self, manifest: dict | None = None) -> dict:
         manifest = manifest or self.read_manifest()
@@ -343,7 +326,7 @@ class CacheStore:
             total_bytes += self.save_entry(entry, _manifest=False)
             docs[doc_id] = {"file": _entry_filename(doc_id), "valid_len": valid}
         manifest = {
-            "format": CACHE_VERSION,
+            "format": CACHE_FRAME.version,
             "model_fingerprint": self.model.fingerprint,
             "prefix_hash": prefix_entry.prefix_hash,
             "prefix_tokens": prefix_entry.tokens,
@@ -391,19 +374,8 @@ class CacheStore:
     def load_prefix(self, *, manifest: dict | None = None) -> PrefixCacheEntry:
         """Load the prefix cache; pass a manifest already read to skip reading it."""
         manifest = self.verify(manifest)
-        header, layers = _read_kv_file(self.root / "prefix.cfkv")
+        header, kv = _read_kv_file(self.root / "prefix.cfkv", start=0, segment=PREFIX_SEGMENT)
         self._check_header(header, manifest["prefix_hash"])
-        count = header["token_count"]
-        kv = KVCache([
-            LayerCache(
-                keys=keys,
-                values=values,
-                position_ids=np.arange(count, dtype=np.int64),
-                segment_ids=np.full(count, PREFIX_SEGMENT, dtype=np.int64),
-                visible=np.ones(count, dtype=bool),
-            )
-            for keys, values in layers
-        ])
         return PrefixCacheEntry(
             prefix_hash=manifest["prefix_hash"],
             model_fingerprint=header["model_fingerprint"],
@@ -417,27 +389,17 @@ class CacheStore:
         info = manifest["docs"].get(doc_id)
         if info is None:
             raise MissingEntryError(f"no cache entry for document {doc_id!r}")
-        header, layers = _read_kv_file(self.root / "docs" / info["file"])
-        self._check_header(header, manifest["prefix_hash"])
-        count = header["token_count"]
         prefix_len = int(manifest["prefix_len"])
         valid = int(info["valid_len"])
-        kv = KVCache([
-            LayerCache(
-                keys=keys,
-                values=values,
-                position_ids=np.arange(prefix_len, prefix_len + count, dtype=np.int64),
-                segment_ids=np.zeros(count, dtype=np.int64),
-                visible=np.arange(count) < valid,
-            )
-            for keys, values in layers
-        ])
+        header, kv = _read_kv_file(self.root / "docs" / info["file"], start=prefix_len,
+                                   segment=0, valid=valid)
+        self._check_header(header, manifest["prefix_hash"])
         return CacheStoreEntry(
             doc_id=doc_id,
             model_fingerprint=header["model_fingerprint"],
             prefix_hash=header["prefix_hash"],
             prefix_len=prefix_len,
-            token_count=count,
+            token_count=header["token_count"],
             valid_len=valid,
             kv=kv,
         )

@@ -118,28 +118,38 @@ def select_documents(index, corpus_records, query_text: str, k: int) -> list[str
     return ranked
 
 
+def _run_naive(model, store, texts, doc_ids, query_text, *, gen_tokens, meter):
+    """Answer with no cache: forward the prefix, each document's passage and
+    the query as one sequence. texts maps doc_id -> (title, text)."""
+    tokenizer = ByteTokenizer()
+    passage_len = store.passage_len
+    passages = []
+    for doc_id in doc_ids:
+        if doc_id not in texts:
+            raise ValueError(f"retrieved document {doc_id!r} missing from corpus")
+        passages.append(passage_tokens(tokenizer, *texts[doc_id], passage_len))
+    return run_full_context(model, store.load_prefix().tokens, passages,
+                            tokenizer.encode(query_text), gen_tokens=gen_tokens, meter=meter)
+
+
 def _bench_one(mode, model, store, index, corpus_records, query_text, doc_count, *,
                gen_tokens, schedule, strategy, query_reserve):
     tokenizer = ByteTokenizer()
     ids = select_documents(index, corpus_records, query_text, doc_count)
-    by_id = {record[0]: record for record in corpus_records}
+    texts = {doc_id: (title, text) for doc_id, title, text in corpus_records}
     meter = CostMeter()
     passage_len = store.passage_len
 
     if mode == "naive":
-        passages = [passage_tokens(tokenizer, by_id[i][1], by_id[i][2], passage_len)
-                    for i in ids]
-        _, context_length, timings = run_full_context(
-            model, store.load_prefix().tokens, passages, tokenizer.encode(query_text),
-            gen_tokens=gen_tokens, meter=meter)
+        _, context_length, timings = _run_naive(model, store, texts, ids, query_text,
+                                                gen_tokens=gen_tokens, meter=meter)
     else:
         pipeline = Pipeline(model, store, index, query_reserve=query_reserve)
         if mode == "no-cache":
             prefix = build_prefix_cache(model, store.load_prefix().tokens, meter=meter)
             entries = []
             for doc_id in ids:
-                tokens, valid = passage_tokens(tokenizer, by_id[doc_id][1],
-                                               by_id[doc_id][2], passage_len)
+                tokens, valid = passage_tokens(tokenizer, *texts[doc_id], passage_len)
                 entries.append(build_document_cache(model, prefix, tokens, doc_id=doc_id,
                                                     valid_len=valid, meter=meter))
             run_schedule, run_strategy = None, "none"
@@ -290,18 +300,11 @@ def cmd_run(args) -> int:
     if args.mode == "naive":
         if not args.corpus:
             raise ValueError("--mode naive requires --corpus for the document text")
-        records = {doc_id: (title, text) for doc_id, title, text in read_corpus(args.corpus)}
+        texts = {doc_id: (title, text) for doc_id, title, text in read_corpus(args.corpus)}
         ranked = [doc_id for doc_id, _ in search(index, args.query, args.k)] if args.k else []
-        passages = []
-        for doc_id in ranked:
-            if doc_id not in records:
-                raise ValueError(f"retrieved document {doc_id!r} missing from corpus")
-            title, text = records[doc_id]
-            passages.append(passage_tokens(tokenizer, title, text, store.passage_len))
         meter = CostMeter()
-        tokens, context_length, timings = run_full_context(
-            model, store.load_prefix().tokens, passages, tokenizer.encode(args.query),
-            gen_tokens=args.gen_tokens, meter=meter)
+        tokens, context_length, timings = _run_naive(model, store, texts, ranked, args.query,
+                                                     gen_tokens=args.gen_tokens, meter=meter)
         payload = {
             "answer": tokenizer.decode(tokens),
             "mode": "naive",

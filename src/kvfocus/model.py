@@ -22,14 +22,14 @@ in place, with no concatenate and no cast.
 from __future__ import annotations
 
 import hashlib
-import os
+import math
 import struct
 import warnings
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .framing import Framing, read_framed, write_framed
 from .rope import PAIRING_INTERLEAVED, RopeConfig, rotate
 from .tokenizer import VOCAB_SIZE
 
@@ -39,11 +39,6 @@ QUERY_SEGMENT = -2
 FFN_MULT = 4
 NORM_EPS = 1e-5
 
-WEIGHT_MAGIC = b"CFWT"
-WEIGHT_VERSION = 1
-
-_CONFIG_STRUCT = struct.Struct("<IIIIIdB")  # layers, heads, head_dim, vocab, max_position, base, pairing
-
 
 class CapacityError(RuntimeError):
     """The cache would exceed the configured hard token limit."""
@@ -51,6 +46,10 @@ class CapacityError(RuntimeError):
 
 class WeightFormatError(RuntimeError):
     """A weight file is malformed or does not match this format version."""
+
+
+# header: layers, heads, head_dim, vocab, max_position, base, pairing
+WEIGHT_FRAME = Framing(b"CFWT", 1, struct.Struct("<IIIIIdB"), WeightFormatError, "weight file")
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class ModelConfig:
 
     def packed(self) -> bytes:
         """Fixed binary encoding used in file headers and the fingerprint."""
-        return _CONFIG_STRUCT.pack(
+        return WEIGHT_FRAME.header.pack(
             self.num_layers,
             self.num_heads,
             self.head_dim,
@@ -345,31 +344,29 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 def weight_names(config: ModelConfig) -> list[str]:
     """Canonical tensor order: the file layout and the fingerprint order."""
-    names = ["embedding"]
-    for i in range(config.num_layers):
-        p = f"layers.{i}."
-        names += [p + "attn_norm", p + "wq", p + "wk", p + "wv", p + "wo",
-                  p + "ffn_norm", p + "w1", p + "w2"]
-    names += ["final_norm", "lm_head"]
-    return names
+    return list(_weight_shapes(config))
+
+
+def _layer_shapes(h: int) -> dict[str, tuple[int, ...]]:
+    return {"attn_norm": (h,), "wq": (h, h), "wk": (h, h), "wv": (h, h), "wo": (h, h),
+            "ffn_norm": (h,), "w1": (h, FFN_MULT * h), "w2": (FFN_MULT * h, h)}
 
 
 def _weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     h = config.hidden_dim
     shapes: dict[str, tuple[int, ...]] = {"embedding": (config.vocab_size, h)}
     for i in range(config.num_layers):
-        p = f"layers.{i}."
-        shapes[p + "attn_norm"] = (h,)
-        shapes[p + "wq"] = (h, h)
-        shapes[p + "wk"] = (h, h)
-        shapes[p + "wv"] = (h, h)
-        shapes[p + "wo"] = (h, h)
-        shapes[p + "ffn_norm"] = (h,)
-        shapes[p + "w1"] = (h, FFN_MULT * h)
-        shapes[p + "w2"] = (FFN_MULT * h, h)
+        shapes.update((f"layers.{i}.{name}", shape) for name, shape in _layer_shapes(h).items())
     shapes["final_norm"] = (h,)
     shapes["lm_head"] = (h, config.vocab_size)
     return shapes
+
+
+def _weight_count(config: ModelConfig) -> int:
+    """Float32 values in a model's weights, without building the shape table."""
+    h = config.hidden_dim
+    per_layer = sum(math.prod(shape) for shape in _layer_shapes(h).values())
+    return 2 * config.vocab_size * h + h + config.num_layers * per_layer
 
 
 def fingerprint(config: ModelConfig, weights: dict[str, np.ndarray]) -> str:
@@ -667,65 +664,41 @@ class Model:
 
 
 def save_weights(config: ModelConfig, weights: dict[str, np.ndarray], path) -> None:
-    """Write the weight file: header, float32 tensors in canonical order, crc.
-
-    The file is written under a temporary name and renamed into place, so a
-    failed write leaves any earlier file at `path` intact.
-    """
+    """Write the weight file: the packed config as the frame header, then
+    float32 tensors in canonical order (see `framing`)."""
     body = bytearray()
     for name in weight_names(config):
         body += np.ascontiguousarray(weights[name]).tobytes()
-    header = WEIGHT_MAGIC + struct.pack("<I", WEIGHT_VERSION) + config.packed()
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF))
-    os.replace(tmp, path)
+    write_framed(path, WEIGHT_FRAME, config.packed(), body)
 
 
 def load_weights(path, max_cache_tokens: int = 16384):
-    """Read a weight file back into (ModelConfig, weights)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != WEIGHT_MAGIC:
-        raise WeightFormatError(f"bad magic {raw[:4]!r}")
-    if len(raw) < 8:
-        raise WeightFormatError(f"weight file ends inside its header ({len(raw)} bytes)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != WEIGHT_VERSION:
-        raise WeightFormatError(f"unsupported weight format version {version}")
-    offset = 8
-    if len(raw) < offset + _CONFIG_STRUCT.size:
-        raise WeightFormatError(f"weight file ends inside its config ({len(raw)} bytes)")
-    layers, heads, head_dim, vocab, max_position, base, pairing = _CONFIG_STRUCT.unpack_from(raw, offset)
-    offset += _CONFIG_STRUCT.size
+    """Read a weight file back into (ModelConfig, weights).
+
+    The crc does not cover the config, so a config that make_config rejects
+    or that does not match the body length is a WeightFormatError too.
+    """
+    (layers, heads, head_dim, vocab, max_position, base, pairing), body = read_framed(path, WEIGHT_FRAME)
     if pairing != PAIRING_INTERLEAVED:
-        raise WeightFormatError(f"unknown pairing convention {pairing}")
-    config = make_config(
-        num_layers=layers,
-        num_heads=heads,
-        head_dim=head_dim,
-        max_position=max_position,
-        rope_base=base,
-        vocab_size=vocab,
-        max_cache_tokens=max_cache_tokens,
-    )
-    body_len = len(raw) - offset - 4
-    if body_len < 0:
-        raise WeightFormatError(f"weight file ends before its checksum ({len(raw)} bytes)")
-    body = raw[offset:offset + body_len]
-    (crc,) = struct.unpack_from("<I", raw, offset + body_len)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise WeightFormatError("weight file checksum mismatch")
-    shapes = _weight_shapes(config)
-    if body_len != 4 * sum(int(np.prod(shape)) for shape in shapes.values()):
-        raise WeightFormatError("weight file length does not match its config")
+        raise WEIGHT_FRAME.fail(path, f"unknown pairing convention {pairing}")
+    try:
+        config = make_config(
+            num_layers=layers,
+            num_heads=heads,
+            head_dim=head_dim,
+            max_position=max_position,
+            rope_base=base,
+            vocab_size=vocab,
+            max_cache_tokens=max_cache_tokens,
+        )
+    except ValueError as exc:
+        raise WEIGHT_FRAME.fail(path, f"bad config ({exc})") from exc
+    if len(body) != 4 * _weight_count(config):
+        raise WEIGHT_FRAME.fail(path, "body length does not match its config")
     weights: dict[str, np.ndarray] = {}
     cursor = 0
-    for name, shape in shapes.items():
+    for name, shape in _weight_shapes(config).items():
         n = int(np.prod(shape))
-        arr = np.frombuffer(body, dtype="<f4", count=n, offset=cursor).reshape(shape)
-        weights[name] = arr.copy()
+        weights[name] = np.frombuffer(body, dtype="<f4", count=n, offset=cursor).reshape(shape).copy()
         cursor += 4 * n
     return config, weights

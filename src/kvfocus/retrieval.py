@@ -12,35 +12,35 @@ with unique terms visited in first-occurrence order. That order, and the
 (-score, doc_id) ranking with ascending-id tie-break, pin the results down
 to the bit.
 
-Index file layout (little-endian): magic "CFIX" | version u32 | doc_count u32
-| avgdl f64 | per doc: id (u16 len + utf-8), length u32 | term_count u32 |
-per term: term (u16 len + utf-8), postings count u32, (doc_index u32, tf u32)*
-| crc32 u32. Documents are sorted by id at build time so postings are sorted
-by doc id too.
+Index files use the shared frame of `framing` with magic "CFIX" and an
+empty header, so the crc covers everything after the version. Body
+(little-endian): doc_count u32 | avgdl f64 | per doc: id (u16 len + utf-8),
+length u32 | term_count u32 | per term: term (u16 len + utf-8), postings
+count u32, (doc_index u32, tf u32)*. Documents are sorted by id at build
+time so postings are sorted by doc id too.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import struct
 import unicodedata
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
+
+from .framing import Framing, read_framed, write_framed
 
 K1 = 0.9
 B = 0.4
-
-INDEX_MAGIC = b"CFIX"
-INDEX_VERSION = 1
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 class IndexFormatError(RuntimeError):
     """An index file is malformed."""
+
+
+INDEX_FRAME = Framing(b"CFIX", 1, struct.Struct("<"), IndexFormatError, "index file")
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -140,36 +140,19 @@ def save_index(index: InvertedIndex, path) -> None:
         body += struct.pack("<I", len(plist))
         for doc_index, tf in plist:
             body += struct.pack("<II", doc_index, tf)
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(INDEX_MAGIC + struct.pack("<I", INDEX_VERSION))
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF))
-    os.replace(tmp, path)
+    write_framed(path, INDEX_FRAME, b"", body)
 
 
 def load_index(path) -> InvertedIndex:
     """Read an index file; a malformed one raises IndexFormatError."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != INDEX_MAGIC:
-        raise IndexFormatError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 12:
-        raise IndexFormatError(f"{path}: file ends inside its header ({len(raw)} bytes)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != INDEX_VERSION:
-        raise IndexFormatError(f"{path}: unsupported index version {version}")
-    body = raw[8:-4]
-    (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise IndexFormatError(f"{path}: checksum mismatch")
+    _, body = read_framed(path, INDEX_FRAME)
     try:
         return _parse_index_body(body)
     except (struct.error, ValueError) as exc:
-        raise IndexFormatError(f"{path}: malformed index body ({exc})") from exc
+        raise INDEX_FRAME.fail(path, f"malformed index body ({exc})") from exc
 
 
-def _parse_index_body(body: bytes) -> InvertedIndex:
+def _parse_index_body(body: memoryview) -> InvertedIndex:
     offset = 0
 
     def read_str() -> str:
@@ -178,7 +161,7 @@ def _parse_index_body(body: bytes) -> InvertedIndex:
         offset += 2
         if offset + n > len(body):
             raise ValueError(f"a string of {n} bytes runs past the body")
-        value = body[offset:offset + n].decode("utf-8")
+        value = str(body[offset:offset + n], "utf-8")
         offset += n
         return value
 

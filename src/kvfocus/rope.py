@@ -61,17 +61,6 @@ def _pair_frequencies(head_dim: int, base: float) -> np.ndarray:
     return freqs
 
 
-@dataclass(frozen=True)
-class PositionedVector:
-    """A head-dim vector together with the position its rotation encodes.
-
-    position None marks an unrotated vector (the k_0 form).
-    """
-
-    values: np.ndarray
-    position: int | None = None
-
-
 def _check_positions(config: RopeConfig, positions: np.ndarray) -> None:
     if positions.size == 0:
         return
@@ -86,14 +75,6 @@ def _check_positions(config: RopeConfig, positions: np.ndarray) -> None:
             PositionOverflowWarning,
             stacklevel=3,
         )
-
-
-def rotation_angle(config: RopeConfig, position: int, pair_index: int) -> float:
-    """Angle in radians applied to slice pair_index at the given position."""
-    if not 0 <= pair_index < config.head_dim // 2:
-        raise ValueError(f"pair_index {pair_index} out of range for head_dim {config.head_dim}")
-    _check_positions(config, np.asarray([position]))
-    return float(position) * float(config.base ** (-2.0 * pair_index / config.head_dim))
 
 
 def rotate(config: RopeConfig, vectors: np.ndarray, positions) -> np.ndarray:
@@ -162,24 +143,3 @@ def _rotate_by(vec: np.ndarray, angles: np.ndarray) -> np.ndarray:
     out_odd += odd * cos
     return out.astype(vec.dtype, copy=False)
 
-
-def apply_rope(config: RopeConfig, vector, position: int) -> PositionedVector:
-    """Encode an unrotated head-dim vector at a position."""
-    vec = np.asarray(vector, dtype=np.float32)
-    if vec.shape != (config.head_dim,):
-        raise ValueError(f"expected vector of shape ({config.head_dim},), got {vec.shape}")
-    out = rotate(config, vec[np.newaxis, :], np.asarray([position]))[0]
-    return PositionedVector(values=out, position=int(position))
-
-
-def reposition(config: RopeConfig, vector: PositionedVector, target: int) -> PositionedVector:
-    """Re-encode a rotated vector at a new target position."""
-    if vector.position is None:
-        raise ValueError("vector is unrotated; use apply_rope instead")
-    vec = np.asarray(vector.values, dtype=np.float32)
-    if vec.shape != (config.head_dim,):
-        raise ValueError(f"expected vector of shape ({config.head_dim},), got {vec.shape}")
-    out = reposition_array(
-        config, vec[np.newaxis, :], np.asarray([vector.position]), np.asarray([target])
-    )[0]
-    return PositionedVector(values=out, position=int(target))

@@ -1,6 +1,7 @@
 """CLI end-to-end: subcommands, trace schema, bench report invariants."""
 
 import json
+import struct
 
 import pytest
 
@@ -106,19 +107,38 @@ class TestRunCommand:
         assert code == 0
         return json.loads(capsys.readouterr().out)
 
-    @pytest.mark.parametrize("damage", ["short-header", "short-config", "short-body"])
+    @pytest.mark.parametrize("damage", ["short-header", "short-config", "short-body",
+                                        "base-one"])
     def test_malformed_weight_file_is_user_error(self, workspace, capsys, damage):
         path = workspace["tmp"] / "m.cfwt"
         Model.from_seed(make_config(num_layers=2, num_heads=2, head_dim=8), 7).save_weights(path)
         raw = path.read_bytes()
         path.write_bytes({"short-header": b"CFWT",
                           "short-config": b"CFWT\x01\x00\x00\x00\x08",
-                          "short-body": raw[:-5] + raw[-4:]}[damage])
+                          "short-body": raw[:-5] + raw[-4:],
+                          # the config's rope base, which the crc does not cover
+                          "base-one": raw[:28] + struct.pack("<d", 1.0) + raw[36:]}[damage])
         code = main(["run", "--store", str(workspace["store"]),
                      "--index", str(workspace["index"]), "--query", "capital",
                      "--weights", str(path)])
         assert code == 1
         assert "weight file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated", "body", "crc"])
+    @pytest.mark.parametrize("kind", ["cache", "index"])
+    def test_damaged_file_is_user_error(self, workspace, capsys, kind, damage):
+        path = workspace["store"] / "prefix.cfkv" if kind == "cache" else workspace["index"]
+        raw = bytearray(path.read_bytes())
+        if damage == "truncated":
+            raw = raw[:len(raw) // 2]
+        else:
+            raw[len(raw) // 2 if damage == "body" else -1] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     *SMALL_MODEL_FLAGS])
+        assert code == 1
+        assert f"{kind} file {path}" in capsys.readouterr().err
 
     def test_short_index_file_is_user_error(self, workspace, capsys):
         workspace["index"].write_bytes(b"CFIX\x01\x00")

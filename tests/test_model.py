@@ -1,12 +1,10 @@
 """Transformer core: attention oracle, cache equivalence, weight persistence."""
 
-import io
 import math
 
 import numpy as np
 import pytest
 
-from kvfocus import model as model_module
 from kvfocus.model import (
     PREFIX_SEGMENT,
     QUERY_SEGMENT,
@@ -269,24 +267,6 @@ class TestWeights:
                           "short-body": raw[:-5] + raw[-4:]}[damage])
         with pytest.raises(WeightFormatError):
             load_weights(path)
-
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "m.cfwt"
-        old = tiny_model(seed=13)
-        old.save_weights(path)
-
-        class FailingFile(io.FileIO):
-            def write(self, data):
-                if self.tell():
-                    raise OSError("disk full")
-                return super().write(data)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(model_module, "open", FailingFile, raising=False)
-            with pytest.raises(OSError, match="disk full"):
-                tiny_model(seed=14).save_weights(path)
-        config, weights = load_weights(path)
-        assert fingerprint(config, weights) == old.fingerprint
 
     def test_cache_slice_and_copy(self):
         model = tiny_model()

@@ -8,14 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvfocus.rope import (
-    PositionedVector,
     PositionOverflowWarning,
     RopeConfig,
-    apply_rope,
-    reposition,
     reposition_array,
     rotate,
-    rotation_angle,
 )
 
 
@@ -31,51 +27,66 @@ def _manual_rotate(config, vector, position):
     return out
 
 
+def rotate_one(config, vector, position, dtype=np.float32):
+    """One head-dim vector rotated to a position."""
+    return rotate(config, np.asarray(vector, dtype=dtype)[np.newaxis, :], [position])[0]
+
+
+def move_one(config, vector, old, new):
+    """One rotated vector moved from position old to new."""
+    return reposition_array(config, vector[np.newaxis, :], [old], [new])[0]
+
+
+def pair_angle(config, position, pair):
+    """Angle that slice `pair` turns by at `position`, read off a unit vector."""
+    unit = np.zeros(config.head_dim)
+    unit[2 * pair] = 1.0
+    out = rotate_one(config, unit, position, dtype=np.float64)
+    return math.atan2(out[2 * pair + 1], out[2 * pair])
+
+
 class TestRotationAngle:
     def test_zero_position_is_zero_for_all_pairs(self):
         cfg = RopeConfig(head_dim=8)
         for pair in range(4):
-            assert rotation_angle(cfg, 0, pair) == 0.0
+            assert pair_angle(cfg, 0, pair) == 0.0
 
     def test_position_one_first_pair_is_one_radian(self):
         cfg = RopeConfig(head_dim=2, base=10000.0)
-        assert rotation_angle(cfg, 1, 0) == pytest.approx(1.0, abs=1e-12)
+        assert pair_angle(cfg, 1, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_second_pair_frequency(self):
         # base^(-2/4) = 10^(-2)
         cfg = RopeConfig(head_dim=4, base=10000.0)
-        assert rotation_angle(cfg, 1, 1) == pytest.approx(0.01, abs=1e-12)
+        assert pair_angle(cfg, 1, 1) == pytest.approx(0.01, abs=1e-12)
 
     def test_negative_position_rejected(self):
         cfg = RopeConfig(head_dim=2)
         with pytest.raises(ValueError):
-            rotation_angle(cfg, -1, 0)
-
-    def test_pair_index_out_of_range(self):
-        cfg = RopeConfig(head_dim=4)
+            rotate_one(cfg, [1.0, 0.0], -1)
         with pytest.raises(ValueError):
-            rotation_angle(cfg, 0, 2)
+            move_one(cfg, np.array([1.0, 0.0], np.float32), -1, 3)
 
     def test_position_beyond_range_warns_but_computes(self):
         cfg = RopeConfig(head_dim=2, max_position=4)
         with pytest.warns(PositionOverflowWarning):
-            angle = rotation_angle(cfg, 10, 0)
-        assert angle == pytest.approx(10.0)
+            out = rotate_one(cfg, [1.0, 0.0], 10, dtype=np.float64)
+        np.testing.assert_allclose(out, [math.cos(10.0), math.sin(10.0)], atol=1e-12)
 
 
 class TestApplyRope:
+    """A single vector rotated to a position."""
+
     def test_position_zero_is_identity(self):
         cfg = RopeConfig(head_dim=6)
         vec = np.array([1.0, -2.0, 3.0, 0.5, -0.25, 4.0], dtype=np.float32)
-        out = apply_rope(cfg, vec, 0)
-        np.testing.assert_array_equal(out.values, vec)
-        assert out.position == 0
+        np.testing.assert_array_equal(rotate_one(cfg, vec, 0), vec)
 
     def test_unit_vector_lands_on_cos_sin(self):
         cfg = RopeConfig(head_dim=2, base=10000.0)
-        out = apply_rope(cfg, [1.0, 0.0], 1)
-        assert out.values[0] == pytest.approx(math.cos(1.0), abs=1e-6)
-        assert out.values[1] == pytest.approx(math.sin(1.0), abs=1e-6)
+        out = rotate_one(cfg, [1.0, 0.0], 1)
+        assert out[0] == pytest.approx(math.cos(1.0), abs=1e-6)
+        assert out[1] == pytest.approx(math.sin(1.0), abs=1e-6)
 
     def test_matches_manual_pairwise_rotation(self):
         cfg = RopeConfig(head_dim=8, max_position=128)
@@ -84,7 +95,7 @@ class TestApplyRope:
             vec = rng.standard_normal(8).astype(np.float32)
             pos = int(rng.integers(0, 128))
             expected = _manual_rotate(cfg, vec, pos)
-            np.testing.assert_allclose(apply_rope(cfg, vec, pos).values, expected, atol=1e-5)
+            np.testing.assert_allclose(rotate_one(cfg, vec, pos), expected, atol=1e-5)
 
     def test_norm_preserved_per_slice(self):
         cfg = RopeConfig(head_dim=16, max_position=512)
@@ -92,7 +103,7 @@ class TestApplyRope:
         for _ in range(25):
             vec = rng.standard_normal(16).astype(np.float32)
             pos = int(rng.integers(0, 512))
-            out = apply_rope(cfg, vec, pos).values
+            out = rotate_one(cfg, vec, pos)
             for pair in range(8):
                 before = math.hypot(vec[2 * pair], vec[2 * pair + 1])
                 after = math.hypot(out[2 * pair], out[2 * pair + 1])
@@ -101,37 +112,31 @@ class TestApplyRope:
     def test_odd_length_vector_rejected(self):
         cfg = RopeConfig(head_dim=4)
         with pytest.raises(ValueError):
-            apply_rope(cfg, [1.0, 2.0, 3.0], 1)
+            rotate_one(cfg, [1.0, 2.0, 3.0], 1)
 
 
 class TestReposition:
+    """A single rotated vector moved to a new position."""
+
     def test_same_position_is_identity(self):
         cfg = RopeConfig(head_dim=4, max_position=64)
         rng = np.random.default_rng(3)
-        vec = apply_rope(cfg, rng.standard_normal(4).astype(np.float32), 9)
-        back = reposition(cfg, vec, 9)
-        np.testing.assert_allclose(back.values, vec.values, atol=1e-6)
+        vec = rotate_one(cfg, rng.standard_normal(4), 9)
+        np.testing.assert_allclose(move_one(cfg, vec, 9, 9), vec, atol=1e-6)
 
     def test_matches_fresh_rotation(self):
         cfg = RopeConfig(head_dim=8, max_position=64)
         rng = np.random.default_rng(5)
         k0 = rng.standard_normal(8).astype(np.float32)
-        moved = reposition(cfg, apply_rope(cfg, k0, 3), 7)
-        np.testing.assert_allclose(moved.values, apply_rope(cfg, k0, 7).values, atol=1e-5)
-        assert moved.position == 7
+        moved = move_one(cfg, rotate_one(cfg, k0, 3), 3, 7)
+        np.testing.assert_allclose(moved, rotate_one(cfg, k0, 7), atol=1e-5)
 
     def test_round_trip(self):
         cfg = RopeConfig(head_dim=8, max_position=64)
         rng = np.random.default_rng(9)
-        vec = apply_rope(cfg, rng.standard_normal(8).astype(np.float32), 12)
-        there = reposition(cfg, vec, 40)
-        back = reposition(cfg, there, 12)
-        np.testing.assert_allclose(back.values, vec.values, atol=1e-5)
-
-    def test_unrotated_vector_rejected(self):
-        cfg = RopeConfig(head_dim=4)
-        with pytest.raises(ValueError):
-            reposition(cfg, PositionedVector(np.zeros(4, np.float32), None), 3)
+        vec = rotate_one(cfg, rng.standard_normal(8), 12)
+        back = move_one(cfg, move_one(cfg, vec, 12, 40), 40, 12)
+        np.testing.assert_allclose(back, vec, atol=1e-5)
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -146,13 +151,11 @@ class TestReposition:
         k0 = rng.standard_normal(8).astype(np.float32)
         q0 = rng.standard_normal(8).astype(np.float32)
         # Eq-5-style equivalence: move a stored key instead of re-deriving it
-        moved = reposition(cfg, apply_rope(cfg, k0, i), j)
-        np.testing.assert_allclose(moved.values, apply_rope(cfg, k0, j).values, atol=1e-5)
+        moved = move_one(cfg, rotate_one(cfg, k0, i), i, j)
+        np.testing.assert_allclose(moved, rotate_one(cfg, k0, j), atol=1e-5)
         # the q.k dot product depends only on the offset (j - i)
-        dot_a = float(apply_rope(cfg, q0, j).values @ apply_rope(cfg, k0, i).values)
-        dot_b = float(
-            apply_rope(cfg, q0, j + delta).values @ apply_rope(cfg, k0, i + delta).values
-        )
+        dot_a = float(rotate_one(cfg, q0, j) @ rotate_one(cfg, k0, i))
+        dot_b = float(rotate_one(cfg, q0, j + delta) @ rotate_one(cfg, k0, i + delta))
         assert dot_a == pytest.approx(dot_b, abs=1e-4)
 
 
