@@ -3,7 +3,8 @@
 Pieces: rotary-embedding math (rope), a minimal decoder-only transformer with
 explicit caches (model), offline query-independent cache construction and
 persistence (cache_store), BM25 retrieval (retrieval), the position-planning
-and pruning pipeline (focus), and a CLI plus benchmark harness (cli).
+and pruning pipeline (focus), the answer modes and benchmark harness (bench),
+and the command line (cli).
 """
 
 from .cache_store import (

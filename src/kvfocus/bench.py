@@ -1,0 +1,221 @@
+"""The four answer modes, defined once in `answer`, and the benchmark
+harness that runs them for every (mode, doc_count) cell.
+
+naive forwards prefix, passages and query as one sequence; no-cache encodes
+the prefix and document caches at query time; cache loads them from the
+store; prune loads, prunes and places them. The clock starts once the
+documents are chosen, so encoding and loading count as pre-fill.
+"""
+
+from __future__ import annotations
+
+import json
+import platform
+import time
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from .cache_store import CacheStore, build_document_cache, build_prefix_cache, passage_tokens
+from .focus import Pipeline, PruningSchedule, run_full_context
+from .model import CostMeter, Model
+from .retrieval import InvertedIndex, search
+from .tokenizer import ByteTokenizer
+
+MODES = ("naive", "no-cache", "cache", "prune")
+
+
+def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, texts,
+           query_text: str, doc_ids: list[str], *, gen_tokens: int,
+           schedule: PruningSchedule | None, strategy: str, query_reserve: int):
+    """Answer `query_text` over the documents `doc_ids` in `mode`.
+
+    texts maps doc_id -> (title, text); only naive and no-cache read it, and
+    only prune uses the schedule and strategy. The store's manifest is read
+    once, and only cache and prune load its prefix cache. Returns (tokens,
+    trace dict); the trace holds at least `context_length`, `timings` and
+    `op_counts`.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    t0 = time.perf_counter()
+    tokenizer = ByteTokenizer()
+    manifest = store.verify(store.read_manifest())
+    prefix_tokens = [int(t) for t in manifest["prefix_tokens"]]
+    passage_len = int(manifest["passage_len"])
+    meter = CostMeter()
+
+    passages = []
+    if mode in ("naive", "no-cache"):
+        if texts is None:
+            raise ValueError(f"mode {mode} needs the text of the documents (the corpus)")
+        for doc_id in doc_ids:
+            if doc_id not in texts:
+                raise ValueError(f"retrieved document {doc_id!r} missing from corpus")
+            passages.append(passage_tokens(tokenizer, *texts[doc_id], passage_len))
+
+    if mode == "naive":
+        prepared = time.perf_counter() - t0
+        tokens, context_length, timings = run_full_context(
+            model, prefix_tokens, passages, tokenizer.encode(query_text),
+            gen_tokens=gen_tokens, meter=meter)
+        trace = {"query": query_text, "retrieved_ids": list(doc_ids),
+                 "context_length": context_length, "timings": timings,
+                 "op_counts": {"prefill_mults": meter.prefill_mults,
+                               "decode_mults": meter.decode_mults}}
+    else:
+        if mode == "no-cache":
+            prefix = build_prefix_cache(model, prefix_tokens, meter=meter)
+            entries = [build_document_cache(model, prefix, doc_tokens, doc_id=doc_id,
+                                            valid_len=valid, meter=meter)
+                       for doc_id, (doc_tokens, valid) in zip(doc_ids, passages)]
+        else:
+            prefix = store.load_prefix(manifest=manifest)
+            entries = [store.load_entry(doc_id, manifest=manifest) for doc_id in doc_ids]
+        if mode != "prune":
+            schedule, strategy = None, "none"
+        prepared = time.perf_counter() - t0
+        pipeline = Pipeline(model, store, index, tokenizer=tokenizer,
+                            query_reserve=query_reserve)
+        result = pipeline.run_with_entries(
+            query_text, entries, retrieved_ids=list(doc_ids), schedule=schedule,
+            strategy=strategy, gen_tokens=gen_tokens, meter=meter, prefix=prefix)
+        tokens, trace = result.tokens, result.trace.to_dict()
+        trace["context_length"] = len(prefix_tokens) + len(doc_ids) * passage_len \
+            + len(tokenizer.encode(query_text))
+
+    timings = trace["timings"]
+    timings["prefill_s"] += prepared
+    timings["total_s"] += prepared
+    return tokens, trace
+
+
+# -- benchmark harness -----------------------------------------------------
+
+
+@dataclass
+class BenchRow:
+    mode: str
+    doc_count: int
+    context_length: int
+    prefill_s: float
+    decode_s: float
+    total_s: float
+    prefill_mults: int
+    decode_mults: int
+
+
+@dataclass
+class BenchReport:
+    environment: dict
+    rows: list[BenchRow]
+    ratios: dict[str, list[dict]]
+
+    def row(self, mode: str, doc_count: int) -> BenchRow:
+        for row in self.rows:
+            if row.mode == mode and row.doc_count == doc_count:
+                return row
+        raise KeyError(f"no bench row for mode={mode!r} doc_count={doc_count}")
+
+
+def select_documents(index, corpus_records, query_text: str, k: int) -> list[str]:
+    """Top-k retrieval, padded deterministically from the remaining corpus.
+
+    Benchmarks need exactly k documents even when few match the query, so
+    unmatched ids (ascending) fill the tail.
+    """
+    ranked = [doc_id for doc_id, _ in search(index, query_text, k)]
+    if len(ranked) < k:
+        chosen = set(ranked)
+        for doc_id in sorted(record[0] for record in corpus_records):
+            if len(ranked) >= k:
+                break
+            if doc_id not in chosen:
+                ranked.append(doc_id)
+                chosen.add(doc_id)
+    if len(ranked) < k:
+        raise ValueError(f"corpus holds only {len(ranked)} documents, need {k}")
+    return ranked
+
+
+def _bench_one(mode, model, store, index, corpus_records, texts, query_text, doc_count, *,
+               gen_tokens, schedule, strategy, query_reserve):
+    ids = select_documents(index, corpus_records, query_text, doc_count)
+    _, trace = answer(model, store, index, mode, texts, query_text, ids,
+                      gen_tokens=gen_tokens, schedule=schedule, strategy=strategy,
+                      query_reserve=query_reserve)
+    return BenchRow(mode=mode.replace("-", "_"), doc_count=doc_count,
+                    context_length=trace["context_length"], **trace["timings"],
+                    **trace["op_counts"])
+
+
+def run_bench(model, store, index, corpus_records, query_text, *, doc_counts,
+              gen_tokens=100, modes=MODES, schedule=None, strategy="none",
+              query_reserve=128, seed=None) -> BenchReport:
+    """Run every (mode, doc_count) cell sequentially and derive scaling ratios.
+
+    Wall-clock is reported but the multiply-accumulate counters are the
+    stable signal: they are exact functions of the configuration.
+    """
+    schedule = schedule or PruningSchedule()
+    texts = {doc_id: (title, text) for doc_id, title, text in corpus_records}
+    rows = []
+    for mode in modes:
+        for doc_count in doc_counts:
+            rows.append(_bench_one(
+                mode, model, store, index, corpus_records, texts, query_text, doc_count,
+                gen_tokens=gen_tokens, schedule=schedule, strategy=strategy,
+                query_reserve=query_reserve))
+
+    ratios: dict[str, list[dict]] = {}
+    for mode in modes:
+        mode_rows = [r for r in rows if r.mode == mode.replace("-", "_")]
+        pairs = []
+        for a, b in zip(mode_rows, mode_rows[1:]):
+            pairs.append({
+                "from_doc_count": a.doc_count,
+                "to_doc_count": b.doc_count,
+                "prefill_mult_ratio": b.prefill_mults / a.prefill_mults,
+                "decode_mult_ratio": b.decode_mults / a.decode_mults,
+                "total_mult_ratio": (b.prefill_mults + b.decode_mults)
+                / (a.prefill_mults + a.decode_mults),
+            })
+        ratios[mode.replace("-", "_")] = pairs
+
+    environment = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "seed": seed,
+        "gen_tokens": gen_tokens,
+        "model": {
+            "num_layers": model.config.num_layers,
+            "num_heads": model.config.num_heads,
+            "head_dim": model.config.head_dim,
+            "max_position": model.config.rope.max_position,
+            "fingerprint": model.fingerprint,
+        },
+        "passage_len": store.passage_len,
+    }
+    return BenchReport(environment=environment, rows=rows, ratios=ratios)
+
+
+_CSV_COLUMNS = ("mode", "doc_count", "context_length", "prefill_s", "decode_s",
+                "total_s", "prefill_mults", "decode_mults")
+
+
+def report_to_csv(report: BenchReport) -> str:
+    lines = [",".join(_CSV_COLUMNS)]
+    for row in report.rows:
+        values = [getattr(row, column) for column in _CSV_COLUMNS]
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def report_to_json(report: BenchReport) -> str:
+    payload = {
+        "environment": report.environment,
+        "rows": [asdict(row) for row in report.rows],
+        "ratios": report.ratios,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

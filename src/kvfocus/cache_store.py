@@ -279,12 +279,6 @@ class CacheStore:
             )
         return manifest
 
-    def __len__(self) -> int:
-        return len(self.read_manifest()["docs"])
-
-    def doc_ids(self) -> list[str]:
-        return sorted(self.read_manifest()["docs"])
-
     @property
     def passage_len(self) -> int:
         return int(self.read_manifest()["passage_len"])

@@ -1,4 +1,6 @@
-"""Command-line surface: indexing, cache building, querying, benchmarking.
+"""Command-line surface: argument parsing and one function per subcommand.
+
+The answer modes and the benchmark harness live in `kvfocus.bench`.
 
 Exit codes: 0 success, 1 user error (bad input, stale store, missing files),
 2 internal error. All randomness flows from --seed.
@@ -8,34 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 import traceback
-from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .cache_store import (
-    CacheFormatError,
-    CacheStore,
-    MissingEntryError,
-    StaleCacheError,
-    build_document_cache,
-    build_prefix_cache,
-    passage_tokens,
-)
+from .bench import MODES, answer, report_to_csv, report_to_json, run_bench
+from .cache_store import CacheFormatError, CacheStore, MissingEntryError, StaleCacheError
 from .corpus import CorpusError, read_corpus
-from .focus import (
-    ConfigurationError,
-    Pipeline,
-    PruningSchedule,
-    run_full_context,
-)
-from .model import CapacityError, CostMeter, Model, WeightFormatError, make_config
+from .focus import ConfigurationError, PruningSchedule
+from .model import CapacityError, Model, WeightFormatError, make_config
 from .retrieval import IndexFormatError, index_corpus, load_index, save_index, search
 from .tokenizer import ByteTokenizer
-
-MODES = ("naive", "no-cache", "cache", "prune")
 
 USER_ERRORS = (
     ValueError,
@@ -68,188 +52,6 @@ def score_answer(model_output: str, gold_answers) -> bool:
 
 def _normalize(text: str) -> str:
     return " ".join(text.lower().split())
-
-
-# -- benchmark harness -----------------------------------------------------
-
-
-@dataclass
-class BenchRow:
-    mode: str
-    doc_count: int
-    context_length: int
-    prefill_s: float
-    decode_s: float
-    total_s: float
-    prefill_mults: int
-    decode_mults: int
-
-
-@dataclass
-class BenchReport:
-    environment: dict
-    rows: list[BenchRow]
-    ratios: dict[str, list[dict]]
-
-    def row(self, mode: str, doc_count: int) -> BenchRow:
-        for row in self.rows:
-            if row.mode == mode and row.doc_count == doc_count:
-                return row
-        raise KeyError(f"no bench row for mode={mode!r} doc_count={doc_count}")
-
-
-def select_documents(index, corpus_records, query_text: str, k: int) -> list[str]:
-    """Top-k retrieval, padded deterministically from the remaining corpus.
-
-    Benchmarks need exactly k documents even when few match the query, so
-    unmatched ids (ascending) fill the tail.
-    """
-    ranked = [doc_id for doc_id, _ in search(index, query_text, k)]
-    if len(ranked) < k:
-        chosen = set(ranked)
-        for doc_id in sorted(record[0] for record in corpus_records):
-            if len(ranked) >= k:
-                break
-            if doc_id not in chosen:
-                ranked.append(doc_id)
-                chosen.add(doc_id)
-    if len(ranked) < k:
-        raise ValueError(f"corpus holds only {len(ranked)} documents, need {k}")
-    return ranked
-
-
-def _run_naive(model, store, texts, doc_ids, query_text, *, gen_tokens, meter):
-    """Answer with no cache: forward the prefix, each document's passage and
-    the query as one sequence. texts maps doc_id -> (title, text)."""
-    tokenizer = ByteTokenizer()
-    passage_len = store.passage_len
-    passages = []
-    for doc_id in doc_ids:
-        if doc_id not in texts:
-            raise ValueError(f"retrieved document {doc_id!r} missing from corpus")
-        passages.append(passage_tokens(tokenizer, *texts[doc_id], passage_len))
-    return run_full_context(model, store.load_prefix().tokens, passages,
-                            tokenizer.encode(query_text), gen_tokens=gen_tokens, meter=meter)
-
-
-def _bench_one(mode, model, store, index, corpus_records, query_text, doc_count, *,
-               gen_tokens, schedule, strategy, query_reserve):
-    tokenizer = ByteTokenizer()
-    ids = select_documents(index, corpus_records, query_text, doc_count)
-    texts = {doc_id: (title, text) for doc_id, title, text in corpus_records}
-    meter = CostMeter()
-    passage_len = store.passage_len
-
-    if mode == "naive":
-        _, context_length, timings = _run_naive(model, store, texts, ids, query_text,
-                                                gen_tokens=gen_tokens, meter=meter)
-    else:
-        pipeline = Pipeline(model, store, index, query_reserve=query_reserve)
-        if mode == "no-cache":
-            prefix = build_prefix_cache(model, store.load_prefix().tokens, meter=meter)
-            entries = []
-            for doc_id in ids:
-                tokens, valid = passage_tokens(tokenizer, *texts[doc_id], passage_len)
-                entries.append(build_document_cache(model, prefix, tokens, doc_id=doc_id,
-                                                    valid_len=valid, meter=meter))
-            run_schedule, run_strategy = None, "none"
-        else:
-            prefix = None
-            entries = [store.load_entry(doc_id) for doc_id in ids]
-            if mode == "cache":
-                run_schedule, run_strategy = None, "none"
-            else:  # prune
-                run_schedule, run_strategy = schedule, strategy
-        result = pipeline.run_with_entries(
-            query_text, entries, retrieved_ids=ids, schedule=run_schedule,
-            strategy=run_strategy, gen_tokens=gen_tokens, meter=meter, prefix=prefix)
-        timings = result.trace.timings
-        context_length = store.load_prefix().token_count + doc_count * passage_len \
-            + len(tokenizer.encode(query_text))
-
-    return BenchRow(
-        mode=mode.replace("-", "_"),
-        doc_count=doc_count,
-        context_length=context_length,
-        prefill_s=timings["prefill_s"],
-        decode_s=timings["decode_s"],
-        total_s=timings["total_s"],
-        prefill_mults=meter.prefill_mults,
-        decode_mults=meter.decode_mults,
-    )
-
-
-def run_bench(model, store, index, corpus_records, query_text, *, doc_counts,
-              gen_tokens=100, modes=MODES, schedule=None, strategy="none",
-              query_reserve=128, seed=None) -> BenchReport:
-    """Run every (mode, doc_count) cell sequentially and derive scaling ratios.
-
-    Wall-clock is reported but the multiply-accumulate counters are the
-    stable signal: they are exact functions of the configuration.
-    """
-    schedule = schedule or PruningSchedule()
-    rows = []
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown bench mode {mode!r}")
-        for doc_count in doc_counts:
-            rows.append(_bench_one(
-                mode, model, store, index, corpus_records, query_text, doc_count,
-                gen_tokens=gen_tokens, schedule=schedule, strategy=strategy,
-                query_reserve=query_reserve))
-
-    ratios: dict[str, list[dict]] = {}
-    for mode in modes:
-        mode_rows = [r for r in rows if r.mode == mode.replace("-", "_")]
-        pairs = []
-        for a, b in zip(mode_rows, mode_rows[1:]):
-            pairs.append({
-                "from_doc_count": a.doc_count,
-                "to_doc_count": b.doc_count,
-                "prefill_mult_ratio": b.prefill_mults / a.prefill_mults,
-                "decode_mult_ratio": b.decode_mults / a.decode_mults,
-                "total_mult_ratio": (b.prefill_mults + b.decode_mults)
-                / (a.prefill_mults + a.decode_mults),
-            })
-        ratios[mode.replace("-", "_")] = pairs
-
-    environment = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "seed": seed,
-        "gen_tokens": gen_tokens,
-        "model": {
-            "num_layers": model.config.num_layers,
-            "num_heads": model.config.num_heads,
-            "head_dim": model.config.head_dim,
-            "max_position": model.config.rope.max_position,
-            "fingerprint": model.fingerprint,
-        },
-        "passage_len": store.passage_len,
-    }
-    return BenchReport(environment=environment, rows=rows, ratios=ratios)
-
-
-_CSV_COLUMNS = ("mode", "doc_count", "context_length", "prefill_s", "decode_s",
-                "total_s", "prefill_mults", "decode_mults")
-
-
-def report_to_csv(report: BenchReport) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
-    for row in report.rows:
-        values = [getattr(row, column) for column in _CSV_COLUMNS]
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in values))
-    return "\n".join(lines) + "\n"
-
-
-def report_to_json(report: BenchReport) -> str:
-    payload = {
-        "environment": report.environment,
-        "rows": [asdict(row) for row in report.rows],
-        "ratios": report.ratios,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # -- commands ----------------------------------------------------------------
@@ -295,36 +97,13 @@ def cmd_run(args) -> int:
     model = _model_from_args(args)
     store = CacheStore(args.store, model)
     index = load_index(args.index)
-    tokenizer = ByteTokenizer()
-
-    if args.mode == "naive":
-        if not args.corpus:
-            raise ValueError("--mode naive requires --corpus for the document text")
-        texts = {doc_id: (title, text) for doc_id, title, text in read_corpus(args.corpus)}
-        ranked = [doc_id for doc_id, _ in search(index, args.query, args.k)] if args.k else []
-        meter = CostMeter()
-        tokens, context_length, timings = _run_naive(model, store, texts, ranked, args.query,
-                                                     gen_tokens=args.gen_tokens, meter=meter)
-        payload = {
-            "answer": tokenizer.decode(tokens),
-            "mode": "naive",
-            "trace": {
-                "query": args.query,
-                "retrieved_ids": ranked,
-                "context_length": context_length,
-                "timings": timings,
-                "op_counts": {"prefill_mults": meter.prefill_mults,
-                              "decode_mults": meter.decode_mults},
-            },
-        }
-    else:
-        schedule = _schedule_from_args(args) if args.mode == "prune" else None
-        strategy = args.strategy if args.mode == "prune" else "none"
-        pipeline = Pipeline(model, store, index, query_reserve=args.query_reserve)
-        result = pipeline.run(args.query, args.k, schedule=schedule, strategy=strategy,
-                              gen_tokens=args.gen_tokens)
-        payload = {"answer": result.text, "mode": args.mode, "trace": result.trace.to_dict()}
-
+    texts = ({doc_id: (title, text) for doc_id, title, text in read_corpus(args.corpus)}
+             if args.corpus else None)
+    doc_ids = [doc_id for doc_id, _ in search(index, args.query, args.k)] if args.k > 0 else []
+    tokens, trace = answer(model, store, index, args.mode, texts, args.query, doc_ids,
+                           gen_tokens=args.gen_tokens, schedule=_schedule_from_args(args),
+                           strategy=args.strategy, query_reserve=args.query_reserve)
+    payload = {"answer": ByteTokenizer().decode(tokens), "mode": args.mode, "trace": trace}
     text = json.dumps(payload, indent=2)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -398,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[model_flags], help="answer one query")
     p.add_argument("--store", required=True)
     p.add_argument("--index", required=True)
-    p.add_argument("--corpus", default=None, help="needed for --mode naive")
+    p.add_argument("--corpus", default=None, help="document text, needed by the modes that encode documents")
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=int, default=5, help="documents to retrieve")
     p.add_argument("--mode", choices=MODES, default="prune")

@@ -301,7 +301,6 @@ class PrefillResult:
     logits: np.ndarray                # (q, vocab) from the final layer
     state: PruningState
     per_layer_scores: list[dict[str, float]]
-    attention_maps: list[AttentionMap] | None = None
 
     @property
     def first_token(self) -> int:
@@ -317,7 +316,6 @@ def prefill_with_pruning(
     plan: AllocationPlan,
     *,
     meter: CostMeter | None = None,
-    keep_maps: bool = False,
 ) -> PrefillResult:
     """Layer-by-layer query pass over [prefix] + [surviving document caches].
 
@@ -357,7 +355,6 @@ def prefill_with_pruning(
     query_keys: list[np.ndarray] = []
     query_values: list[np.ndarray] = []
     per_layer_scores: list[dict[str, float]] = []
-    kept_maps: list[AttentionMap] = []
     query_segments = np.full(query_tokens.size, QUERY_SEGMENT, dtype=np.int64)
     ctx = LayerCache.with_capacity(
         cfg.num_heads, cfg.head_dim,
@@ -379,8 +376,6 @@ def prefill_with_pruning(
         )
         query_keys.append(k32)
         query_values.append(v32)
-        if keep_maps:
-            kept_maps.append(amap)
         accumulate_scores(amap, state)
         per_layer_scores.append(dict(state.scores))
         if state.active and (layer_index + 1) % state.schedule.interval == 0:
@@ -401,7 +396,6 @@ def prefill_with_pruning(
         logits=model.logits(hidden),
         state=state,
         per_layer_scores=per_layer_scores,
-        attention_maps=kept_maps if keep_maps else None,
     )
 
 
@@ -546,7 +540,7 @@ class Pipeline:
                          gen_tokens: int = 20, stop_token: int | None = None,
                          meter: CostMeter | None = None,
                          prefix: PrefixCacheEntry | None = None) -> PipelineResult:
-        """The pipeline on explicit entries (used when caches are built online)."""
+        """The pipeline on explicit entries, loaded from the store or built online."""
         meter = meter if meter is not None else CostMeter()
         cache, first, trace = self._prefill(
             query_text, entries, retrieved_ids=retrieved_ids, schedule=schedule,

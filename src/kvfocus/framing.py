@@ -6,14 +6,16 @@ Layout, little-endian:
 
 The crc covers the body only, so a header field that matters must be
 checked by the format that owns it. Files are written under a temporary
-name and renamed into place, so a failed write leaves any earlier file at
-the path intact.
+name of their own and renamed into place, so a failed write leaves any
+earlier file at the path intact and no temporary file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
+import uuid
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,13 +39,18 @@ class Framing:
 
 
 def write_atomic(path, *chunks) -> int:
-    """Write the chunks to a temporary file, rename it over `path`, and
-    return the byte count."""
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-    os.replace(tmp, path)
+    """Write the chunks to a temporary file of this call's own, rename it
+    over `path`, and return the byte count; a failure removes the file."""
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     return sum(len(chunk) for chunk in chunks)
 
 

@@ -38,6 +38,7 @@ QUERY_SEGMENT = -2
 
 FFN_MULT = 4
 NORM_EPS = 1e-5
+PREFILL_CHUNK = 256  # tokens per forward pass in Model.prefill
 
 
 class CapacityError(RuntimeError):
@@ -535,15 +536,13 @@ class Model:
         segments=None,
         visible=None,
         meter: CostMeter | None = None,
-        collect_maps: bool = False,
-    ):
+    ) -> np.ndarray:
         """Run tokens through every layer, extending the cache in place.
 
         positions default to the next sequential positions after the highest
         one already cached, which cannot collide with a cached one; explicit
         positions that do collide raise a warning. Returns final hidden
-        states (tokens, hidden_dim), plus per-layer attention maps when
-        collect_maps is set.
+        states (tokens, hidden_dim).
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
@@ -561,9 +560,8 @@ class Model:
                     stacklevel=2,
                 )
         hidden = self.embed(ids)
-        maps: list[AttentionMap] = []
         for layer_index in range(self.config.num_layers):
-            hidden, _, _, amap = self.forward_layer(
+            hidden, _, _, _ = self.forward_layer(
                 layer_index,
                 hidden,
                 cache.layers[layer_index],
@@ -571,13 +569,8 @@ class Model:
                 segments=segments,
                 visible=visible,
                 meter=meter,
-                collect_map=collect_maps,
                 append=True,
             )
-            if collect_maps:
-                maps.append(amap)
-        if collect_maps:
-            return hidden, maps
         return hidden
 
     def logits(self, hidden: np.ndarray) -> np.ndarray:
@@ -593,12 +586,12 @@ class Model:
         segments=None,
         visible=None,
         meter: CostMeter | None = None,
-        chunk_size: int = 256,
     ):
         """Process a full input sequence, then emit the first greedy token.
 
-        Long inputs are run in chunks, which is exactly equivalent to one
-        pass because cached keys/values round to float32 either way.
+        Inputs longer than PREFILL_CHUNK tokens are run in chunks, which is
+        exactly equivalent to one pass because cached keys/values round to
+        float32 either way.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
@@ -622,8 +615,8 @@ class Model:
 
         cache.reserve(ids.size)
         hidden = None
-        for lo in range(0, ids.size, chunk_size):
-            hi = min(lo + chunk_size, ids.size)
+        for lo in range(0, ids.size, PREFILL_CHUNK):
+            hi = min(lo + PREFILL_CHUNK, ids.size)
             hidden = self.forward(
                 cache,
                 ids[lo:hi],

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from kvfocus.bench import report_to_csv, report_to_json, run_bench
 from kvfocus.cache_store import (
     CacheStore,
     CacheStoreEntry,
@@ -19,7 +20,6 @@ from kvfocus.cache_store import (
     build_prefix_cache,
     passage_tokens,
 )
-from kvfocus.cli import run_bench, report_to_csv, report_to_json
 from kvfocus.focus import (
     Pipeline,
     PruningSchedule,

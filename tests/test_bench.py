@@ -1,0 +1,99 @@
+"""The answer modes and the bench harness: one definition per mode, what the
+clock covers, how often the store's manifest is read, and the benchmark's
+patch points."""
+
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from kvfocus import bench
+from kvfocus.cache_store import CacheStore
+from kvfocus.focus import PruningSchedule
+from kvfocus.model import Model, make_config
+from kvfocus.retrieval import index_corpus
+from kvfocus.tokenizer import ByteTokenizer
+
+CORPUS = [(f"d{i}", f"title {i}", f"capital {i} of country {i % 3} and its tokens")
+          for i in range(6)]
+QUERY = "capital of country"
+
+
+@pytest.fixture(scope="module")
+def setup(tmp_path_factory):
+    model = Model.from_seed(make_config(num_layers=2, num_heads=2, head_dim=8,
+                                        max_position=160), 3)
+    store = CacheStore(tmp_path_factory.mktemp("bench") / "store", model)
+    store.build(ByteTokenizer().encode("context:", add_bos=True), CORPUS, passage_len=16)
+    return model, store, index_corpus(CORPUS)
+
+
+def answer(setup, mode, doc_ids):
+    model, store, index = setup
+    texts = {doc_id: (title, text) for doc_id, title, text in CORPUS}
+    return bench.answer(model, store, index, mode, texts, QUERY, doc_ids, gen_tokens=3,
+                        schedule=PruningSchedule(interval=1, k_finish=1), strategy="sort",
+                        query_reserve=48)
+
+
+def count_manifest_reads(monkeypatch):
+    reads = []
+    read_manifest = CacheStore.read_manifest
+
+    def counting(self):
+        reads.append(1)
+        return read_manifest(self)
+
+    monkeypatch.setattr(CacheStore, "read_manifest", counting)
+    return reads
+
+
+@pytest.mark.parametrize("mode", bench.MODES)
+def test_an_answer_reads_the_manifest_once(setup, monkeypatch, mode):
+    reads = count_manifest_reads(monkeypatch)
+    answer(setup, mode, ["d0", "d1", "d2"])
+    assert len(reads) == 1
+
+
+def test_bench_reads_the_manifest_once_per_cell(setup, monkeypatch):
+    model, store, index = setup
+    reads = count_manifest_reads(monkeypatch)
+    bench.run_bench(model, store, index, CORPUS, QUERY, doc_counts=[2, 4], gen_tokens=2,
+                    query_reserve=48)
+    # eight cells, plus one read for the report's environment
+    assert len(reads) == len(bench.MODES) * 2 + 1
+
+
+def test_no_cache_prefill_time_includes_encoding(setup, monkeypatch):
+    model, store, index = setup
+    build = bench.build_document_cache
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.05)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "build_document_cache", slow_build)
+    report = bench.run_bench(model, store, index, CORPUS, QUERY, doc_counts=[3],
+                             gen_tokens=2, modes=("no-cache",), query_reserve=48)
+    row = report.row("no_cache", 3)
+    assert row.prefill_s >= 0.05 * 3
+    assert row.total_s == pytest.approx(row.prefill_s + row.decode_s)
+
+
+def test_unknown_mode_is_rejected(setup):
+    with pytest.raises(ValueError, match="unknown mode"):
+        answer(setup, "fast", ["d0"])
+
+
+def test_benchmark_patch_points_exist(monkeypatch):
+    """Every (owner, attribute) the traced benchmark wraps is still there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for owner, attribute, name, _ in tracer.TARGETS:
+        assert callable(getattr(owner, attribute, None)), f"{name}: {owner}.{attribute}"

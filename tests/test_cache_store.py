@@ -119,7 +119,7 @@ class TestStore:
         store = CacheStore(tmp_path / "store", model)
         stats = store.build([1, 2, 3], self.corpus(), passage_len=12)
         assert stats["documents"] == 2
-        assert len(store) == 2
+        assert len(store.read_manifest()["docs"]) == 2
 
         entry = store.load_entry("doc1")
         prefix = build_prefix_cache(model, [1, 2, 3])

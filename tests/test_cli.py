@@ -5,7 +5,8 @@ import struct
 
 import pytest
 
-from kvfocus.cli import main, report_to_csv, report_to_json, score_answer
+from kvfocus.cache_store import CacheStore
+from kvfocus.cli import main, score_answer
 from kvfocus.model import Model, make_config
 
 SMALL_MODEL_FLAGS = [
@@ -172,6 +173,38 @@ class TestRunCommand:
         cached = self.run_json(workspace, capsys, "--query", "capital of france",
                                "--k", "1", "--mode", "cache", "--strategy", "none")
         assert naive["answer"] == cached["answer"]
+
+    def test_no_cache_counts_encoding_like_the_bench_row(self, workspace, capsys):
+        query = ["--query", "the capital", "--k", "2"]
+        fresh = self.run_json(workspace, capsys, *query, "--mode", "no-cache")
+        cached = self.run_json(workspace, capsys, *query, "--mode", "cache")
+        assert main(["bench", "--corpus", str(workspace["corpus"]),
+                     "--index", str(workspace["index"]), "--store", str(workspace["store"]),
+                     "--query", "the capital", "--doc-counts", "2", "--modes", "no-cache",
+                     "--gen-tokens", "4", *SMALL_MODEL_FLAGS]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert fresh["trace"]["retrieved_ids"] == cached["trace"]["retrieved_ids"]
+        assert fresh["trace"]["op_counts"]["prefill_mults"] == row["prefill_mults"]
+        assert fresh["trace"]["op_counts"]["decode_mults"] == row["decode_mults"]
+        assert row["prefill_mults"] > cached["trace"]["op_counts"]["prefill_mults"]
+
+    @pytest.mark.parametrize("mode", ["naive", "no-cache"])
+    def test_text_modes_require_corpus(self, workspace, capsys, mode):
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     "--mode", mode, *SMALL_MODEL_FLAGS])
+        assert code == 1
+        assert "text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["naive", "no-cache", "cache", "prune"])
+    def test_run_reads_the_manifest_once(self, workspace, capsys, monkeypatch, mode):
+        reads = []
+        read_manifest = CacheStore.read_manifest
+        monkeypatch.setattr(CacheStore, "read_manifest",
+                            lambda store: reads.append(1) or read_manifest(store))
+        self.run_json(workspace, capsys, "--query", "the capital", "--k", "3",
+                      "--mode", mode, "--k-finish", "1", "--n", "1")
+        assert len(reads) == 1
 
     def test_trace_file_written(self, workspace, capsys):
         trace_path = workspace["tmp"] / "trace.json"

@@ -1,10 +1,15 @@
 """Pipeline mechanics: grouping arithmetic, pruning, allocation, identity."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvfocus import focus
 from kvfocus.cache_store import (
     CacheStore,
     CacheStoreEntry,
@@ -275,7 +280,7 @@ class TestPruningBehavior:
         assert result.surviving_ids == ["d0", "d1", "d2"]
         assert result.state.pruned_at_layer == {}
 
-    def test_scores_recomputable_from_stored_maps(self):
+    def test_scores_recomputable_from_stored_maps(self, monkeypatch):
         """Final S equals document masses re-derived from the raw attention
         maps by an independent summation."""
         model = small_model(seed=21)
@@ -283,12 +288,19 @@ class TestPruningBehavior:
         docs = [build_document_cache(model, prefix, [60 + i, 70 + i, 80 + i], doc_id=f"d{i}")
                 for i in range(3)]
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=3, prefix_len=2)
-        result = prefill_with_pruning(model, prefix, docs, [5, 6, 7], None, plan,
-                                      keep_maps=True)
+        maps = []
+
+        def keep_map(amap, state):
+            maps.append(amap)
+            return accumulate_scores(amap, state)
+
+        monkeypatch.setattr(focus, "accumulate_scores", keep_map)
+        result = prefill_with_pruning(model, prefix, docs, [5, 6, 7], None, plan)
+        assert len(maps) == model.config.num_layers
         for doc_id in result.scores:
             seg = result.state.segment_of[doc_id]
             recomputed = 0.0
-            for amap in result.attention_maps:
+            for amap in maps:
                 mass = 0.0
                 heads, rows, _ = amap.weights.shape
                 for h in range(heads):
@@ -454,6 +466,37 @@ class TestPipeline:
         naive_tokens, _, _ = run_full_context(
             model, prefix_tokens, [passage], tokenizer.encode(query), gen_tokens=8)
         assert result.tokens == naive_tokens
+
+    def test_concurrent_runs_match_sequential_runs(self, tmp_path):
+        """Independent runs may proceed concurrently: 20 pruned, sorted runs on
+        threads against one model, store and index give the tokens, per-layer
+        scores and op counts of the same runs made one after another."""
+        model = small_model(seed=16)
+        corpus = [(f"d{i}", f"title {i}", f"capital {i} of country {i % 5} and tokens")
+                  for i in range(12)]
+        store, index, _ = build_fixture(tmp_path, model, corpus)
+        pipeline = Pipeline(model, store, index, query_reserve=64)
+        queries = [f"capital {i} country {i % 5}" for i in range(20)]
+        barrier = threading.Barrier(len(queries))
+
+        def run(query):
+            result = pipeline.run(query, k=8, schedule=PruningSchedule(interval=2, k_finish=2),
+                                  strategy="sort", gen_tokens=6)
+            return result.tokens, result.trace.per_layer_scores, result.trace.op_counts
+
+        def run_together(query):
+            barrier.wait(timeout=60)
+            return run(query)
+
+        sequential = [run(query) for query in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the Python steps too
+        try:
+            with ThreadPoolExecutor(max_workers=len(queries)) as pool:
+                concurrent = list(pool.map(run_together, queries))
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential
 
     def test_multi_group_run_stays_within_range(self, tmp_path):
         model = small_model(seed=15, max_position=64)

@@ -158,6 +158,28 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name):
             write(path, seed=14)
     assert path.read_bytes() == before
     load(path)
+    assert [p.name for p in tmp_path.iterdir()] == [name]  # no temporary file left
+
+
+def test_writers_of_one_path_use_their_own_temp_files(tmp_path, monkeypatch):
+    """A second write of the path starts while the first one's temporary file
+    is still waiting to be renamed; each keeps its own file and both land."""
+    path = tmp_path / "f"
+    replace = framing.os.replace
+    renamed = []
+
+    def interleaved_replace(src, dst):
+        renamed.append(src)
+        if len(renamed) == 1:
+            framing.write_atomic(path, b"second")
+            assert path.read_bytes() == b"second"
+        replace(src, dst)
+
+    monkeypatch.setattr(framing.os, "replace", interleaved_replace)
+    framing.write_atomic(path, b"first")
+    assert len(set(renamed)) == 2
+    assert path.read_bytes() == b"first"
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
 
 class TestWeightConfig:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kvfocus import model as model_module
 from kvfocus.model import (
     PREFIX_SEGMENT,
     QUERY_SEGMENT,
@@ -120,10 +121,12 @@ class TestForward:
         model = tiny_model()
         cache = model.new_cache()
         model.forward(cache, [1, 2, 3, 4], segments=np.full(4, PREFIX_SEGMENT))
-        _, maps = model.forward(cache, [5, 6], collect_maps=True)
-        assert maps[0].weights.shape == (2, 2, 6)
+        hidden = model.embed([5, 6])
+        _, _, _, amap = model.forward_layer(0, hidden, cache.layers[0], [4, 5],
+                                            collect_map=True)
+        assert amap.weights.shape == (2, 2, 6)
         # the first query row cannot see the second query token
-        assert maps[0].weights[:, 0, 5].max() == 0.0
+        assert amap.weights[:, 0, 5].max() == 0.0
 
     def test_split_forward_matches_monolithic(self):
         """Oracle: one whole-sequence pass versus prefix-then-rest."""
@@ -214,11 +217,13 @@ class TestPrefillDecode:
         with pytest.raises(CapacityError):
             model.prefill(model.new_cache(), np.ones(9, dtype=int))
 
-    def test_chunked_prefill_matches_unchunked(self):
+    def test_chunked_prefill_matches_unchunked(self, monkeypatch):
         model = tiny_model(seed=6)
         tokens = (np.arange(30) + 2) % 61
-        f_a, cache_a = model.prefill(model.new_cache(), tokens, chunk_size=7)
-        f_b, cache_b = model.prefill(model.new_cache(), tokens, chunk_size=1000)
+        monkeypatch.setattr(model_module, "PREFILL_CHUNK", 7)
+        f_a, cache_a = model.prefill(model.new_cache(), tokens)
+        monkeypatch.setattr(model_module, "PREFILL_CHUNK", 1000)
+        f_b, cache_b = model.prefill(model.new_cache(), tokens)
         assert f_a == f_b
         for la, lb in zip(cache_a.layers, cache_b.layers):
             np.testing.assert_array_equal(la.values, lb.values)
