@@ -27,7 +27,6 @@ from .focus import (
     run_full_context,
 )
 from .model import (
-    AttentionMap,
     CapacityError,
     CostMeter,
     KVCache,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationPlan",
-    "AttentionMap",
     "ByteTokenizer",
     "CacheStore",
     "CacheStoreEntry",

@@ -75,11 +75,10 @@ def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, tex
         if mode != "prune":
             schedule, strategy = None, "none"
         prepared = time.perf_counter() - t0
-        pipeline = Pipeline(model, store, index, tokenizer=tokenizer,
-                            query_reserve=query_reserve)
+        pipeline = Pipeline(model, store, index, query_reserve=query_reserve)
         result = pipeline.run_with_entries(
-            query_text, entries, retrieved_ids=list(doc_ids), schedule=schedule,
-            strategy=strategy, gen_tokens=gen_tokens, meter=meter, prefix=prefix)
+            query_text, entries, prefix=prefix, schedule=schedule, strategy=strategy,
+            gen_tokens=gen_tokens, meter=meter)
         tokens, trace = result.tokens, result.trace.to_dict()
         trace["context_length"] = len(prefix_tokens) + len(doc_ids) * passage_len \
             + len(tokenizer.encode(query_text))

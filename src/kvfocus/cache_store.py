@@ -17,21 +17,24 @@ head_dim).
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .framing import Framing, read_framed, write_atomic, write_framed
-from .model import PREFIX_SEGMENT, CostMeter, KVCache, LayerCache, Model
+from .model import CostMeter, KVCache, LayerCache, Model
 from .rope import PAIRING_INTERLEAVED
 from .tokenizer import PAD_ID, ByteTokenizer
 
 MANIFEST_NAME = "manifest.json"
+MANIFEST_LOCK_NAME = "manifest.lock"
 
 
 class StaleCacheError(RuntimeError):
@@ -106,13 +109,7 @@ def build_prefix_cache(model: Model, prefix_tokens, *, meter: CostMeter | None =
     if not tokens:
         raise ValueError("prefix must be non-empty")
     cache = model.new_cache()
-    model.forward(
-        cache,
-        tokens,
-        positions=np.arange(len(tokens)),
-        segments=np.full(len(tokens), PREFIX_SEGMENT),
-        meter=meter,
-    )
+    model.forward(cache, tokens, positions=np.arange(len(tokens)), meter=meter)
     return PrefixCacheEntry(
         prefix_hash=hash_tokens(tokens),
         model_fingerprint=model.fingerprint,
@@ -155,7 +152,6 @@ def build_document_cache(
         cache,
         tokens,
         positions=np.arange(p, p + len(tokens)),
-        segments=np.zeros(len(tokens), dtype=np.int64),
         visible=visible,
         meter=meter,
     )
@@ -190,11 +186,11 @@ def _write_kv_file(path: Path, *, model_fingerprint: str, prefix_hash: str, kv: 
     return write_framed(path, CACHE_FRAME, header, body)
 
 
-def _read_kv_file(path: Path, *, start: int, segment: int, valid: int | None = None):
+def _read_kv_file(path: Path, *, start: int, valid: int | None = None):
     """Read a cache file into (header dict, KVCache).
 
-    Token i sits at position start + i in `segment`; tokens from `valid` on
-    (default: none) are padding and not visible.
+    Token i sits at position start + i; tokens from `valid` on (default:
+    none) are padding and not visible.
     """
     (fp, ph, num_layers, num_heads, head_dim, token_count, rope_base, pairing
      ), body = read_framed(path, CACHE_FRAME)
@@ -215,7 +211,6 @@ def _read_kv_file(path: Path, *, start: int, segment: int, valid: int | None = N
             keys=keys.copy(),
             values=values.copy(),
             position_ids=np.arange(start, start + token_count, dtype=np.int64),
-            segment_ids=np.full(token_count, segment, dtype=np.int64),
             visible=visible.copy(),
         )
         for keys, values in tensors
@@ -243,7 +238,10 @@ class CacheStore:
 
     Bound to one model: every load checks the stored fingerprint and prefix
     hash and refuses mismatches rather than serving stale tensors. Writes
-    go through a temp file and an atomic rename; concurrent readers are fine.
+    go through a temp file and an atomic rename, so concurrent readers see
+    whole files. save_entry's manifest update holds an exclusive lock on
+    manifest.lock, so concurrent writers, in one process or several, lose no
+    entry.
     """
 
     def __init__(self, root, model: Model):
@@ -264,6 +262,13 @@ class CacheStore:
             raise MissingEntryError(f"no cache store at {self.root}")
         with open(self.manifest_path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+
+    @contextmanager
+    def _manifest_lock(self):
+        """Hold the store's advisory manifest lock (flock) for the block."""
+        with open(self.root / MANIFEST_LOCK_NAME, "a") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            yield
 
     def _write_manifest(self, manifest: dict) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -357,18 +362,19 @@ class CacheStore:
             rope_base=self.model.config.rope.base,
         )
         if _manifest:
-            manifest = self.read_manifest()
-            manifest["docs"][entry.doc_id] = {
-                "file": _entry_filename(entry.doc_id),
-                "valid_len": entry.valid_len,
-            }
-            self._write_manifest(manifest)
+            with self._manifest_lock():
+                manifest = self.read_manifest()
+                manifest["docs"][entry.doc_id] = {
+                    "file": _entry_filename(entry.doc_id),
+                    "valid_len": entry.valid_len,
+                }
+                self._write_manifest(manifest)
         return size
 
     def load_prefix(self, *, manifest: dict | None = None) -> PrefixCacheEntry:
         """Load the prefix cache; pass a manifest already read to skip reading it."""
         manifest = self.verify(manifest)
-        header, kv = _read_kv_file(self.root / "prefix.cfkv", start=0, segment=PREFIX_SEGMENT)
+        header, kv = _read_kv_file(self.root / "prefix.cfkv", start=0)
         self._check_header(header, manifest["prefix_hash"])
         return PrefixCacheEntry(
             prefix_hash=manifest["prefix_hash"],
@@ -386,7 +392,7 @@ class CacheStore:
         prefix_len = int(manifest["prefix_len"])
         valid = int(info["valid_len"])
         header, kv = _read_kv_file(self.root / "docs" / info["file"], start=prefix_len,
-                                   segment=0, valid=valid)
+                                   valid=valid)
         self._check_header(header, manifest["prefix_hash"])
         return CacheStoreEntry(
             doc_id=doc_id,

@@ -18,13 +18,14 @@ removal count is (k - k_finish) divided by the number of events, floored,
 with the final event trimmed or extended so exactly k_finish caches remain.
 
 Context assembly: one helper lays out a layer's context as the prefix, then
-each cache with its keys rotated to its target positions, then the query.
-Pre-fill refills one float64 buffer per layer with the prefix and the caches
-still alive at that layer, so a pruned cache is never rotated again, and the
-model appends the query's rows to the same buffer and attends over it in
-place. Each document's columns form one contiguous block, so its attention
-mass is a sum over that block of the float32 map. Final allocation lays out
-the survivors and the query's keys at their decode positions in float32.
+each cache with its keys rotated to its target positions, then the query,
+and returns the column block it gave each cache. This module alone decides
+that layout. Pre-fill refills one float64 buffer per layer with the prefix
+and the caches still alive at that layer, so a pruned cache is never rotated
+again, and the model appends the query's rows to the same buffer and
+attends over it in place. A document's attention mass is a sum of the
+float32 map over the block the layout placed it in. Final allocation lays
+out the survivors and the query's keys at their decode positions in float32.
 """
 
 from __future__ import annotations
@@ -36,15 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache_store import CacheStore, CacheStoreEntry, PrefixCacheEntry, passage_tokens
-from .model import (
-    PREFIX_SEGMENT,
-    QUERY_SEGMENT,
-    AttentionMap,
-    CostMeter,
-    KVCache,
-    LayerCache,
-    Model,
-)
+from .model import CostMeter, KVCache, LayerCache, Model
 from .retrieval import InvertedIndex, search
 from .rope import RopeConfig, reposition_array
 from .tokenizer import ByteTokenizer
@@ -106,11 +99,6 @@ class AllocationPlan:
     def end(self) -> int:
         """First position after the deepest slot (where the query starts)."""
         return self.prefix_len + self.slots_per_group * self.cache_len
-
-    @property
-    def fully_parallel(self) -> bool:
-        """True for the everything-in-one-window layout (n_reuse == k)."""
-        return bool(self.slots) and self.n_reuse == len(self.slots)
 
     def positions(self, cache_id: str) -> np.ndarray:
         start = self.slots[cache_id].start
@@ -193,7 +181,7 @@ class PruningState:
     schedule: PruningSchedule | None
     k_prune: int
     num_events: int
-    segment_of: dict[str, int]        # retrieval rank, also the cache's segment id
+    rank_of: dict[str, int]           # retrieval rank, breaks score ties
     events_done: int = 0
     pruned_at_layer: dict[int, list[str]] = field(default_factory=dict)
 
@@ -210,7 +198,7 @@ class PruningState:
             schedule=schedule,
             k_prune=k_prune,
             num_events=(num_layers // schedule.interval) if active else 0,
-            segment_of={i: r for r, i in enumerate(ids)},
+            rank_of={i: r for r, i in enumerate(ids)},
         )
 
     @property
@@ -231,62 +219,50 @@ class PruningState:
         if target <= 0:
             return []
         order = sorted(self.surviving_ids,
-                       key=lambda i: (self.scores[i], -self.segment_of[i]))
+                       key=lambda i: (self.scores[i], -self.rank_of[i]))
         removed = set(order[:target])
         self.surviving_ids = [i for i in self.surviving_ids if i not in removed]
         self.pruned_at_layer[layer] = [i for i in order[:target]]
         return self.pruned_at_layer[layer]
 
 
-def accumulate_scores(attention_map: AttentionMap, state: PruningState) -> PruningState:
-    """Add each surviving document's mean attention mass to its score.
+def accumulate_scores(weights: np.ndarray, blocks: dict[str, slice],
+                      state: PruningState) -> PruningState:
+    """Add each document's mean attention mass to its score.
 
-    The increment is the softmax mass landing on the document's key columns,
-    summed per row and averaged over heads and query rows, so long queries do
-    not dominate. Only surviving ids are scored. Every segment's columns must
-    form one contiguous block, as in every layout the pipeline builds; the
-    block is summed in float64 straight from the float32 map.
+    weights is one layer's float32 (heads, query rows, key cols) map, and
+    blocks maps each cache id to be scored to the slice of key columns its
+    keys fill. The increment is the softmax mass landing on that block,
+    summed per row in float64 and averaged over heads and query rows, so
+    long queries do not dominate.
     """
-    weights = attention_map.weights
-    blocks = _segment_blocks(attention_map.col_segments)
-    for cache_id in state.surviving_ids:
-        block = blocks.get(state.segment_of[cache_id])
-        if block is not None:
-            state.scores[cache_id] += float(
-                weights[:, :, block].sum(axis=2, dtype=np.float64).mean())
+    for cache_id, block in blocks.items():
+        state.scores[cache_id] += float(
+            weights[:, :, block].sum(axis=2, dtype=np.float64).mean())
     return state
 
 
-def _segment_blocks(col_segments: np.ndarray) -> dict[int, slice]:
-    """The column block of each segment id; raises if one is split."""
-    if col_segments.size == 0:
-        return {}
-    starts = np.flatnonzero(np.diff(col_segments)) + 1
-    bounds = [0, *starts.tolist(), col_segments.size]
-    blocks = {int(col_segments[a]): slice(a, b) for a, b in zip(bounds, bounds[1:])}
-    if len(blocks) != len(bounds) - 1:
-        raise ValueError("a segment's columns are split over several blocks")
-    return blocks
-
-
 def _assemble_layer(ctx: LayerCache, rope: RopeConfig, layer_index: int,
-                    prefix_layers: list[LayerCache], caches) -> LayerCache:
+                    prefix_layers: list[LayerCache], caches) -> list[slice]:
     """Lay out one layer's context in `ctx`, replacing what it held.
 
     The prefix's layer comes first, then each cache of `caches`, given as
-    (per-layer LayerCaches, target positions, segment id, visible), with its
-    layer's keys moved from their positions to the target ones. The query is
-    one more such cache where its rows are already known.
+    (per-layer LayerCaches, target positions, visible), with its layer's keys
+    moved from their positions to the target ones. The query is one more
+    such cache where its rows are already known. Returns the column block
+    of each cache, in the order given.
     """
     ctx.clear()
     prefix = prefix_layers[layer_index]
-    ctx.append(prefix.keys, prefix.values, prefix.position_ids, prefix.segment_ids,
-               prefix.visible)
-    for layers, target, segment, visible in caches:
+    ctx.append(prefix.keys, prefix.values, prefix.position_ids, prefix.visible)
+    blocks = []
+    for layers, target, visible in caches:
         source = layers[layer_index]
+        start = ctx.token_count
         ctx.append(reposition_array(rope, source.keys, source.position_ids, target),
-                   source.values, target, segment, visible)
-    return ctx
+                   source.values, target, visible)
+        blocks.append(slice(start, ctx.token_count))
+    return blocks
 
 
 @dataclass
@@ -343,8 +319,7 @@ def prefill_with_pruning(
     ids = [e.doc_id for e in entries]
     state = PruningState.start(ids, schedule, cfg.num_layers)
     placement = {
-        e.doc_id: (e.kv.layers, plan.positions(e.doc_id), state.segment_of[e.doc_id],
-                   np.arange(e.token_count) < e.valid_len)
+        e.doc_id: (e.kv.layers, plan.positions(e.doc_id), np.arange(e.token_count) < e.valid_len)
         for e in entries
     }
 
@@ -355,28 +330,19 @@ def prefill_with_pruning(
     query_keys: list[np.ndarray] = []
     query_values: list[np.ndarray] = []
     per_layer_scores: list[dict[str, float]] = []
-    query_segments = np.full(query_tokens.size, QUERY_SEGMENT, dtype=np.int64)
     ctx = LayerCache.with_capacity(
         cfg.num_heads, cfg.head_dim,
         prefix.kv.layers[0].token_count + sum(e.token_count for e in entries)
         + query_tokens.size)
 
     for layer_index in range(cfg.num_layers):
-        _assemble_layer(ctx, cfg.rope, layer_index, prefix.kv.layers,
-                        [placement[cache_id] for cache_id in state.surviving_ids])
-        hidden, k32, v32, amap = model.forward_layer(
-            layer_index,
-            hidden,
-            ctx,
-            query_positions,
-            segments=query_segments,
-            meter=meter,
-            collect_map=True,
-            append=True,
-        )
+        blocks = _assemble_layer(ctx, cfg.rope, layer_index, prefix.kv.layers,
+                                 [placement[cache_id] for cache_id in state.surviving_ids])
+        hidden, k32, v32, weights = model.forward_layer(
+            layer_index, hidden, ctx, query_positions, meter=meter, collect_map=True)
         query_keys.append(k32)
         query_values.append(v32)
-        accumulate_scores(amap, state)
+        accumulate_scores(weights, dict(zip(state.surviving_ids, blocks)), state)
         per_layer_scores.append(dict(state.scores))
         if state.active and (layer_index + 1) % state.schedule.interval == 0:
             state.prune_event(layer_index + 1)
@@ -415,13 +381,13 @@ def final_reposition(
     accumulated score so the strongest cache sits adjacent to the query
     (ties fall back to retrieval rank); none keeps the phase-1 layout,
     gaps included. The query's cached keys are repositioned the same way,
-    never recomputed.
+    never recomputed. entries may include pruned caches; only the survivors
+    are placed.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    entries = [e for e in entries if e.doc_id in set(prefill.surviving_ids)]
-    order = {i: r for r, i in enumerate(prefill.surviving_ids)}
-    entries = sorted(entries, key=lambda e: order[e.doc_id])
+    by_id = {e.doc_id: e for e in entries}
+    entries = [by_id[cache_id] for cache_id in prefill.surviving_ids]
 
     if strategy == "none":
         targets = {e.doc_id: plan.positions(e.doc_id) for e in entries}
@@ -430,7 +396,7 @@ def final_reposition(
         if strategy == "sort":
             if not prefill.scores:
                 raise ValueError("sort strategy requires accumulated scores")
-            rank = prefill.state.segment_of
+            rank = prefill.state.rank_of
             placed = sorted(entries,
                             key=lambda e: (prefill.scores[e.doc_id], -rank[e.doc_id]))
         else:
@@ -445,21 +411,19 @@ def final_reposition(
                                     dtype=np.int64)
 
     q_len = prefill.query_positions.size
-    query_segments = np.full(q_len, QUERY_SEGMENT, dtype=np.int64)
     query_visible = np.ones(q_len, dtype=bool)
-    query_layers = [LayerCache(keys, values, prefill.query_positions, query_segments,
-                               query_visible)
+    query_layers = [LayerCache(keys, values, prefill.query_positions, query_visible)
                     for keys, values in zip(prefill.query_keys, prefill.query_values)]
-    caches = [(e.kv.layers, targets[e.doc_id], prefill.state.segment_of[e.doc_id],
-               np.arange(e.token_count) < e.valid_len) for e in entries]
-    caches.append((query_layers, query_positions, QUERY_SEGMENT, True))
+    caches = [(e.kv.layers, targets[e.doc_id], np.arange(e.token_count) < e.valid_len)
+              for e in entries]
+    caches.append((query_layers, query_positions, True))
     heads, prefix_len, dim = prefix.kv.layers[0].keys.shape
     total = prefix_len + sum(e.token_count for e in entries) + q_len
-    return KVCache([
-        _assemble_layer(LayerCache.with_capacity(heads, dim, total, np.float32), rope,
-                        layer_index, prefix.kv.layers, caches)
-        for layer_index in range(len(prefix.kv.layers))
-    ])
+    layers = []
+    for layer_index in range(len(prefix.kv.layers)):
+        layers.append(LayerCache.with_capacity(heads, dim, total, np.float32))
+        _assemble_layer(layers[-1], rope, layer_index, prefix.kv.layers, caches)
+    return KVCache(layers)
 
 
 @dataclass
@@ -506,15 +470,15 @@ class Pipeline:
     """
 
     def __init__(self, model: Model, store: CacheStore, index: InvertedIndex,
-                 *, tokenizer: ByteTokenizer | None = None, query_reserve: int = 128):
+                 *, query_reserve: int = 128):
         self.model = model
         self.store = store
         self.index = index
-        self.tokenizer = tokenizer or ByteTokenizer()
+        self.tokenizer = ByteTokenizer()
         self.query_reserve = query_reserve
 
     def run(self, query_text: str, k: int, *, schedule: PruningSchedule | None = None,
-            strategy: str = "none", gen_tokens: int = 20, stop_token: int | None = None,
+            strategy: str = "none", gen_tokens: int = 20,
             meter: CostMeter | None = None) -> PipelineResult:
         """End-to-end run; k=0 answers from the prefix and query alone.
 
@@ -526,34 +490,30 @@ class Pipeline:
         retrieved = search(self.index, query_text, k) if k > 0 else []
         meter = meter if meter is not None else CostMeter()
         manifest = self.store.read_manifest()
+        prefix = self.store.load_prefix(manifest=manifest)
+        # the entries are passed inline, so no reference outlives _prefill
         cache, first, trace = self._prefill(
             query_text,
             [self.store.load_entry(doc_id, manifest=manifest) for doc_id, _ in retrieved],
-            retrieved_ids=[doc_id for doc_id, _ in retrieved], schedule=schedule,
-            strategy=strategy, gen_tokens=gen_tokens, meter=meter, prefix=None,
-            manifest=manifest)
-        return self._decode(cache, first, trace, gen_tokens, stop_token, meter)
+            prefix, schedule=schedule, strategy=strategy, gen_tokens=gen_tokens, meter=meter)
+        return self._decode(cache, first, trace, gen_tokens, meter)
 
     def run_with_entries(self, query_text: str, entries: list[CacheStoreEntry], *,
-                         retrieved_ids: list[str] | None = None,
-                         schedule: PruningSchedule | None = None, strategy: str = "none",
-                         gen_tokens: int = 20, stop_token: int | None = None,
-                         meter: CostMeter | None = None,
-                         prefix: PrefixCacheEntry | None = None) -> PipelineResult:
+                         prefix: PrefixCacheEntry, schedule: PruningSchedule | None = None,
+                         strategy: str = "none", gen_tokens: int = 20,
+                         meter: CostMeter | None = None) -> PipelineResult:
         """The pipeline on explicit entries, loaded from the store or built online."""
         meter = meter if meter is not None else CostMeter()
         cache, first, trace = self._prefill(
-            query_text, entries, retrieved_ids=retrieved_ids, schedule=schedule,
-            strategy=strategy, gen_tokens=gen_tokens, meter=meter, prefix=prefix)
-        return self._decode(cache, first, trace, gen_tokens, stop_token, meter)
+            query_text, entries, prefix, schedule=schedule, strategy=strategy,
+            gen_tokens=gen_tokens, meter=meter)
+        return self._decode(cache, first, trace, gen_tokens, meter)
 
-    def _prefill(self, query_text, entries, *, retrieved_ids, schedule, strategy, gen_tokens,
-                 meter, prefix, manifest=None):
+    def _prefill(self, query_text, entries, prefix, *, schedule, strategy, gen_tokens, meter):
         """Plan, prefill with pruning and assemble the decode cache.
 
-        Without a prefix, it is loaded from the store (through `manifest` when
-        given). Returns (cache, first token, trace without decode timings or
-        op counts).
+        Returns (cache, first token, trace without decode timings or op
+        counts).
         """
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -561,8 +521,6 @@ class Pipeline:
             raise ValueError("gen_tokens must be >= 1")
         meter.phase = "prefill"
         t0 = time.perf_counter()
-
-        prefix = prefix if prefix is not None else self.store.load_prefix(manifest=manifest)
         query_tokens = self.tokenizer.encode(query_text)
         cfg = self.model.config
 
@@ -590,12 +548,10 @@ class Pipeline:
 
         prefill = prefill_with_pruning(self.model, prefix, entries, query_tokens,
                                        schedule, plan, meter=meter)
-        survivors = [e for e in entries if e.doc_id in set(prefill.surviving_ids)]
-        cache = final_reposition(cfg.rope, prefix, survivors, prefill, strategy, plan)
+        cache = final_reposition(cfg.rope, prefix, entries, prefill, strategy, plan)
         trace = PipelineTrace(
             query=query_text,
-            retrieved_ids=retrieved_ids if retrieved_ids is not None
-            else [e.doc_id for e in entries],
+            retrieved_ids=[e.doc_id for e in entries],
             n_reuse=n_reuse,
             plan=plan.to_dict(),
             per_layer_scores=prefill.per_layer_scores,
@@ -607,13 +563,10 @@ class Pipeline:
         )
         return cache, prefill.first_token, trace
 
-    def _decode(self, cache, first, trace, gen_tokens, stop_token, meter) -> PipelineResult:
+    def _decode(self, cache, first, trace, gen_tokens, meter) -> PipelineResult:
         t1 = time.perf_counter()
         meter.phase = "decode"
-        tokens = [first]
-        if stop_token is None or first != stop_token:
-            tokens += self.model.decode(cache, first, gen_tokens - 1,
-                                        stop_token=stop_token, meter=meter)
+        tokens = [first] + self.model.decode(cache, first, gen_tokens - 1, meter=meter)
         decode_s = time.perf_counter() - t1
         trace.timings.update(decode_s=decode_s, total_s=trace.timings["prefill_s"] + decode_s)
         trace.op_counts = {"prefill_mults": meter.prefill_mults,
@@ -622,8 +575,7 @@ class Pipeline:
 
 
 def run_full_context(model: Model, prefix_tokens, passages, query_tokens, *,
-                     gen_tokens: int = 20, stop_token: int | None = None,
-                     meter: CostMeter | None = None):
+                     gen_tokens: int = 20, meter: CostMeter | None = None):
     """Uncached comparison path: one monolithic forward over
     prefix + fixed-length passages + query, then greedy decoding.
 
@@ -637,31 +589,20 @@ def run_full_context(model: Model, prefix_tokens, passages, query_tokens, *,
     meter.phase = "prefill"
     t0 = time.perf_counter()
     tokens = [int(t) for t in prefix_tokens]
-    segments = [PREFIX_SEGMENT] * len(tokens)
     visible = [True] * len(tokens)
-    for seg, (doc_tokens, valid_len) in enumerate(passages):
+    for doc_tokens, valid_len in passages:
         tokens += [int(t) for t in doc_tokens]
-        segments += [seg] * len(doc_tokens)
         visible += [i < valid_len for i in range(len(doc_tokens))]
     query = [int(t) for t in query_tokens]
     tokens += query
-    segments += [QUERY_SEGMENT] * len(query)
     visible += [True] * len(query)
 
     cache = model.new_cache()
-    first, cache = model.prefill(
-        cache,
-        tokens,
-        positions=np.arange(len(tokens)),
-        segments=np.asarray(segments, dtype=np.int64),
-        visible=np.asarray(visible, dtype=bool),
-        meter=meter,
-    )
+    first, cache = model.prefill(cache, tokens, positions=np.arange(len(tokens)),
+                                 visible=np.asarray(visible, dtype=bool), meter=meter)
     t1 = time.perf_counter()
     meter.phase = "decode"
-    out = [first]
-    if stop_token is None or first != stop_token:
-        out += model.decode(cache, first, gen_tokens - 1, stop_token=stop_token, meter=meter)
+    out = [first] + model.decode(cache, first, gen_tokens - 1, meter=meter)
     t2 = time.perf_counter()
     timings = {"prefill_s": t1 - t0, "decode_s": t2 - t1, "total_s": t2 - t0}
     return out, len(tokens), timings

@@ -9,11 +9,12 @@ cache boundary makes monolithic, split, and store-loaded forward paths agree
 bit-for-bit on cached tensors, so greedy decoding is reproducible no matter
 how the context was assembled.
 
-Caches carry explicit per-token position ids, segment ids tagging the source
-of each token (prefix, a document, or the query), and a visibility flag so
-padding keys can be masked out of attention. Caches assembled from parts,
-loaded from disk, sliced or copied hold float32 arrays. A cache that the
-model appends to, as in prefill and decoding, keeps the same float32-rounded
+Caches carry explicit per-token position ids and a visibility flag so
+padding keys can be masked out of attention. They do not record which
+source each token came from: the code that lays out a context knows where
+each part starts and ends (see `focus`). Caches assembled from parts, loaded
+from disk, sliced or copied hold float32 arrays. A cache that the model
+appends to, as in prefill and decoding, keeps the same float32-rounded
 values in float64 buffers that grow geometrically (the widening is exact),
 so each decoded token writes only its own rows and attention reads the cache
 in place, with no concatenate and no cast.
@@ -33,16 +34,14 @@ from .framing import Framing, read_framed, write_framed
 from .rope import PAIRING_INTERLEAVED, RopeConfig, rotate
 from .tokenizer import VOCAB_SIZE
 
-PREFIX_SEGMENT = -1
-QUERY_SEGMENT = -2
-
 FFN_MULT = 4
 NORM_EPS = 1e-5
 PREFILL_CHUNK = 256  # tokens per forward pass in Model.prefill
+MAX_CACHE_TOKENS = 16384  # hard limit on the tokens Model.prefill may leave cached
 
 
 class CapacityError(RuntimeError):
-    """The cache would exceed the configured hard token limit."""
+    """The cache would exceed the hard token limit, MAX_CACHE_TOKENS."""
 
 
 class WeightFormatError(RuntimeError):
@@ -60,7 +59,6 @@ class ModelConfig:
     head_dim: int
     rope: RopeConfig
     vocab_size: int = VOCAB_SIZE
-    max_cache_tokens: int = 16384
 
     def __post_init__(self):
         if self.num_layers < 1 or self.num_heads < 1:
@@ -98,10 +96,9 @@ def make_config(
     max_position: int = 512,
     rope_base: float = 10000.0,
     vocab_size: int = VOCAB_SIZE,
-    max_cache_tokens: int = 16384,
 ) -> ModelConfig:
     rope = RopeConfig(head_dim=head_dim, base=rope_base, max_position=max_position)
-    return ModelConfig(num_layers, num_heads, head_dim, rope, vocab_size, max_cache_tokens)
+    return ModelConfig(num_layers, num_heads, head_dim, rope, vocab_size)
 
 
 @dataclass
@@ -113,7 +110,7 @@ class LayerCache:
     must skip. A cache is built from float32 arrays, or empty with fixed
     buffers from with_capacity(). An append that does not fit moves it into
     float64 buffers with room to grow (the widening is exact); from then on
-    the five fields are views of the buffers' first token_count rows, and
+    the four fields are views of the buffers' first token_count rows, and
     appends write new rows in place, so a view taken earlier keeps its
     values. Replace a cache rather than its fields. slice() and copy()
     return independent float32 caches.
@@ -122,9 +119,8 @@ class LayerCache:
     keys: np.ndarray
     values: np.ndarray
     position_ids: np.ndarray
-    segment_ids: np.ndarray
     visible: np.ndarray
-    # (keys, values, position_ids, segment_ids, visible) with spare rows
+    # (keys, values, position_ids, visible) with spare rows
     _buffers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -133,7 +129,6 @@ class LayerCache:
             keys=np.zeros((num_heads, 0, head_dim), dtype=np.float32),
             values=np.zeros((num_heads, 0, head_dim), dtype=np.float32),
             position_ids=np.zeros(0, dtype=np.int64),
-            segment_ids=np.zeros(0, dtype=np.int64),
             visible=np.zeros(0, dtype=bool),
         )
 
@@ -162,17 +157,16 @@ class LayerCache:
         if extra > 0 and end > self.capacity:
             self._reallocate(end)
 
-    def append(self, keys, values, position_ids, segment_ids, visible) -> None:
+    def append(self, keys, values, position_ids, visible) -> None:
         keys = np.asarray(keys, np.float32)
         start = self.token_count
         end = start + keys.shape[1]
         if end > self.capacity:
             self._reallocate(max(end, 2 * self.capacity))
-        k, v, pos, seg, vis = self._buffers
+        k, v, pos, vis = self._buffers
         k[:, start:end] = keys
         v[:, start:end] = np.asarray(values, np.float32)
         pos[start:end] = position_ids
-        seg[start:end] = segment_ids
         vis[start:end] = visible
         self._expose(end)
 
@@ -184,21 +178,19 @@ class LayerCache:
     def _reallocate(self, capacity: int) -> None:
         n = self.token_count
         heads, _, dim = self.keys.shape
-        k, v, pos, seg, vis = _new_buffers(heads, capacity, dim, np.float64)
+        k, v, pos, vis = _new_buffers(heads, capacity, dim, np.float64)
         k[:, :n] = self.keys
         v[:, :n] = self.values
         pos[:n] = self.position_ids
-        seg[:n] = self.segment_ids
         vis[:n] = self.visible
-        self._buffers = (k, v, pos, seg, vis)
+        self._buffers = (k, v, pos, vis)
         self._expose(n)
 
     def _expose(self, n: int) -> None:
-        k, v, pos, seg, vis = self._buffers
+        k, v, pos, vis = self._buffers
         self.keys = k[:, :n]
         self.values = v[:, :n]
         self.position_ids = pos[:n]
-        self.segment_ids = seg[:n]
         self.visible = vis[:n]
 
     def slice(self, start: int, stop: int) -> "LayerCache":
@@ -206,7 +198,6 @@ class LayerCache:
             keys=self.keys[:, start:stop].astype(np.float32),
             values=self.values[:, start:stop].astype(np.float32),
             position_ids=self.position_ids[start:stop].copy(),
-            segment_ids=self.segment_ids[start:stop].copy(),
             visible=self.visible[start:stop].copy(),
         )
 
@@ -217,7 +208,6 @@ class LayerCache:
 def _new_buffers(heads: int, capacity: int, dim: int, dtype) -> tuple:
     return (np.empty((heads, capacity, dim), dtype=dtype),
             np.empty((heads, capacity, dim), dtype=dtype),
-            np.empty(capacity, dtype=np.int64),
             np.empty(capacity, dtype=np.int64),
             np.empty(capacity, dtype=bool))
 
@@ -256,18 +246,6 @@ class KVCache:
         return KVCache([layer.copy() for layer in self.layers])
 
 
-@dataclass
-class AttentionMap:
-    """Softmax weights for one layer: (num_heads, query_rows, key_cols).
-
-    col_segments tags every key column with the segment id of its source so
-    per-document attention mass can be aggregated.
-    """
-
-    weights: np.ndarray
-    col_segments: np.ndarray
-
-
 class CostMeter:
     """Deterministic multiply-accumulate counters for attention products.
 
@@ -292,13 +270,14 @@ class CostMeter:
             self.prefill_mults += int(count)
 
 
-def attention(queries, keys, values, causal_mask, *, segments=None, meter=None, collect_map=True):
+def attention(queries, keys, values, causal_mask, *, meter=None, collect_map=True):
     """Scaled dot-product attention over explicit key/value arrays.
 
     queries: (heads, rows, head_dim), already rotated at their positions.
     keys/values: (heads, cols, head_dim). causal_mask: (rows, cols) bool,
     True where a row may attend. Masked weights are exactly zero. Returns
-    (outputs, AttentionMap or None); outputs are float64.
+    (outputs, weights or None): outputs are float64, and weights, when
+    collect_map is set, the (heads, rows, cols) softmax map in float32.
     """
     q = np.asarray(queries, dtype=np.float64)
     k = np.asarray(keys, dtype=np.float64)
@@ -314,7 +293,6 @@ def attention(queries, keys, values, causal_mask, *, segments=None, meter=None, 
         raise ValueError("every query row must attend to at least one key")
 
     heads, rows, dim = q.shape
-    cols = k.shape[1]
     # one (heads, rows, cols) array, updated in place from scores to weights
     weights = np.matmul(q, k.transpose(0, 2, 1))
     weights /= np.sqrt(float(dim))
@@ -325,13 +303,7 @@ def attention(queries, keys, values, causal_mask, *, segments=None, meter=None, 
     if meter is not None:
         meter.add(2 * heads * dim * int(mask.sum()))
     outputs = np.matmul(weights, v)
-
-    amap = None
-    if collect_map:
-        if segments is None:
-            segments = np.full(cols, QUERY_SEGMENT, dtype=np.int64)
-        amap = AttentionMap(weights.astype(np.float32), np.array(segments, np.int64))
-    return outputs, amap
+    return outputs, weights.astype(np.float32) if collect_map else None
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -435,9 +407,8 @@ class Model:
         return cls(config, w)
 
     @classmethod
-    def from_file(cls, path, max_cache_tokens: int = 16384) -> "Model":
-        config, weights = load_weights(path, max_cache_tokens=max_cache_tokens)
-        return cls(config, weights)
+    def from_file(cls, path) -> "Model":
+        return cls(*load_weights(path))
 
     def save_weights(self, path) -> None:
         save_weights(self.config, self.weights, path)
@@ -463,31 +434,24 @@ class Model:
         self,
         layer_index: int,
         hidden: np.ndarray,
-        layer_cache: LayerCache | None,
+        layer_cache: LayerCache,
         positions,
         *,
-        segments=None,
         visible=None,
         meter: CostMeter | None = None,
         collect_map: bool = False,
-        append: bool = True,
     ):
         """One transformer block over `hidden` (tokens, hidden_dim) float64.
 
-        The new tokens attend to every visible cached key plus themselves
-        under a causal mask, and their keys/values (float32, rotated at
-        `positions`) are appended to layer_cache unless append=False. When
-        appending, attention reads the grown cache in place; otherwise it
-        reads a concatenation of the cache and the new rows.
-        Returns (new_hidden, new_keys, new_values, attention_map_or_None).
+        The new tokens' keys/values (float32, rotated at `positions`) are
+        appended to layer_cache, and the new tokens attend, reading the grown
+        cache in place, to every visible cached key plus themselves under a
+        causal mask. Returns (new_hidden, new_keys, new_values, weights or
+        None); the float32 weights' columns follow the cache's token order.
         """
         cfg = self.config
         t = hidden.shape[0]
         positions = np.asarray(positions, dtype=np.int64)
-        segments = (
-            np.full(t, QUERY_SEGMENT, dtype=np.int64) if segments is None
-            else np.asarray(segments, dtype=np.int64)
-        )
         visible = np.ones(t, dtype=bool) if visible is None else np.asarray(visible, dtype=bool)
         w = self._w64
         p = f"layers.{layer_index}."
@@ -497,9 +461,7 @@ class Model:
         k32 = rotate(cfg.rope, self._split_heads(x @ w[p + "wk"]), positions).astype(np.float32)
         v32 = self._split_heads(x @ w[p + "wv"]).astype(np.float32)
 
-        if append and layer_cache is None:
-            raise ValueError("append=True requires a layer cache")
-        ctx = layer_cache.token_count if layer_cache is not None else 0
+        ctx = layer_cache.token_count
         mask = np.empty((t, ctx + t), dtype=bool)
         if ctx:
             mask[:, :ctx] = layer_cache.visible[None, :]
@@ -508,24 +470,13 @@ class Model:
             visible[None, :] | np.eye(t, dtype=bool)
         )
 
-        if append:
-            layer_cache.append(k32, v32, positions, segments, visible)
-            keys, values = layer_cache.keys, layer_cache.values
-            col_segments = layer_cache.segment_ids
-        elif ctx:
-            keys = np.concatenate([layer_cache.keys, k32], axis=1)
-            values = np.concatenate([layer_cache.values, v32], axis=1)
-            col_segments = np.concatenate([layer_cache.segment_ids, segments])
-        else:
-            keys, values, col_segments = k32, v32, segments
-
-        out, amap = attention(
-            q, keys, values, mask, segments=col_segments, meter=meter, collect_map=collect_map
-        )
+        layer_cache.append(k32, v32, positions, visible)
+        out, weights = attention(q, layer_cache.keys, layer_cache.values, mask, meter=meter,
+                                 collect_map=collect_map)
         hidden = hidden + self._merge_heads(out) @ w[p + "wo"]
         x2 = _rms_norm(hidden, w[p + "ffn_norm"])
         hidden = hidden + _silu(x2 @ w[p + "w1"]) @ w[p + "w2"]
-        return hidden, k32, v32, amap
+        return hidden, k32, v32, weights
 
     def forward(
         self,
@@ -533,7 +484,6 @@ class Model:
         tokens,
         *,
         positions=None,
-        segments=None,
         visible=None,
         meter: CostMeter | None = None,
     ) -> np.ndarray:
@@ -562,15 +512,8 @@ class Model:
         hidden = self.embed(ids)
         for layer_index in range(self.config.num_layers):
             hidden, _, _, _ = self.forward_layer(
-                layer_index,
-                hidden,
-                cache.layers[layer_index],
-                positions,
-                segments=segments,
-                visible=visible,
-                meter=meter,
-                append=True,
-            )
+                layer_index, hidden, cache.layers[layer_index], positions,
+                visible=visible, meter=meter)
         return hidden
 
     def logits(self, hidden: np.ndarray) -> np.ndarray:
@@ -583,7 +526,6 @@ class Model:
         tokens,
         *,
         positions=None,
-        segments=None,
         visible=None,
         meter: CostMeter | None = None,
     ):
@@ -597,20 +539,15 @@ class Model:
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError("prefill requires a non-empty token sequence")
         total = cache.token_count + ids.size
-        if total > self.config.max_cache_tokens:
+        if total > MAX_CACHE_TOKENS:
             raise CapacityError(
-                f"cache would hold {total} tokens, over the limit of "
-                f"{self.config.max_cache_tokens}"
+                f"cache would hold {total} tokens, over the limit of {MAX_CACHE_TOKENS}"
             )
         if positions is None:
             start = cache.next_position()
             positions = np.arange(start, start + ids.size, dtype=np.int64)
         else:
             positions = np.asarray(positions, dtype=np.int64)
-        segments = (
-            np.full(ids.size, QUERY_SEGMENT, dtype=np.int64) if segments is None
-            else np.asarray(segments, dtype=np.int64)
-        )
         visible = np.ones(ids.size, dtype=bool) if visible is None else np.asarray(visible, bool)
 
         cache.reserve(ids.size)
@@ -621,7 +558,6 @@ class Model:
                 cache,
                 ids[lo:hi],
                 positions=positions[lo:hi],
-                segments=segments[lo:hi],
                 visible=visible[lo:hi],
                 meter=meter,
             )
@@ -634,15 +570,14 @@ class Model:
         prev_token: int,
         max_tokens: int,
         *,
-        stop_token: int | None = None,
         meter: CostMeter | None = None,
     ) -> list[int]:
         """Greedy decoding loop: feed the previous token, take the argmax.
 
         New tokens sit immediately after the highest occupied position.
-        Returns up to max_tokens generated tokens (prev_token not included);
-        stops early after emitting stop_token. Room for max_tokens is
-        reserved up front, so the loop itself does not reallocate the cache.
+        Returns max_tokens generated tokens (prev_token not included). Room
+        for them is reserved up front, so the loop itself does not
+        reallocate the cache.
         """
         cache.reserve(max_tokens)
         out: list[int] = []
@@ -651,8 +586,6 @@ class Model:
             hidden = self.forward(cache, [token], meter=meter)
             token = int(np.argmax(self.logits(hidden[-1:])[0]))
             out.append(token)
-            if stop_token is not None and token == stop_token:
-                break
         return out
 
 
@@ -665,7 +598,7 @@ def save_weights(config: ModelConfig, weights: dict[str, np.ndarray], path) -> N
     write_framed(path, WEIGHT_FRAME, config.packed(), body)
 
 
-def load_weights(path, max_cache_tokens: int = 16384):
+def load_weights(path):
     """Read a weight file back into (ModelConfig, weights).
 
     The crc does not cover the config, so a config that make_config rejects
@@ -682,7 +615,6 @@ def load_weights(path, max_cache_tokens: int = 16384):
             max_position=max_position,
             rope_base=base,
             vocab_size=vocab,
-            max_cache_tokens=max_cache_tokens,
         )
     except ValueError as exc:
         raise WEIGHT_FRAME.fail(path, f"bad config ({exc})") from exc

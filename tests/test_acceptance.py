@@ -30,14 +30,7 @@ from kvfocus.focus import (
     removals_per_event,
     run_full_context,
 )
-from kvfocus.model import (
-    PREFIX_SEGMENT,
-    QUERY_SEGMENT,
-    KVCache,
-    LayerCache,
-    Model,
-    make_config,
-)
+from kvfocus.model import KVCache, LayerCache, Model, make_config
 from kvfocus.retrieval import B, K1, index_corpus, tokenize_text, search
 from kvfocus.rope import RopeConfig, reposition_array, rotate
 from kvfocus.tokenizer import ByteTokenizer
@@ -108,8 +101,6 @@ def test_criterion_02_cache_equivalence():
             mono,
             prefix_tokens + doc_tokens,
             positions=np.arange(p + len(doc_tokens)),
-            segments=np.concatenate([np.full(p, PREFIX_SEGMENT),
-                                     np.zeros(len(doc_tokens), np.int64)]),
         )
         for built, full in zip(entry.kv.layers, mono.layers):
             assert np.abs(built.keys - full.keys[:, p:]).max() < 1e-5
@@ -203,7 +194,7 @@ def test_criterion_05_group_count_oracle():
             if k <= capacity:
                 assert got == 1
     plan = plan_positions([f"c{i}" for i in range(7)], 7, cache_len=8, prefix_len=0)
-    assert plan.fully_parallel
+    assert plan.n_reuse == len(plan.slots)
     assert {slot.start for slot in plan.slots.values()} == {0}
     _report(5, "6,400 (k, capacity) pairs match brute-force packing")
 
@@ -225,7 +216,6 @@ def _synthetic_entry(model, prefix, doc_id, keys, token_count):
             keys=keys.copy(),
             values=np.zeros_like(keys),
             position_ids=np.arange(p, p + token_count, dtype=np.int64),
-            segment_ids=np.zeros(token_count, dtype=np.int64),
             visible=np.ones(token_count, dtype=bool),
         ))
     return CacheStoreEntry(doc_id=doc_id, model_fingerprint=model.fingerprint,
@@ -286,6 +276,16 @@ def test_criterion_06_pruning_behavior():
     _report(6, "nested sets, exact terminal counts, 100/100 dead-doc-first trials")
 
 
+def _rows_holding(layer, values):
+    """Rows of `layer` whose values equal one of the rows of `values`
+    (heads, n, head_dim). Values are never rotated, so they find a
+    document's or the query's rows wherever the layout moved them."""
+    match = (layer.values[:, :, None, :] == values[:, None, :, :]).all(axis=(0, 3))
+    rows = np.flatnonzero(match.any(axis=1))
+    assert rows.size == values.shape[1]
+    return rows
+
+
 def test_criterion_07_allocation_strategies():
     """100 random pruning outcomes: sort orders survivors by ascending score
     toward the query, align compacts in rank order, both end at the query."""
@@ -315,15 +315,18 @@ def test_criterion_07_allocation_strategies():
         for strategy in ("align", "sort"):
             cache = final_reposition(model.config.rope, prefix, entries, prefill,
                                      strategy, plan)
-            layer = cache.layers[0]
+            # the last layer: a token's layer-0 values depend on the token
+            # alone, so two documents sharing a token would match there
+            layer = cache.layers[-1]
             starts = {}
-            for doc_id in ids:
-                seg = prefill.state.segment_of[doc_id]
-                starts[doc_id] = int(layer.position_ids[layer.segment_ids == seg].min())
+            for e in entries:
+                starts[e.doc_id] = int(layer.position_ids[
+                    _rows_holding(layer, e.kv.layers[-1].values)].min())
             ordered = sorted(ids, key=lambda d: starts[d])
             # contiguous block from the prefix to the query, no gaps
             assert min(starts.values()) == 3
-            q_min = int(layer.position_ids[layer.segment_ids == QUERY_SEGMENT].min())
+            q_min = int(layer.position_ids[
+                _rows_holding(layer, prefill.query_values[-1])].min())
             assert max(starts.values()) + cache_len == q_min
             assert sorted(starts.values()) == [3 + i * cache_len for i in range(count)]
             if strategy == "align":

@@ -16,10 +16,10 @@ from kvfocus.focus import (
     plan_positions,
     prefill_with_pruning,
 )
-from kvfocus.model import QUERY_SEGMENT, KVCache, LayerCache, Model, make_config
+from kvfocus.model import KVCache, LayerCache, Model, make_config
 from kvfocus.rope import RopeConfig, reposition_array
 
-FIELDS = ("keys", "values", "position_ids", "segment_ids", "visible")
+FIELDS = ("keys", "values", "position_ids", "visible")
 
 
 def small_model(seed=0, **overrides):
@@ -29,16 +29,17 @@ def small_model(seed=0, **overrides):
 
 
 def concatenated(parts):
-    """A float32 LayerCache from (keys, values, positions, segments, visible) parts."""
+    """A float32 LayerCache from (keys, values, positions, visible) parts."""
     return LayerCache(*(np.concatenate([p[i] for p in parts], axis=1 if i < 2 else 0)
-                        for i in range(5)))
+                        for i in range(4)))
 
 
 def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
     """Pre-fill as it used to run: every layer of every cache rotated up front,
-    each layer's context concatenated in float32 and the query attending over
-    a concatenation with its own rows (append=False); scores cast the whole
-    map to float64 and mask it once per cache.
+    each layer's context concatenated in float32 into a fresh cache that the
+    query's rows are appended to; each cache's score columns are the range
+    its own part filled in the concatenation, and scores cast the whole map
+    to float64 and mask it once per cache.
     Returns (first token, query keys, query values, query positions, state,
     per-layer scores)."""
     cfg = model.config
@@ -54,24 +55,23 @@ def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
     query_keys, query_values, per_layer_scores = [], [], []
     for layer_index in range(cfg.num_layers):
         p = prefix.kv.layers[layer_index]
-        parts = [(p.keys, p.values, p.position_ids, p.segment_ids, p.visible)]
+        parts = [(p.keys, p.values, p.position_ids, p.visible)]
+        spans = {}
         for cache_id in state.surviving_ids:
             e = by_id[cache_id]
+            start = sum(part[0].shape[1] for part in parts)
             parts.append((rotated[cache_id][layer_index], e.kv.layers[layer_index].values,
-                          plan.positions(cache_id),
-                          np.full(e.token_count, state.segment_of[cache_id], dtype=np.int64),
-                          np.arange(e.token_count) < e.valid_len))
-        hidden, k32, v32, amap = model.forward_layer(
-            layer_index, hidden, concatenated(parts), query_positions,
-            segments=np.full(query_tokens.size, QUERY_SEGMENT, dtype=np.int64),
-            collect_map=True, append=False)
+                          plan.positions(cache_id), np.arange(e.token_count) < e.valid_len))
+            spans[cache_id] = (start, start + e.token_count)
+        hidden, k32, v32, weights = model.forward_layer(
+            layer_index, hidden, concatenated(parts), query_positions, collect_map=True)
         query_keys.append(k32)
         query_values.append(v32)
-        weights = amap.weights.astype(np.float64)
-        for cache_id in state.surviving_ids:
-            cols = amap.col_segments == state.segment_of[cache_id]
-            if cols.any():
-                state.scores[cache_id] += float(weights[:, :, cols].sum(axis=2).mean())
+        weights = weights.astype(np.float64)
+        for cache_id, (start, stop) in spans.items():
+            cols = np.zeros(weights.shape[2], dtype=bool)
+            cols[start:stop] = True
+            state.scores[cache_id] += float(weights[:, :, cols].sum(axis=2).mean())
         per_layer_scores.append(dict(state.scores))
         if state.active and (layer_index + 1) % state.schedule.interval == 0:
             state.prune_event(layer_index + 1)
@@ -89,7 +89,7 @@ def reference_final(rope, prefix, entries, query_keys, query_values, query_posit
         new_query = query_positions
     else:
         placed = entries if strategy == "align" else sorted(
-            entries, key=lambda e: (state.scores[e.doc_id], -state.segment_of[e.doc_id]))
+            entries, key=lambda e: (state.scores[e.doc_id], -state.rank_of[e.doc_id]))
         targets, cursor = {}, plan.prefix_len
         for e in placed:
             targets[e.doc_id] = np.arange(cursor, cursor + e.token_count, dtype=np.int64)
@@ -98,18 +98,15 @@ def reference_final(rope, prefix, entries, query_keys, query_values, query_posit
     layers = []
     q_len = query_positions.size
     for layer_index, p in enumerate(prefix.kv.layers):
-        parts = [(p.keys, p.values, p.position_ids, p.segment_ids, p.visible)]
+        parts = [(p.keys, p.values, p.position_ids, p.visible)]
         for e in entries:
             layer = e.kv.layers[layer_index]
             target = targets[e.doc_id]
             parts.append((reposition_array(rope, layer.keys, layer.position_ids, target),
-                          layer.values, target,
-                          np.full(e.token_count, state.segment_of[e.doc_id], dtype=np.int64),
-                          np.arange(e.token_count) < e.valid_len))
+                          layer.values, target, np.arange(e.token_count) < e.valid_len))
         parts.append((reposition_array(rope, query_keys[layer_index], query_positions,
                                        new_query),
-                      query_values[layer_index], new_query,
-                      np.full(q_len, QUERY_SEGMENT, dtype=np.int64), np.ones(q_len, bool)))
+                      query_values[layer_index], new_query, np.ones(q_len, bool)))
         layers.append(concatenated(parts))
     return KVCache(layers)
 

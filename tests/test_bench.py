@@ -1,6 +1,6 @@
 """The answer modes and the bench harness: one definition per mode, what the
 clock covers, how often the store's manifest is read, and the benchmark's
-patch points."""
+patch points and the counts its tracer reads there."""
 
 import importlib.util
 import sys
@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from kvfocus import bench
-from kvfocus.cache_store import CacheStore
-from kvfocus.focus import PruningSchedule
+from kvfocus import bench, cache_store, retrieval
+from kvfocus.cache_store import CacheStore, passage_tokens
+from kvfocus.focus import Pipeline, PruningSchedule
 from kvfocus.model import Model, make_config
 from kvfocus.retrieval import index_corpus
 from kvfocus.tokenizer import ByteTokenizer
@@ -87,13 +87,53 @@ def test_unknown_mode_is_rejected(setup):
         answer(setup, "fast", ["d0"])
 
 
-def test_benchmark_patch_points_exist(monkeypatch):
-    """Every (owner, attribute) the traced benchmark wraps is still there."""
+def load_tracer(monkeypatch):
+    """The traced benchmark's span recorder, perfbench/tracer.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_patch_points_exist(monkeypatch):
+    """Every (owner, attribute) the traced benchmark wraps is still there."""
+    tracer = load_tracer(monkeypatch)
     assert tracer.TARGETS
     for owner, attribute, name, _ in tracer.TARGETS:
         assert callable(getattr(owner, attribute, None)), f"{name}: {owner}.{attribute}"
+
+
+def test_traced_query_and_ingest_fire_every_wrapper(setup, monkeypatch, tmp_path):
+    """One traced query and one ingest, made as the benchmark makes them,
+    call every name the tracer wraps where it wraps it, and the tracer's
+    extractors still find the counts they read from arguments and results."""
+    model, _, index = setup
+    store = CacheStore(tmp_path / "store", model)
+    store.build(ByteTokenizer().encode("context:", add_bos=True), CORPUS, passage_len=16)
+    pipeline = Pipeline(model, store, index, query_reserve=48)
+    new_doc = ("new", "new title", "a new capital of country 1")
+    tracer = load_tracer(monkeypatch)
+    recorder = tracer.Recorder()
+    with recorder.patched():
+        with recorder.span("query"):
+            result = pipeline.run(QUERY, 4, schedule=PruningSchedule(interval=1, k_finish=1),
+                                  strategy="sort", gen_tokens=3)
+        with recorder.span("ingest"):
+            tokens, valid = passage_tokens(ByteTokenizer(), *new_doc[1:], 16)
+            entry = cache_store.build_document_cache(model, store.load_prefix(), tokens,
+                                                     doc_id="new", valid_len=valid)
+            store.save_entry(entry)
+            retrieval.index_corpus(CORPUS + [new_doc])
+    recorder.check_fired()
+
+    def recorded(name, key):
+        return [span.attrs[key] for span in recorder.spans if span.name == name]
+
+    assert set(recorded("model.forward_layer", "layer")) == set(range(model.config.num_layers))
+    assert min(recorded("model.forward_layer", "cols")) > 0
+    assert recorded("focus.final_alloc", "ctx_tokens") == [
+        store.read_manifest()["prefix_len"] + 16 + len(ByteTokenizer().encode(QUERY))]
+    assert max(recorded("rope.reposition", "vectors")) > 0
+    assert recorded("model.decode", "tokens") == [len(result.tokens) - 1]

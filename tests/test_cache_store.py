@@ -1,5 +1,10 @@
 """Cache store: slice equivalence against monolithic forwards, persistence."""
 
+import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -14,7 +19,7 @@ from kvfocus.cache_store import (
     passage_tokens,
 )
 from kvfocus.focus import Pipeline
-from kvfocus.model import PREFIX_SEGMENT, Model, make_config
+from kvfocus.model import Model, make_config
 from kvfocus.retrieval import index_corpus
 from kvfocus.tokenizer import PAD_ID, ByteTokenizer
 
@@ -31,11 +36,7 @@ def monolithic_cache(model, prefix_tokens, doc_tokens, visible_doc):
     cache = model.new_cache()
     tokens = list(prefix_tokens) + list(doc_tokens)
     visible = np.concatenate([np.ones(len(prefix_tokens), bool), visible_doc])
-    segments = np.concatenate([
-        np.full(len(prefix_tokens), PREFIX_SEGMENT), np.zeros(len(doc_tokens), np.int64)
-    ])
-    model.forward(cache, tokens, positions=np.arange(len(tokens)), segments=segments,
-                  visible=visible)
+    model.forward(cache, tokens, positions=np.arange(len(tokens)), visible=visible)
     return cache
 
 
@@ -219,6 +220,37 @@ class TestManifestPerQuery:
         writer.save_entry(build_document_cache(model, prefix, tokens, doc_id="doc3",
                                                valid_len=valid))
         assert pipeline.run("late arrival", k=1, gen_tokens=2).trace.final_ids == ["doc3"]
+
+
+class TestConcurrentWriters:
+    def test_concurrent_saves_lose_no_entry(self, model, tmp_path):
+        """Four threads at a time each save one new document into one store,
+        switching threads every 10 us, for 30 rounds: every entry they saved
+        is in the manifest afterwards."""
+        store = CacheStore(tmp_path / "store", model)
+        store.build([1, 2], [("doc0", "alpha", "first passage")], passage_len=8)
+        entry = build_document_cache(model, store.load_prefix(), [5, 6, 7, 8], doc_id="new")
+        rounds, writers = 30, 4
+        saved = ["doc0"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=writers) as pool:
+                for r in range(rounds):
+                    barrier = threading.Barrier(writers)
+
+                    def save(doc_id):
+                        barrier.wait(timeout=30)
+                        store.save_entry(dataclasses.replace(entry, doc_id=doc_id))
+
+                    ids = [f"r{r}-w{w}" for w in range(writers)]
+                    futures = [pool.submit(save, doc_id) for doc_id in ids]
+                    for future in futures:
+                        future.result(timeout=60)
+                    saved += ids
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(store.read_manifest()["docs"]) == sorted(saved)
 
 
 class TestMalformedFiles:

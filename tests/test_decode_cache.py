@@ -7,19 +7,12 @@ import numpy as np
 
 from kvfocus.cache_store import CacheStore
 from kvfocus.focus import Pipeline
-from kvfocus.model import (
-    QUERY_SEGMENT,
-    Model,
-    _rms_norm,
-    _silu,
-    attention,
-    make_config,
-)
+from kvfocus.model import Model, _rms_norm, _silu, attention, make_config
 from kvfocus.retrieval import index_corpus
 from kvfocus.rope import rotate
 from kvfocus.tokenizer import ByteTokenizer
 
-FIELDS = ("keys", "values", "position_ids", "segment_ids", "visible")
+FIELDS = ("keys", "values", "position_ids", "visible")
 
 
 def tiny_model(seed=0, **overrides):
@@ -29,15 +22,13 @@ def tiny_model(seed=0, **overrides):
 
 
 def float32_context(model, length=20):
-    """A float32 cache like the one the pipeline assembles: several segments,
-    a position gap and invisible padding keys."""
+    """A float32 cache like the one the pipeline assembles: a position gap
+    and invisible padding keys."""
     cache = model.new_cache()
     tokens = (np.arange(length) * 5 + 3) % model.config.vocab_size
     positions = np.concatenate([np.arange(length // 2), np.arange(length // 2) + 40])
-    segments = np.repeat(np.arange(4), length // 4)
     visible = np.arange(length) % 7 != 6
-    first, _ = model.prefill(cache, tokens, positions=positions, segments=segments,
-                             visible=visible)
+    first, _ = model.prefill(cache, tokens, positions=positions, visible=visible)
     return first, cache.copy()
 
 
@@ -70,7 +61,6 @@ def reference_decode(model, layers, token, steps):
             layer["keys"] = np.concatenate([layer["keys"], k32], axis=1)
             layer["values"] = np.concatenate([layer["values"], v32], axis=1)
             layer["position_ids"] = np.concatenate([layer["position_ids"], position])
-            layer["segment_ids"] = np.concatenate([layer["segment_ids"], [QUERY_SEGMENT]])
             layer["visible"] = np.concatenate([layer["visible"], [True]])
             mask = layer["visible"][None, :].copy()
             mask[0, -1] = True

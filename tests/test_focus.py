@@ -31,7 +31,7 @@ from kvfocus.focus import (
     removals_per_event,
     run_full_context,
 )
-from kvfocus.model import QUERY_SEGMENT, AttentionMap, KVCache, LayerCache, Model, make_config
+from kvfocus.model import KVCache, LayerCache, Model, make_config
 from kvfocus.retrieval import index_corpus
 from kvfocus.rope import reposition_array, rotate
 from kvfocus.tokenizer import ByteTokenizer
@@ -81,12 +81,12 @@ class TestPlanPositions:
         plan = plan_positions(["a", "b", "c"], 1, cache_len=10, prefix_len=5)
         assert [plan.slots[i].start for i in "abc"] == [5, 15, 25]
         assert plan.end == 35
-        assert not plan.fully_parallel
+        assert plan.n_reuse < len(plan.slots)
 
     def test_one_group_per_cache_is_parallel_windows(self):
         plan = plan_positions(["a", "b", "c"], 3, cache_len=10, prefix_len=0)
         assert {plan.slots[i].start for i in "abc"} == {0}
-        assert plan.fully_parallel
+        assert plan.n_reuse == len(plan.slots)
         assert plan.end == 10
 
     def test_round_robin_dealing(self):
@@ -189,8 +189,7 @@ class TestAccumulateScores:
         state = self.make_state(["a", "b"])
         weights = np.zeros((2, 3, 4), dtype=np.float32)
         weights[:, :, 0] = 1.0  # everything on a prefix column
-        amap = AttentionMap(weights, np.array([-1, 0, 0, 1]))
-        accumulate_scores(amap, state)
+        accumulate_scores(weights, {"a": slice(1, 3), "b": slice(3, 4)}, state)
         assert state.scores == {"a": 0.0, "b": 0.0}
 
     def test_single_document_mass_definition(self):
@@ -198,17 +197,9 @@ class TestAccumulateScores:
         weights = np.zeros((1, 2, 3), dtype=np.float32)
         weights[0, 0] = [0.5, 0.3, 0.2]
         weights[0, 1] = [0.1, 0.8, 0.1]
-        amap = AttentionMap(weights, np.array([-1, 0, -2]))
-        accumulate_scores(amap, state)
+        accumulate_scores(weights, {"a": slice(1, 2)}, state)
         # mean over rows of the mass on document columns: (0.3 + 0.8) / 2
         assert state.scores["a"] == pytest.approx(0.55, abs=1e-6)
-
-    def test_split_document_columns_rejected(self):
-        state = self.make_state(["a", "b"])
-        amap = AttentionMap(np.full((1, 1, 4), 0.25, dtype=np.float32),
-                            np.array([-1, 0, 1, 0]))
-        with pytest.raises(ValueError, match="split"):
-            accumulate_scores(amap, state)
 
     def test_symmetric_documents_score_equally(self):
         model = small_model(seed=9)
@@ -234,7 +225,6 @@ def synthetic_entry(model, prefix, doc_id, keys_fn, token_count=8):
             keys=keys,
             values=np.zeros_like(keys),
             position_ids=np.arange(p, p + token_count, dtype=np.int64),
-            segment_ids=np.zeros(token_count, dtype=np.int64),
             visible=np.ones(token_count, dtype=bool),
         ))
     return CacheStoreEntry(doc_id=doc_id, model_fingerprint=model.fingerprint,
@@ -290,23 +280,25 @@ class TestPruningBehavior:
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=3, prefix_len=2)
         maps = []
 
-        def keep_map(amap, state):
-            maps.append(amap)
-            return accumulate_scores(amap, state)
+        def keep_map(weights, blocks, state):
+            maps.append(weights)
+            return accumulate_scores(weights, blocks, state)
 
         monkeypatch.setattr(focus, "accumulate_scores", keep_map)
         result = prefill_with_pruning(model, prefix, docs, [5, 6, 7], None, plan)
         assert len(maps) == model.config.num_layers
+        # prefix columns 0-1, then d0, d1, d2 three columns each, then the query
+        columns = {"d0": range(2, 5), "d1": range(5, 8), "d2": range(8, 11)}
         for doc_id in result.scores:
-            seg = result.state.segment_of[doc_id]
             recomputed = 0.0
-            for amap in maps:
+            for weights in maps:
+                assert weights.shape[2] == 11 + 3
                 mass = 0.0
-                heads, rows, _ = amap.weights.shape
+                heads, rows, _ = weights.shape
                 for h in range(heads):
                     for r in range(rows):
-                        for c in np.nonzero(amap.col_segments == seg)[0]:
-                            mass += float(amap.weights[h, r, c])
+                        for c in columns[doc_id]:
+                            mass += float(weights[h, r, c])
                 recomputed += mass / (heads * rows)
             assert result.scores[doc_id] == pytest.approx(recomputed, abs=1e-5)
 
@@ -341,6 +333,16 @@ class TestPruningBehavior:
                 assert later[doc_id] >= score - 1e-9
 
 
+def rows_holding(layer, values):
+    """Rows of `layer` whose values equal one of the rows of `values`
+    (heads, n, head_dim). Values are never rotated, so they find a
+    document's or the query's rows wherever the layout moved them."""
+    match = (layer.values[:, :, None, :] == values[:, None, :, :]).all(axis=(0, 3))
+    rows = np.flatnonzero(match.any(axis=1))
+    assert rows.size == values.shape[1]
+    return rows
+
+
 class TestFinalReposition:
     def run_prefill(self, model, prefix, docs, plan, schedule=None):
         return prefill_with_pruning(model, prefix, docs, [60, 61], schedule, plan)
@@ -370,12 +372,12 @@ class TestFinalReposition:
         prefill.scores["d0"] = 0.1
         prefill.scores["d1"] = 0.9
         cache = final_reposition(model.config.rope, prefix, docs, prefill, "sort", plan)
-        segs = cache.layers[0].segment_ids
-        pos = cache.layers[0].position_ids
-        # d1 (segment 1) occupies the slot adjacent to the query block
-        d0_max = pos[segs == 0].max()
-        d1_max = pos[segs == 1].max()
-        q_min = pos[segs == QUERY_SEGMENT].min()
+        layer = cache.layers[0]
+        pos = layer.position_ids
+        # d1 occupies the slot adjacent to the query block
+        d0_max = pos[rows_holding(layer, docs[0].kv.layers[0].values)].max()
+        d1_max = pos[rows_holding(layer, docs[1].kv.layers[0].values)].max()
+        q_min = pos[rows_holding(layer, prefill.query_values[0])].min()
         assert d0_max < d1_max < q_min
         assert d1_max + 1 == q_min
 

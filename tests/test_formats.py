@@ -37,8 +37,7 @@ def write_cache(path, seed=0):
     def layer():
         return LayerCache(keys=rng.standard_normal((2, 3, 4)).astype(np.float32),
                           values=rng.standard_normal((2, 3, 4)).astype(np.float32),
-                          position_ids=np.arange(3), segment_ids=np.zeros(3, np.int64),
-                          visible=np.ones(3, bool))
+                          position_ids=np.arange(3), visible=np.ones(3, bool))
 
     _write_kv_file(path, model_fingerprint="0123456789abcdef", prefix_hash="fedcba9876543210",
                    kv=KVCache([layer(), layer()]), rope_base=10000.0)
@@ -55,7 +54,7 @@ def write_weights(path, seed=0):
 
 # name -> (writer, loader, framing, sha256 of the seed-0 file)
 FORMATS = {
-    "cache": (write_cache, lambda path: _read_kv_file(path, start=0, segment=0), CACHE_FRAME,
+    "cache": (write_cache, lambda path: _read_kv_file(path, start=0), CACHE_FRAME,
               "4993c475972a11bb50edfd9d96c360b13f302b509113554daf13c3fd9b198b10"),
     "index": (write_index, load_index, INDEX_FRAME,
               "a8b8610aa4bf64d374632d0065a4deabb3fd002fcf0020d195605ad78d996eb1"),

@@ -7,8 +7,6 @@ import pytest
 
 from kvfocus import model as model_module
 from kvfocus.model import (
-    PREFIX_SEGMENT,
-    QUERY_SEGMENT,
     CapacityError,
     CostMeter,
     KVCache,
@@ -58,8 +56,8 @@ class TestAttention:
         k = np.full((1, 1, 4), 0.3)
         v = np.arange(4, dtype=float).reshape(1, 1, 4)
         mask = np.ones((1, 1), dtype=bool)
-        out, amap = attention(q, k, v, mask)
-        np.testing.assert_allclose(amap.weights, [[[1.0]]])
+        out, weights = attention(q, k, v, mask)
+        np.testing.assert_allclose(weights, [[[1.0]]])
         np.testing.assert_allclose(out, v)
 
     def test_identical_keys_split_evenly(self):
@@ -67,8 +65,8 @@ class TestAttention:
         k = np.tile(np.array([0.5, -0.2, 0.1, 0.9]), (1, 2, 1))
         v = np.stack([np.zeros(4), np.ones(4)]).reshape(1, 2, 4)
         mask = np.ones((1, 2), dtype=bool)
-        out, amap = attention(q, k, v, mask)
-        np.testing.assert_allclose(amap.weights[0, 0], [0.5, 0.5], atol=1e-7)
+        out, weights = attention(q, k, v, mask)
+        np.testing.assert_allclose(weights[0, 0], [0.5, 0.5], atol=1e-7)
         np.testing.assert_allclose(out[0, 0], np.full(4, 0.5), atol=1e-7)
 
     def test_matches_double_loop_reference(self):
@@ -77,10 +75,10 @@ class TestAttention:
         k = rng.standard_normal((2, 3, 6))
         v = rng.standard_normal((2, 3, 6))
         mask = np.tril(np.ones((3, 3), dtype=bool))
-        out, amap = attention(q, k, v, mask)
+        out, weights = attention(q, k, v, mask)
         ref_out, ref_w = reference_attention(q, k, v, mask)
         np.testing.assert_allclose(out, ref_out, atol=1e-5)
-        np.testing.assert_allclose(amap.weights, ref_w, atol=1e-5)
+        np.testing.assert_allclose(weights, ref_w, atol=1e-5)
 
     def test_rows_sum_to_one_and_masked_entries_zero(self):
         rng = np.random.default_rng(23)
@@ -88,9 +86,9 @@ class TestAttention:
         kv = rng.standard_normal((2, 7, 6))
         mask = rng.random((4, 7)) < 0.6
         mask[:, 0] = True
-        _, amap = attention(q, kv, kv, mask)
-        np.testing.assert_allclose(amap.weights.sum(axis=-1), 1.0, atol=1e-5)
-        assert (amap.weights[:, ~mask] == 0.0).all()
+        _, weights = attention(q, kv, kv, mask)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-5)
+        assert (weights[:, ~mask] == 0.0).all()
 
     def test_shape_mismatch_rejected(self):
         q = np.ones((1, 2, 4))
@@ -120,13 +118,13 @@ class TestForward:
     def test_attention_map_shape_over_prefix(self):
         model = tiny_model()
         cache = model.new_cache()
-        model.forward(cache, [1, 2, 3, 4], segments=np.full(4, PREFIX_SEGMENT))
+        model.forward(cache, [1, 2, 3, 4])
         hidden = model.embed([5, 6])
-        _, _, _, amap = model.forward_layer(0, hidden, cache.layers[0], [4, 5],
-                                            collect_map=True)
-        assert amap.weights.shape == (2, 2, 6)
+        _, _, _, weights = model.forward_layer(0, hidden, cache.layers[0], [4, 5],
+                                               collect_map=True)
+        assert weights.shape == (2, 2, 6)
         # the first query row cannot see the second query token
-        assert amap.weights[:, 0, 5].max() == 0.0
+        assert weights[:, 0, 5].max() == 0.0
 
     def test_split_forward_matches_monolithic(self):
         """Oracle: one whole-sequence pass versus prefix-then-rest."""
@@ -203,17 +201,9 @@ class TestPrefillDecode:
             runs.append(model.decode(cache, first, 10))
         assert runs[0] == runs[1]
 
-    def test_decode_stops_on_stop_token(self):
-        model = tiny_model(seed=4)
-        first, cache = model.prefill(model.new_cache(), [1, 2])
-        seq = model.decode(cache, first, 50)
-        stop = seq[3]
-        first, cache = model.prefill(model.new_cache(), [1, 2])
-        stopped = model.decode(cache, first, 50, stop_token=stop)
-        assert stopped == seq[:4]
-
-    def test_capacity_limit_enforced(self):
-        model = tiny_model(max_cache_tokens=8)
+    def test_capacity_limit_enforced(self, monkeypatch):
+        model = tiny_model()
+        monkeypatch.setattr(model_module, "MAX_CACHE_TOKENS", 8)
         with pytest.raises(CapacityError):
             model.prefill(model.new_cache(), np.ones(9, dtype=int))
 
@@ -276,7 +266,7 @@ class TestWeights:
     def test_cache_slice_and_copy(self):
         model = tiny_model()
         cache = model.new_cache()
-        model.forward(cache, [1, 2, 3, 4], segments=np.full(4, QUERY_SEGMENT))
+        model.forward(cache, [1, 2, 3, 4])
         part = cache.slice(1, 3)
         assert part.token_count == 2
         np.testing.assert_array_equal(part.layers[0].position_ids, [1, 2])
