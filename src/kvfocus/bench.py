@@ -32,8 +32,10 @@ def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, tex
 
     texts maps doc_id -> (title, text); only naive and no-cache read it, and
     only prune uses the schedule and strategy. The store's manifest is read
-    once, and only cache and prune load its prefix cache. Returns (tokens,
-    trace dict); the trace holds at least `context_length`, `timings` and
+    once, and only cache and prune load its prefix cache; the pipeline frees
+    the loaded or encoded document entries during pre-fill. Returns (tokens,
+    trace dict); the trace holds at least `context_length` (the tokens before
+    pruning), `decode_context_length` (the tokens decode sees), `timings` and
     `op_counts`.
     """
     if mode not in MODES:
@@ -60,7 +62,8 @@ def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, tex
             model, prefix_tokens, passages, tokenizer.encode(query_text),
             gen_tokens=gen_tokens, meter=meter)
         trace = {"query": query_text, "retrieved_ids": list(doc_ids),
-                 "context_length": context_length, "timings": timings,
+                 "context_length": context_length,
+                 "decode_context_length": context_length, "timings": timings,
                  "op_counts": {"prefill_mults": meter.prefill_mults,
                                "decode_mults": meter.decode_mults}}
     else:
@@ -76,6 +79,7 @@ def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, tex
             schedule, strategy = None, "none"
         prepared = time.perf_counter() - t0
         pipeline = Pipeline(model, store, index, query_reserve=query_reserve)
+        # pre-fill empties `entries`, the only holder of the entries
         result = pipeline.run_with_entries(
             query_text, entries, prefix=prefix, schedule=schedule, strategy=strategy,
             gen_tokens=gen_tokens, meter=meter)

@@ -20,12 +20,19 @@ with the final event trimmed or extended so exactly k_finish caches remain.
 Context assembly: one helper lays out a layer's context as the prefix, then
 each cache with its keys rotated to its target positions, then the query,
 and returns the column block it gave each cache. This module alone decides
-that layout. Pre-fill refills one float64 buffer per layer with the prefix
-and the caches still alive at that layer, so a pruned cache is never rotated
-again, and the model appends the query's rows to the same buffer and
-attends over it in place. A document's attention mass is a sum of the
-float32 map over the block the layout placed it in. Final allocation lays
-out the survivors and the query's keys at their decode positions in float32.
+that layout, always in float64 buffers that hold float32-rounded values. At
+every layer pre-fill lays out the prefix and the caches still alive there,
+so a pruned cache is never rotated again; the model appends the query's rows
+to the same buffer and attends over it in place, and a document's attention
+mass is a sum of the float32 map over the block the layout placed it in.
+A layer whose pre-fill layout is already its decode layout (strategy none,
+no prune event after it, and tokens left to decode) is laid out straight
+into its own decode buffer, with room for the tokens still to come; the
+other layers refill one shared buffer. Final allocation builds only those
+other layers, with the same room, so decoding never reallocates the cache.
+Pre-fill empties the entries list it is given and keeps the caches' layers
+in its own table, so each layer that no caller holds is freed once it is
+placed for the last time.
 """
 
 from __future__ import annotations
@@ -202,6 +209,12 @@ class PruningState:
         )
 
     @property
+    def settled_from(self) -> int:
+        """The first layer laid out after the last prune event; it and every
+        later layer hold the final survivors (all layers when none is pruned)."""
+        return self.num_events * self.schedule.interval if self.num_events else 0
+
+    @property
     def active(self) -> bool:
         return self.num_events > 0 and len(self.surviving_ids) > self.schedule.k_finish
 
@@ -277,6 +290,14 @@ class PrefillResult:
     logits: np.ndarray                # (q, vocab) from the final layer
     state: PruningState
     per_layer_scores: list[dict[str, float]]
+    strategy: str
+    gen_tokens: int
+    decode_context_length: int        # prefix + surviving caches + query tokens
+    # per layer: its decode cache when pre-fill laid it out, else None
+    decode_layers: list[LayerCache | None]
+    # per survivor: (its layers, None once placed for the last time,
+    # pre-fill positions, visibility)
+    survivors: dict[str, tuple[list[LayerCache | None], np.ndarray, np.ndarray]]
 
     @property
     def first_token(self) -> int:
@@ -291,20 +312,38 @@ def prefill_with_pruning(
     schedule: PruningSchedule | None,
     plan: AllocationPlan,
     *,
+    strategy: str = "none",
+    gen_tokens: int = 1,
     meter: CostMeter | None = None,
 ) -> PrefillResult:
     """Layer-by-layer query pass over [prefix] + [surviving document caches].
 
     Per layer: lay out the prefix and the caches still alive, keys moved to
-    their planned ranges, in one float64 buffer allocated once per call with
-    room for the query; append the query's rows and attend over the buffer
-    in place; accumulate per-document attention mass; and at every
-    interval-th layer drop the weakest caches, which are not repositioned
-    again. With k <= k_finish (or schedule None) pruning is disabled and the
-    pass only accumulates scores. Returns the query's own per-layer KV, the
-    survivor set, and the score trajectory.
+    their planned ranges, in a float64 buffer with room for the query;
+    append the query's rows and attend over the buffer in place; accumulate
+    per-document attention mass; and at every interval-th layer drop the
+    weakest caches, which are not repositioned again. With k <= k_finish
+    (or schedule None) pruning is disabled and the pass only accumulates
+    scores. Returns the query's own per-layer KV, the survivor set, and the
+    score trajectory.
+
+    strategy and gen_tokens are those of the decode that follows. When
+    tokens are left to decode (gen_tokens > 1) and strategy is none, each
+    layer after the last prune event gets its own buffer, laid out as
+    decode needs it, with room for gen_tokens - 1 more rows; the others
+    share one buffer. The survivors' layers that final allocation still
+    needs are kept; with gen_tokens == 1 none are.
+
+    entries is emptied: pre-fill keeps the caches' layers in its own table
+    and drops each one placed for the last time, so the layers of entries
+    that the caller does not hold elsewhere are freed during pre-fill. The
+    entry objects are not changed.
     """
     cfg = model.config
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if gen_tokens < 1:
+        raise ValueError("gen_tokens must be >= 1")
     query_tokens = np.asarray(query_tokens, dtype=np.int64)
     if query_tokens.size == 0:
         raise ValueError("query tokens must be non-empty")
@@ -319,33 +358,56 @@ def prefill_with_pruning(
     ids = [e.doc_id for e in entries]
     state = PruningState.start(ids, schedule, cfg.num_layers)
     placement = {
-        e.doc_id: (e.kv.layers, plan.positions(e.doc_id), np.arange(e.token_count) < e.valid_len)
+        e.doc_id: (list(e.kv.layers), plan.positions(e.doc_id),
+                   np.arange(e.token_count) < e.valid_len)
         for e in entries
     }
+    entries.clear()
+
+    def context_length(caches) -> int:  # the prefix, the caches and the query
+        return (prefix.kv.layers[0].token_count + sum(visible.size for *_, visible in caches)
+                + query_tokens.size)
 
     query_start = plan.end if ids else plan.prefix_len
     query_positions = np.arange(query_start, query_start + query_tokens.size, dtype=np.int64)
+    decoding = gen_tokens > 1
+    first_decode_layer = (state.settled_from if decoding and strategy == "none"
+                          else cfg.num_layers)
 
     hidden = model.embed(query_tokens)
     query_keys: list[np.ndarray] = []
     query_values: list[np.ndarray] = []
     per_layer_scores: list[dict[str, float]] = []
-    ctx = LayerCache.with_capacity(
-        cfg.num_heads, cfg.head_dim,
-        prefix.kv.layers[0].token_count + sum(e.token_count for e in entries)
-        + query_tokens.size)
+    decode_layers: list[LayerCache | None] = [None] * cfg.num_layers
+    shared = None
 
     for layer_index in range(cfg.num_layers):
-        blocks = _assemble_layer(ctx, cfg.rope, layer_index, prefix.kv.layers,
-                                 [placement[cache_id] for cache_id in state.surviving_ids])
+        alive = [placement[cache_id] for cache_id in state.surviving_ids]
+        if layer_index >= first_decode_layer:
+            ctx = decode_layers[layer_index] = LayerCache.with_capacity(
+                cfg.num_heads, cfg.head_dim, context_length(alive) + gen_tokens - 1)
+        else:
+            if shared is None:
+                shared = LayerCache.with_capacity(cfg.num_heads, cfg.head_dim,
+                                                  context_length(placement.values()))
+            ctx = shared
+        blocks = _assemble_layer(ctx, cfg.rope, layer_index, prefix.kv.layers, alive)
+        if layer_index >= first_decode_layer or not decoding:
+            for layers, _, _ in alive:  # placed for the last time
+                layers[layer_index] = None
         hidden, k32, v32, weights = model.forward_layer(
             layer_index, hidden, ctx, query_positions, meter=meter, collect_map=True)
         query_keys.append(k32)
         query_values.append(v32)
         accumulate_scores(weights, dict(zip(state.surviving_ids, blocks)), state)
+        # free the map before the next layer's decode buffer is allocated, so
+        # that buffer can take its place (about 4 MB less peak RSS at k=40
+        # without pruning)
+        del weights
         per_layer_scores.append(dict(state.scores))
         if state.active and (layer_index + 1) % state.schedule.interval == 0:
-            state.prune_event(layer_index + 1)
+            for cache_id in state.prune_event(layer_index + 1):
+                del placement[cache_id]
 
     if state.num_events and len(state.surviving_ids) != state.schedule.k_finish:
         raise AssertionError(
@@ -353,6 +415,7 @@ def prefill_with_pruning(
             f"expected {state.schedule.k_finish}"
         )
 
+    survivors = {cache_id: placement[cache_id] for cache_id in state.surviving_ids}
     return PrefillResult(
         query_keys=query_keys,
         query_values=query_values,
@@ -362,67 +425,70 @@ def prefill_with_pruning(
         logits=model.logits(hidden),
         state=state,
         per_layer_scores=per_layer_scores,
+        strategy=strategy,
+        gen_tokens=gen_tokens,
+        decode_context_length=context_length(survivors.values()),
+        decode_layers=decode_layers,
+        survivors=survivors,
     )
 
 
 def final_reposition(
     rope: RopeConfig,
     prefix: PrefixCacheEntry,
-    entries: list[CacheStoreEntry],
     prefill: PrefillResult,
-    strategy: str,
     plan: AllocationPlan,
 ) -> KVCache:
-    """Assemble the decode-ready float32 cache: prefix, surviving caches,
-    query KV, laid out per layer by the same helper as pre-fill.
+    """Assemble the decode cache: prefix, surviving caches, query KV, laid
+    out per layer by the same helper as pre-fill, in float64 buffers with
+    room for the gen_tokens - 1 tokens still to decode.
 
-    align compacts survivors into a contiguous block just before the query,
-    keeping their current order; sort orders the block by ascending
-    accumulated score so the strongest cache sits adjacent to the query
-    (ties fall back to retrieval rank); none keeps the phase-1 layout,
-    gaps included. The query's cached keys are repositioned the same way,
-    never recomputed. entries may include pruned caches; only the survivors
-    are placed.
+    The strategy is the one pre-fill ran for. align compacts survivors into
+    a contiguous block just before the query, keeping their current order;
+    sort orders the block by ascending accumulated score so the strongest
+    cache sits adjacent to the query (ties fall back to retrieval rank);
+    none keeps the phase-1 layout, gaps included. The query's cached keys
+    are repositioned the same way, never recomputed. The layers pre-fill
+    already laid out for decode are taken over as they are; the others are
+    built from the survivors' layers pre-fill kept, each dropped once
+    placed, so call this once per pre-fill.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    by_id = {e.doc_id: e for e in entries}
-    entries = [by_id[cache_id] for cache_id in prefill.surviving_ids]
-
-    if strategy == "none":
-        targets = {e.doc_id: plan.positions(e.doc_id) for e in entries}
+    if prefill.gen_tokens < 2:
+        raise ValueError("pre-fill ran for one token, which needs no decode cache")
+    survivors = prefill.survivors
+    q_len = prefill.query_positions.size
+    if prefill.strategy == "none":
+        targets = {cache_id: positions for cache_id, (_, positions, _) in survivors.items()}
         query_positions = prefill.query_positions
     else:
-        if strategy == "sort":
-            if not prefill.scores:
-                raise ValueError("sort strategy requires accumulated scores")
+        placed = list(survivors)
+        if prefill.strategy == "sort":
             rank = prefill.state.rank_of
-            placed = sorted(entries,
-                            key=lambda e: (prefill.scores[e.doc_id], -rank[e.doc_id]))
-        else:
-            placed = entries  # align: keep current relative order
+            placed.sort(key=lambda cache_id: (prefill.scores[cache_id], -rank[cache_id]))
         targets = {}
         cursor = plan.prefix_len
-        for entry in placed:
-            targets[entry.doc_id] = np.arange(cursor, cursor + entry.token_count,
-                                              dtype=np.int64)
-            cursor += entry.token_count
-        query_positions = np.arange(cursor, cursor + prefill.query_positions.size,
-                                    dtype=np.int64)
+        for cache_id in placed:
+            count = survivors[cache_id][2].size
+            targets[cache_id] = np.arange(cursor, cursor + count, dtype=np.int64)
+            cursor += count
+        query_positions = np.arange(cursor, cursor + q_len, dtype=np.int64)
 
-    q_len = prefill.query_positions.size
     query_visible = np.ones(q_len, dtype=bool)
     query_layers = [LayerCache(keys, values, prefill.query_positions, query_visible)
                     for keys, values in zip(prefill.query_keys, prefill.query_values)]
-    caches = [(e.kv.layers, targets[e.doc_id], np.arange(e.token_count) < e.valid_len)
-              for e in entries]
+    caches = [(layers, targets[cache_id], visible)
+              for cache_id, (layers, _, visible) in survivors.items()]
     caches.append((query_layers, query_positions, True))
-    heads, prefix_len, dim = prefix.kv.layers[0].keys.shape
-    total = prefix_len + sum(e.token_count for e in entries) + q_len
+    heads, _, dim = prefix.kv.layers[0].keys.shape
+    capacity = prefill.decode_context_length + prefill.gen_tokens - 1
     layers = []
-    for layer_index in range(len(prefix.kv.layers)):
-        layers.append(LayerCache.with_capacity(heads, dim, total, np.float32))
-        _assemble_layer(layers[-1], rope, layer_index, prefix.kv.layers, caches)
+    for layer_index, layer in enumerate(prefill.decode_layers):
+        if layer is None:
+            layer = LayerCache.with_capacity(heads, dim, capacity)
+            _assemble_layer(layer, rope, layer_index, prefix.kv.layers, caches)
+            for cache_layers, _, _ in caches:  # placed for the last time
+                cache_layers[layer_index] = None
+        layers.append(layer)
     return KVCache(layers)
 
 
@@ -438,6 +504,7 @@ class PipelineTrace:
     strategy: str
     timings: dict[str, float]
     op_counts: dict[str, int]
+    decode_context_length: int    # tokens the decode cache holds before decoding
 
     def to_dict(self) -> dict:
         return {
@@ -451,6 +518,7 @@ class PipelineTrace:
             "strategy": self.strategy,
             "timings": self.timings,
             "op_counts": self.op_counts,
+            "decode_context_length": self.decode_context_length,
         }
 
 
@@ -483,15 +551,18 @@ class Pipeline:
         """End-to-end run; k=0 answers from the prefix and query alone.
 
         The store's manifest is read once per run and shared by every load, so
-        entries saved since the previous run are found. The loaded entries
-        are released once the decode cache is assembled, so they are not held
-        while decoding widens that cache to float64.
+        entries saved since the previous run are found. Pre-fill writes the
+        float64 decode cache as it goes wherever its layout is already final,
+        and frees each layer of the loaded entries once it is placed for the
+        last time, so the entries are gone before decoding starts and are
+        never all held beside the whole decode cache. Decoding appends to
+        that cache in place; with gen_tokens=1 no decode cache is built.
         """
         retrieved = search(self.index, query_text, k) if k > 0 else []
         meter = meter if meter is not None else CostMeter()
         manifest = self.store.read_manifest()
         prefix = self.store.load_prefix(manifest=manifest)
-        # the entries are passed inline, so no reference outlives _prefill
+        # pre-fill empties this list, the only holder of the entries
         cache, first, trace = self._prefill(
             query_text,
             [self.store.load_entry(doc_id, manifest=manifest) for doc_id, _ in retrieved],
@@ -502,7 +573,12 @@ class Pipeline:
                          prefix: PrefixCacheEntry, schedule: PruningSchedule | None = None,
                          strategy: str = "none", gen_tokens: int = 20,
                          meter: CostMeter | None = None) -> PipelineResult:
-        """The pipeline on explicit entries, loaded from the store or built online."""
+        """The pipeline on explicit entries, loaded from the store or built online.
+
+        Like prefill_with_pruning, this empties `entries`, so entries the
+        caller holds nowhere else are freed during pre-fill; pass a copy of
+        the list to keep them. The entries themselves are not changed.
+        """
         meter = meter if meter is not None else CostMeter()
         cache, first, trace = self._prefill(
             query_text, entries, prefix, schedule=schedule, strategy=strategy,
@@ -512,17 +588,14 @@ class Pipeline:
     def _prefill(self, query_text, entries, prefix, *, schedule, strategy, gen_tokens, meter):
         """Plan, prefill with pruning and assemble the decode cache.
 
-        Returns (cache, first token, trace without decode timings or op
-        counts).
+        Returns (cache, or None when gen_tokens is 1, first token, trace
+        without decode timings or op counts).
         """
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-        if gen_tokens < 1:
-            raise ValueError("gen_tokens must be >= 1")
         meter.phase = "prefill"
         t0 = time.perf_counter()
         query_tokens = self.tokenizer.encode(query_text)
         cfg = self.model.config
+        retrieved_ids = [e.doc_id for e in entries]
 
         if entries:
             lengths = {e.token_count for e in entries}
@@ -532,8 +605,7 @@ class Pipeline:
             n_reuse = compute_n_reuse(len(entries), cfg.rope.max_position, cache_len,
                                       prefix_len=prefix.token_count,
                                       reserve=self.query_reserve)
-            plan = plan_positions([e.doc_id for e in entries], n_reuse, cache_len,
-                                  prefix.token_count)
+            plan = plan_positions(retrieved_ids, n_reuse, cache_len, prefix.token_count)
             plan.validate(cfg.rope.max_position)
         else:
             n_reuse = 0
@@ -546,12 +618,13 @@ class Pipeline:
                 stacklevel=3,
             )
 
-        prefill = prefill_with_pruning(self.model, prefix, entries, query_tokens,
-                                       schedule, plan, meter=meter)
-        cache = final_reposition(cfg.rope, prefix, entries, prefill, strategy, plan)
+        prefill = prefill_with_pruning(self.model, prefix, entries, query_tokens, schedule,
+                                       plan, strategy=strategy, gen_tokens=gen_tokens,
+                                       meter=meter)
+        cache = final_reposition(cfg.rope, prefix, prefill, plan) if gen_tokens > 1 else None
         trace = PipelineTrace(
             query=query_text,
-            retrieved_ids=[e.doc_id for e in entries],
+            retrieved_ids=retrieved_ids,
             n_reuse=n_reuse,
             plan=plan.to_dict(),
             per_layer_scores=prefill.per_layer_scores,
@@ -560,13 +633,16 @@ class Pipeline:
             strategy=strategy,
             timings={"prefill_s": time.perf_counter() - t0},
             op_counts={},
+            decode_context_length=prefill.decode_context_length,
         )
         return cache, prefill.first_token, trace
 
     def _decode(self, cache, first, trace, gen_tokens, meter) -> PipelineResult:
         t1 = time.perf_counter()
         meter.phase = "decode"
-        tokens = [first] + self.model.decode(cache, first, gen_tokens - 1, meter=meter)
+        tokens = [first]
+        if cache is not None:
+            tokens += self.model.decode(cache, first, gen_tokens - 1, meter=meter)
         decode_s = time.perf_counter() - t1
         trace.timings.update(decode_s=decode_s, total_s=trace.timings["prefill_s"] + decode_s)
         trace.op_counts = {"prefill_mults": meter.prefill_mults,

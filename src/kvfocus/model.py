@@ -12,12 +12,12 @@ how the context was assembled.
 Caches carry explicit per-token position ids and a visibility flag so
 padding keys can be masked out of attention. They do not record which
 source each token came from: the code that lays out a context knows where
-each part starts and ends (see `focus`). Caches assembled from parts, loaded
-from disk, sliced or copied hold float32 arrays. A cache that the model
-appends to, as in prefill and decoding, keeps the same float32-rounded
-values in float64 buffers that grow geometrically (the widening is exact),
-so each decoded token writes only its own rows and attention reads the cache
-in place, with no concatenate and no cast.
+each part starts and ends (see `focus`). Caches loaded from disk, sliced or
+copied hold float32 arrays. A cache that is laid out or appended to, as in
+pre-fill, final allocation and decoding, keeps the same float32-rounded
+values in float64 buffers (the widening is exact) that are sized up front
+or grow geometrically, so each decoded token writes only its own rows and
+attention reads the cache in place, with no concatenate and no cast.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class LayerCache:
 
     keys/values: (num_heads, tokens, head_dim), float32-rounded; keys are
     rotated at position_ids. visible=False marks padding keys that attention
-    must skip. A cache is built from float32 arrays, or empty with fixed
+    must skip. A cache is built from float32 arrays, or empty with float64
     buffers from with_capacity(). An append that does not fit moves it into
     float64 buffers with room to grow (the widening is exact); from then on
     the four fields are views of the buffers' first token_count rows, and
@@ -133,12 +133,11 @@ class LayerCache:
         )
 
     @classmethod
-    def with_capacity(cls, num_heads: int, head_dim: int, capacity: int,
-                      dtype=np.float64) -> "LayerCache":
-        """An empty cache whose buffers hold `capacity` tokens, keys and
-        values in `dtype`; appends that fit allocate nothing."""
+    def with_capacity(cls, num_heads: int, head_dim: int, capacity: int) -> "LayerCache":
+        """An empty cache whose float64 buffers hold `capacity` tokens;
+        appends that fit allocate nothing."""
         cache = cls.empty(num_heads, head_dim)
-        cache._buffers = _new_buffers(num_heads, capacity, head_dim, dtype)
+        cache._buffers = _new_buffers(num_heads, capacity, head_dim)
         cache._expose(0)
         return cache
 
@@ -178,7 +177,7 @@ class LayerCache:
     def _reallocate(self, capacity: int) -> None:
         n = self.token_count
         heads, _, dim = self.keys.shape
-        k, v, pos, vis = _new_buffers(heads, capacity, dim, np.float64)
+        k, v, pos, vis = _new_buffers(heads, capacity, dim)
         k[:, :n] = self.keys
         v[:, :n] = self.values
         pos[:n] = self.position_ids
@@ -205,9 +204,9 @@ class LayerCache:
         return self.slice(0, self.token_count)
 
 
-def _new_buffers(heads: int, capacity: int, dim: int, dtype) -> tuple:
-    return (np.empty((heads, capacity, dim), dtype=dtype),
-            np.empty((heads, capacity, dim), dtype=dtype),
+def _new_buffers(heads: int, capacity: int, dim: int) -> tuple:
+    return (np.empty((heads, capacity, dim), dtype=np.float64),
+            np.empty((heads, capacity, dim), dtype=np.float64),
             np.empty(capacity, dtype=np.int64),
             np.empty(capacity, dtype=bool))
 
@@ -577,7 +576,8 @@ class Model:
         New tokens sit immediately after the highest occupied position.
         Returns max_tokens generated tokens (prev_token not included). Room
         for them is reserved up front, so the loop itself does not
-        reallocate the cache.
+        reallocate the cache; a cache that already has the room, as the
+        pipeline's decode cache does, is not reallocated at all.
         """
         cache.reserve(max_tokens)
         out: list[int] = []

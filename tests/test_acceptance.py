@@ -245,7 +245,7 @@ def test_criterion_06_pruning_behavior():
             for i in range(k)]
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=3, prefix_len=2)
         result = prefill_with_pruning(
-            model, prefix, docs, list(rng.integers(1, 89, size=3)),
+            model, prefix, list(docs), list(rng.integers(1, 89, size=3)),
             PruningSchedule(interval=interval, k_finish=k_finish), plan)
         assert len(result.surviving_ids) == k_finish
         alive = set(d.doc_id for d in docs)
@@ -307,14 +307,14 @@ def test_criterion_07_allocation_strategies():
         entries = [pool[i] for i in docs]
         ids = [e.doc_id for e in entries]
         plan = plan_positions(ids, 1, cache_len=cache_len, prefix_len=3)
-        prefill = prefill_with_pruning(model, prefix, entries,
-                                       list(rng.integers(1, 89, size=2)), None, plan)
-        for doc_id in ids:
-            prefill.scores[doc_id] = float(rng.random())
+        query = list(rng.integers(1, 89, size=2))
+        scores_drawn = {doc_id: float(rng.random()) for doc_id in ids}
 
         for strategy in ("align", "sort"):
-            cache = final_reposition(model.config.rope, prefix, entries, prefill,
-                                     strategy, plan)
+            prefill = prefill_with_pruning(model, prefix, list(entries), query, None, plan,
+                                           strategy=strategy, gen_tokens=2)
+            prefill.scores.update(scores_drawn)
+            cache = final_reposition(model.config.rope, prefix, prefill, plan)
             # the last layer: a token's layer-0 values depend on the token
             # alone, so two documents sharing a token would match there
             layer = cache.layers[-1]

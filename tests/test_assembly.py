@@ -1,5 +1,6 @@
 """Context assembly: the one-pass pre-fill and final allocation against the
-rotate-everything, concatenate-float32 reference they replace."""
+rotate-everything, concatenate-float32 reference they replace, and the
+decode cache pre-fill writes where its layout is already final."""
 
 import tracemalloc
 
@@ -127,37 +128,60 @@ SCHEDULES = {"none": None, "prune": PruningSchedule(interval=1, k_finish=2),
              "prune2": PruningSchedule(interval=2, k_finish=3)}
 
 
+def check_against_reference(strategy, schedule, n_reuse):
+    """Pre-fill and final allocation for a 6-token decode give the
+    reference's first token, scores, pruned sets and survivors, and a decode
+    cache holding its float32 values widened to float64 (exactly); returns
+    the pre-fill result."""
+    model = small_model(seed=11)
+    prefix = build_prefix_cache(model, [1, 2, 3])
+    prefix.kv = prefix.kv.copy()  # float32, as loaded from a store
+    docs = padded_documents(model, prefix, 6)
+    plan = plan_positions([d.doc_id for d in docs], n_reuse, 6, prefix.token_count)
+    query = [40, 41, 42, 43]
+    first, qk, qv, qpos, state, scores = reference_prefill(
+        model, prefix, docs, query, schedule, plan)
+    expected = reference_final(model.config.rope, prefix, docs, qk, qv, qpos, state,
+                               strategy, plan)
+
+    result = prefill_with_pruning(model, prefix, docs, query, schedule, plan,
+                                  strategy=strategy, gen_tokens=7)
+    cache = final_reposition(model.config.rope, prefix, result, plan)
+
+    assert result.first_token == first
+    assert result.per_layer_scores == scores
+    assert result.state.pruned_at_layer == state.pruned_at_layer
+    assert result.surviving_ids == state.surviving_ids
+    for got, ref in zip(cache.layers, expected.layers):
+        for name in FIELDS:
+            a, b = getattr(got, name), getattr(ref, name)
+            if name in ("keys", "values"):
+                assert a.dtype == np.float64 and b.dtype == np.float32, name
+                b = b.astype(np.float64)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+    tokens = model.decode(cache, first, 6)
+    assert tokens == model.decode(expected, first, 6)
+    return result
+
+
 class TestMatchesReference:
     @pytest.mark.parametrize("strategy", ["none", "align", "sort"])
     @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
     @pytest.mark.parametrize("n_reuse", [1, 2, 6], ids=["sequential", "grouped", "slot0"])
     def test_bit_identical(self, strategy, schedule, n_reuse):
         """n_reuse=6 puts every cache in slot 0, where it does not move."""
-        model = small_model(seed=11)
-        prefix = build_prefix_cache(model, [1, 2, 3])
-        prefix.kv = prefix.kv.copy()  # float32, as loaded from a store
-        docs = padded_documents(model, prefix, 6)
-        plan = plan_positions([d.doc_id for d in docs], n_reuse, 6, prefix.token_count)
-        query = [40, 41, 42, 43]
-        first, qk, qv, qpos, state, scores = reference_prefill(
-            model, prefix, docs, query, SCHEDULES[schedule], plan)
-        expected = reference_final(model.config.rope, prefix, docs, qk, qv, qpos, state,
-                                   strategy, plan)
+        check_against_reference(strategy, SCHEDULES[schedule], n_reuse)
 
-        result = prefill_with_pruning(model, prefix, docs, query, SCHEDULES[schedule], plan)
-        cache = final_reposition(model.config.rope, prefix, docs, result, strategy, plan)
-
-        assert result.first_token == first
-        assert result.per_layer_scores == scores
-        assert result.state.pruned_at_layer == state.pruned_at_layer
-        assert result.surviving_ids == state.surviving_ids
-        for got, ref in zip(cache.layers, expected.layers):
-            for name in FIELDS:
-                a, b = getattr(got, name), getattr(ref, name)
-                assert a.dtype == b.dtype and a.shape == b.shape, name
-                assert np.array_equal(a, b), name
-        tokens = model.decode(cache, first, 6)
-        assert tokens == model.decode(expected, first, 6)
+    @pytest.mark.parametrize("strategy", ["none", "align", "sort"])
+    def test_layers_after_the_last_prune_event(self, strategy):
+        """Over 4 layers, pruning at layer 3 leaves layer 3 with the final
+        survivors: with strategy none pre-fill lays it out for decode and
+        final allocation builds only layers 0-2."""
+        result = check_against_reference(strategy, PruningSchedule(interval=3, k_finish=2), 2)
+        assert list(result.state.pruned_at_layer) == [3]
+        laid_out = [layer is not None for layer in result.decode_layers]
+        assert laid_out == ([False, False, False, True] if strategy == "none" else [False] * 4)
 
 
 class TestLazyRotation:
@@ -176,7 +200,7 @@ class TestLazyRotation:
             return original(config, vectors, old, new)
 
         monkeypatch.setattr(focus, "reposition_array", counted)
-        result = prefill_with_pruning(model, prefix, docs, [50, 51],
+        result = prefill_with_pruning(model, prefix, list(docs), [50, 51],
                                       PruningSchedule(interval=2, k_finish=2), plan)
         pruned_at = {doc_id: layer for layer, ids in result.state.pruned_at_layer.items()
                      for doc_id in ids}
@@ -210,11 +234,19 @@ class TestConstantShift:
         assert reposition_array(config, vectors, positions, positions) is vectors
 
 
+def decode_buffer_bytes(result):
+    """Bytes of the decode layers pre-fill laid out, spare rows included."""
+    return sum(buffer.nbytes for layer in result.decode_layers if layer is not None
+               for buffer in layer._buffers)
+
+
 def test_prefill_does_not_copy_the_caches():
     """Pre-fill over k=40 caches of the default model must never hold a
-    second copy of them: its peak allocation stays below the bytes of the
-    entries' keys and values. Rotating every key up front, as pre-fill once
-    did, fails this."""
+    second copy of them: its peak allocation, less the decode layers it lays
+    out (the decode cache, which final allocation and decoding built before),
+    stays below the bytes of the entries' keys and values. Rotating every key
+    up front, as pre-fill once did, fails this. The schedule-None case runs
+    as the pipeline's cache mode does."""
     model = Model.from_seed(make_config(), 0)
     prefix = build_prefix_cache(model, [1, 99, 100, 101])
     docs = [build_document_cache(model, prefix, [(7 * i + t) % 250 + 4 for t in range(64)],
@@ -227,11 +259,41 @@ def test_prefill_does_not_copy_the_caches():
     plan = plan_positions([d.doc_id for d in docs], n_reuse, 64, prefix.token_count)
     query = [(3 * t) % 250 + 4 for t in range(32)]
     peaks = []
-    for schedule in (PruningSchedule(interval=4, k_finish=5), None):
+    for schedule, decode in ((PruningSchedule(interval=4, k_finish=5), {}),
+                             (None, {"strategy": "none", "gen_tokens": 32})):
         tracemalloc.start()
         try:
-            prefill_with_pruning(model, prefix, docs, query, schedule, plan)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            result = prefill_with_pruning(model, prefix, list(docs), query, schedule, plan,
+                                          **decode)
+            peaks.append(tracemalloc.get_traced_memory()[1] - decode_buffer_bytes(result))
         finally:
             tracemalloc.stop()
+    assert decode_buffer_bytes(result) > entry_bytes  # every layer was laid out for decode
     assert max(peaks) < entry_bytes, (peaks, entry_bytes)
+
+
+def test_each_cache_layer_is_rotated_once_without_pruning(monkeypatch):
+    """With strategy none and no schedule, pre-fill lays out every layer for
+    decode: each (cache, layer) goes through reposition_array exactly once,
+    and final allocation rotates nothing again, the query's keys included."""
+    model = small_model(seed=13)
+    prefix = build_prefix_cache(model, [1, 2])
+    docs = padded_documents(model, prefix, 5)
+    plan = plan_positions([d.doc_id for d in docs], 2, 6, prefix.token_count)
+    owner = {id(layer.keys): (d.doc_id, i)
+             for d in docs for i, layer in enumerate(d.kv.layers)}
+    calls = []
+    original = focus.reposition_array
+
+    def counted(config, vectors, old, new):
+        calls.append(owner.get(id(vectors)))
+        return original(config, vectors, old, new)
+
+    monkeypatch.setattr(focus, "reposition_array", counted)
+    result = prefill_with_pruning(model, prefix, list(docs), [50, 51, 52], None, plan,
+                                  strategy="none", gen_tokens=4)
+    assert sorted(calls) == sorted((d.doc_id, i) for d in docs
+                                   for i in range(model.config.num_layers))
+    cache = final_reposition(model.config.rope, prefix, result, plan)
+    assert len(calls) == len(docs) * model.config.num_layers
+    assert [layer.capacity for layer in cache.layers] == [cache.token_count + 3] * 4

@@ -82,6 +82,20 @@ def test_no_cache_prefill_time_includes_encoding(setup, monkeypatch):
     assert row.total_s == pytest.approx(row.prefill_s + row.decode_s)
 
 
+@pytest.mark.parametrize("mode", bench.MODES)
+def test_trace_reports_the_context_decode_sees(setup, mode):
+    """context_length counts every document; decode_context_length counts
+    what decode sees: in prune mode, the k_finish survivors."""
+    _, store, _ = setup
+    manifest = store.read_manifest()
+    prefix_len, passage_len = manifest["prefix_len"], manifest["passage_len"]
+    query_len = len(ByteTokenizer().encode(QUERY))
+    _, trace = answer(setup, mode, ["d0", "d1", "d2"])
+    assert trace["context_length"] == prefix_len + 3 * passage_len + query_len
+    kept = 1 if mode == "prune" else 3  # the schedule's k_finish is 1
+    assert trace["decode_context_length"] == prefix_len + kept * passage_len + query_len
+
+
 def test_unknown_mode_is_rejected(setup):
     with pytest.raises(ValueError, match="unknown mode"):
         answer(setup, "fast", ["d0"])
@@ -137,3 +151,31 @@ def test_traced_query_and_ingest_fire_every_wrapper(setup, monkeypatch, tmp_path
         store.read_manifest()["prefix_len"] + 16 + len(ByteTokenizer().encode(QUERY))]
     assert max(recorded("rope.reposition", "vectors")) > 0
     assert recorded("model.decode", "tokens") == [len(result.tokens) - 1]
+
+
+def test_traced_cache_mode_query_fires_every_wrapper(setup, monkeypatch, tmp_path):
+    """A traced cache-mode query, in which pre-fill lays out every layer for
+    decode, plus an ingest still fire every wrapper; final allocation then
+    rotates nothing and reports the whole context."""
+    model, _, index = setup
+    store = CacheStore(tmp_path / "store", model)
+    store.build(ByteTokenizer().encode("context:", add_bos=True), CORPUS, passage_len=16)
+    pipeline = Pipeline(model, store, index, query_reserve=48)
+    tracer = load_tracer(monkeypatch)
+    recorder = tracer.Recorder()
+    with recorder.patched():
+        with recorder.span("query"):
+            result = pipeline.run(QUERY, 4, gen_tokens=3)
+        with recorder.span("ingest"):
+            tokens, valid = passage_tokens(ByteTokenizer(), "new title", "a new capital", 16)
+            entry = cache_store.build_document_cache(model, store.load_prefix(), tokens,
+                                                     doc_id="new", valid_len=valid)
+            store.save_entry(entry)
+            retrieval.index_corpus(CORPUS + [("new", "new title", "a new capital")])
+    recorder.check_fired()
+    final = [span for span in recorder.spans if span.name == "focus.final_alloc"]
+    assert [span.attrs["ctx_tokens"] for span in final] == [
+        store.read_manifest()["prefix_len"] + 4 * 16 + len(ByteTokenizer().encode(QUERY))]
+    assert not [span for span in recorder.spans
+                if span.name == "rope.reposition" and span.parent in final]
+    assert len(result.tokens) == 3

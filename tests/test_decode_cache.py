@@ -4,9 +4,11 @@ import tracemalloc
 import weakref
 
 import numpy as np
+import pytest
 
+from kvfocus import bench, focus
 from kvfocus.cache_store import CacheStore
-from kvfocus.focus import Pipeline
+from kvfocus.focus import Pipeline, PruningSchedule
 from kvfocus.model import Model, _rms_norm, _silu, attention, make_config
 from kvfocus.retrieval import index_corpus
 from kvfocus.rope import rotate
@@ -167,12 +169,19 @@ class TestViewsAndCopies:
                 assert np.array_equal(a, b)
 
 
+CORPUS = [(f"d{i}", "t", f"capital city {i}") for i in range(4)]
+
+
+def small_store(tmp_path, model):
+    store = CacheStore(tmp_path / "store", model)
+    store.build(ByteTokenizer().encode("ctx:", add_bos=True), CORPUS, passage_len=12)
+    return store
+
+
 class TestPipelineReleasesEntries:
     def test_entries_collected_before_decode(self, tmp_path, monkeypatch):
         model = tiny_model(seed=8, num_layers=2, max_position=256, vocab_size=300)
-        corpus = [(f"d{i}", "t", f"capital city {i}") for i in range(4)]
-        store = CacheStore(tmp_path / "store", model)
-        store.build(ByteTokenizer().encode("ctx:", add_bos=True), corpus, passage_len=12)
+        store = small_store(tmp_path, model)
 
         finalizers = []
         load_entry = store.load_entry
@@ -191,11 +200,129 @@ class TestPipelineReleasesEntries:
 
         monkeypatch.setattr(store, "load_entry", tracked)
         monkeypatch.setattr(Model, "decode", checked)
-        pipeline = Pipeline(model, store, index_corpus(corpus), query_reserve=64)
+        pipeline = Pipeline(model, store, index_corpus(CORPUS), query_reserve=64)
         result = pipeline.run("capital city", k=4, gen_tokens=3)
         assert len(result.tokens) == 3
         assert len(finalizers) == 4
         assert alive_at_decode == [0]
+
+    @pytest.mark.parametrize("mode", ["no-cache", "cache", "prune"])
+    def test_bench_answer_entries_collected_before_decode(self, tmp_path, monkeypatch, mode):
+        """bench.answer hands the entries it loads or encodes to the pipeline,
+        which frees them during pre-fill."""
+        model = tiny_model(seed=8, num_layers=2, max_position=256, vocab_size=300)
+        store = small_store(tmp_path, model)
+        finalizers = []
+
+        def tracked(make):
+            def wrapper(*args, **kwargs):
+                entry = make(*args, **kwargs)
+                finalizers.append(weakref.finalize(entry, lambda: None))
+                return entry
+            return wrapper
+
+        monkeypatch.setattr(store, "load_entry", tracked(store.load_entry))
+        monkeypatch.setattr(bench, "build_document_cache", tracked(bench.build_document_cache))
+        alive_at_decode = []
+        decode = Model.decode
+
+        def checked(self, *args, **kwargs):
+            alive_at_decode.append(sum(f.alive for f in finalizers))
+            return decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "decode", checked)
+        texts = {doc_id: (title, text) for doc_id, title, text in CORPUS}
+        tokens, _ = bench.answer(model, store, index_corpus(CORPUS), mode, texts,
+                                 "capital city", ["d0", "d1", "d2"], gen_tokens=3,
+                                 schedule=PruningSchedule(interval=1, k_finish=1),
+                                 strategy="sort", query_reserve=64)
+        assert len(tokens) == 3
+        assert len(finalizers) == 3
+        assert alive_at_decode == [0]
+
+
+class TestPipelineDecodeCache:
+    @pytest.mark.parametrize("schedule, strategy", [
+        (None, "none"),                                # every layer laid out in pre-fill
+        (PruningSchedule(interval=2, k_finish=2), "none"),  # the last layer only
+        (None, "align"),
+        (PruningSchedule(interval=1, k_finish=2), "sort"),
+    ], ids=["cache", "prune-none", "align", "prune-sort"])
+    def test_room_for_every_token_and_no_reallocation(self, tmp_path, monkeypatch,
+                                                      schedule, strategy):
+        """The cache the pipeline hands to decoding is float64 with capacity
+        token_count + gen_tokens - 1 in every layer, and decoding keeps its
+        buffers."""
+        model = tiny_model(seed=9, max_position=256, vocab_size=300)
+        store = small_store(tmp_path, model)
+        seen = []
+        decode = Model.decode
+
+        def checked(self, cache, *args, **kwargs):
+            before = [(layer.capacity - layer.token_count, layer.keys.dtype, layer._buffers)
+                      for layer in cache.layers]
+            tokens = decode(self, cache, *args, **kwargs)
+            seen.append([(spare, dtype, layer._buffers is buffers)
+                         for (spare, dtype, buffers), layer in zip(before, cache.layers)])
+            return tokens
+
+        monkeypatch.setattr(Model, "decode", checked)
+        pipeline = Pipeline(model, store, index_corpus(CORPUS), query_reserve=64)
+        result = pipeline.run("capital city", k=4, schedule=schedule, strategy=strategy,
+                              gen_tokens=6)
+        assert len(result.tokens) == 6
+        assert seen == [[(5, np.float64, True)] * model.config.num_layers]
+
+    def test_one_token_builds_no_decode_cache(self, tmp_path, monkeypatch):
+        """With gen_tokens=1 the answer is known when pre-fill ends: pre-fill
+        lays out no decode layer, and neither final allocation nor decoding
+        runs."""
+        model = tiny_model(seed=9, max_position=256, vocab_size=300)
+        store = small_store(tmp_path, model)
+        pipeline = Pipeline(model, store, index_corpus(CORPUS), query_reserve=64)
+        longer = pipeline.run("capital city", k=4, gen_tokens=3)
+        prefills, calls = [], []
+        prefill = focus.prefill_with_pruning
+
+        def kept(*args, **kwargs):
+            prefills.append(prefill(*args, **kwargs))
+            return prefills[-1]
+
+        monkeypatch.setattr(focus, "prefill_with_pruning", kept)
+        monkeypatch.setattr(focus, "final_reposition", lambda *a: calls.append(a))
+        monkeypatch.setattr(Model, "decode", lambda *a, **kw: calls.append(a))
+        result = pipeline.run("capital city", k=4, gen_tokens=1)
+        assert result.tokens == longer.tokens[:1]
+        assert result.trace.decode_context_length == longer.trace.decode_context_length
+        assert prefills[0].decode_layers == [None] * model.config.num_layers
+        assert calls == []
+
+
+def test_cache_mode_frees_entries_while_writing_the_decode_cache(tmp_path):
+    """Pipeline.run in cache mode, k=40, default model, 32 tokens: pre-fill
+    writes the float64 decode cache while it frees the loaded entries layer
+    by layer, so the peak stays below the decode cache plus half the
+    entries. Holding every entry until pre-fill ends needs all of both."""
+    model = Model.from_seed(make_config(), 0)
+    corpus = [(f"d{i}", f"title {i}", f"capital city {i} of country {i % 7}")
+              for i in range(40)]
+    store = CacheStore(tmp_path / "store", model)
+    store.build(ByteTokenizer().encode("context:", add_bos=True), corpus, passage_len=64)
+    pipeline = Pipeline(model, store, index_corpus(corpus), query_reserve=128)
+    gen_tokens = 32
+    tracemalloc.start()
+    try:
+        result = pipeline.run("capital city of country", 40, gen_tokens=gen_tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.trace.retrieved_ids) == 40 and len(result.tokens) == gen_tokens
+    cfg = model.config
+    capacity = result.trace.decode_context_length + gen_tokens - 1
+    row_bytes = 2 * cfg.num_heads * cfg.head_dim * 8 + 8 + 1  # keys, values, position, flag
+    decode_bytes = cfg.num_layers * capacity * row_bytes
+    entry_bytes = 40 * cfg.num_layers * 2 * cfg.num_heads * 64 * cfg.head_dim * 4
+    assert peak < decode_bytes + entry_bytes / 2, (peak, decode_bytes, entry_bytes)
 
 
 def test_decode_step_allocates_less_than_one_layer():

@@ -344,8 +344,9 @@ def rows_holding(layer, values):
 
 
 class TestFinalReposition:
-    def run_prefill(self, model, prefix, docs, plan, schedule=None):
-        return prefill_with_pruning(model, prefix, docs, [60, 61], schedule, plan)
+    def run_prefill(self, model, prefix, docs, plan, strategy, schedule=None):
+        return prefill_with_pruning(model, prefix, list(docs), [60, 61], schedule, plan,
+                                    strategy=strategy, gen_tokens=2)
 
     def make_docs(self, model, prefix, n):
         return [build_document_cache(model, prefix, [100 + 2 * i, 101 + 2 * i], doc_id=f"d{i}")
@@ -356,9 +357,9 @@ class TestFinalReposition:
         prefix = build_prefix_cache(model, [1, 2, 3])
         docs = self.make_docs(model, prefix, 1)
         plan = plan_positions(["d0"], 1, cache_len=2, prefix_len=3)
-        prefill = self.run_prefill(model, prefix, docs, plan)
-        a = final_reposition(model.config.rope, prefix, docs, prefill, "align", plan)
-        b = final_reposition(model.config.rope, prefix, docs, prefill, "sort", plan)
+        a, b = (final_reposition(model.config.rope, prefix,
+                                 self.run_prefill(model, prefix, docs, plan, strategy), plan)
+                for strategy in ("align", "sort"))
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.keys, lb.keys)
             np.testing.assert_array_equal(la.position_ids, lb.position_ids)
@@ -368,10 +369,10 @@ class TestFinalReposition:
         prefix = build_prefix_cache(model, [1, 2])
         docs = self.make_docs(model, prefix, 2)
         plan = plan_positions(["d0", "d1"], 1, cache_len=2, prefix_len=2)
-        prefill = self.run_prefill(model, prefix, docs, plan)
+        prefill = self.run_prefill(model, prefix, docs, plan, "sort")
         prefill.scores["d0"] = 0.1
         prefill.scores["d1"] = 0.9
-        cache = final_reposition(model.config.rope, prefix, docs, prefill, "sort", plan)
+        cache = final_reposition(model.config.rope, prefix, prefill, plan)
         layer = cache.layers[0]
         pos = layer.position_ids
         # d1 occupies the slot adjacent to the query block
@@ -386,8 +387,8 @@ class TestFinalReposition:
         prefix = build_prefix_cache(model, [1, 2])
         docs = self.make_docs(model, prefix, 3)
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=2, prefix_len=2)
-        prefill = self.run_prefill(model, prefix, docs, plan)
-        cache = final_reposition(model.config.rope, prefix, docs, prefill, "none", plan)
+        prefill = self.run_prefill(model, prefix, docs, plan, "none")
+        cache = final_reposition(model.config.rope, prefix, prefill, plan)
         pos = cache.layers[0].position_ids
         expected = np.concatenate([
             np.arange(2), np.arange(2, 8), prefill.query_positions])
@@ -398,10 +399,9 @@ class TestFinalReposition:
         prefix = build_prefix_cache(model, [1, 2])
         docs = self.make_docs(model, prefix, 4)
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=2, prefix_len=2)
-        prefill = self.run_prefill(model, prefix, docs, plan,
+        prefill = self.run_prefill(model, prefix, docs, plan, "align",
                                    schedule=PruningSchedule(interval=2, k_finish=2))
-        survivors = [d for d in docs if d.doc_id in prefill.surviving_ids]
-        cache = final_reposition(model.config.rope, prefix, survivors, prefill, "align", plan)
+        cache = final_reposition(model.config.rope, prefix, prefill, plan)
         pos = cache.layers[0].position_ids
         # contiguous: prefix 0..1, two docs 2..5, query right after
         np.testing.assert_array_equal(
@@ -412,9 +412,8 @@ class TestFinalReposition:
         prefix = build_prefix_cache(model, [1])
         docs = self.make_docs(model, prefix, 1)
         plan = plan_positions(["d0"], 1, cache_len=2, prefix_len=1)
-        prefill = self.run_prefill(model, prefix, docs, plan)
         with pytest.raises(ValueError):
-            final_reposition(model.config.rope, prefix, docs, prefill, "best", plan)
+            self.run_prefill(model, prefix, docs, plan, "best")
 
 
 def build_fixture(tmp_path, model, corpus, prefix_text="ctx:", passage_len=12):
@@ -441,6 +440,60 @@ class TestPipeline:
         assert len(result.tokens) == 3
         assert result.trace.retrieved_ids == []
         assert result.trace.final_ids == []
+
+    @pytest.mark.parametrize("schedule", [None, PruningSchedule(interval=2, k_finish=1)],
+                             ids=["no-schedule", "prune"])
+    def test_zero_documents_in_every_strategy(self, tmp_path, schedule):
+        """With no caches there is nothing to place: every strategy answers
+        from the prefix and query alone, with the same tokens."""
+        model = small_model(seed=12)
+        store, index, _ = build_fixture(tmp_path, model, self.corpus)
+        pipeline = Pipeline(model, store, index)
+        answers = set()
+        for strategy in focus.STRATEGIES:
+            result = pipeline.run("anything", k=0, schedule=schedule, strategy=strategy,
+                                  gen_tokens=3)
+            assert result.trace.final_ids == []
+            answers.add(tuple(result.tokens))
+        assert len(answers) == 1 and len(answers.pop()) == 3
+
+    def test_kept_entries_are_unchanged_and_reusable(self, tmp_path):
+        """run_with_entries and prefill_with_pruning empty the list they are
+        given but change no entry: entries the caller keeps come back with
+        the same layers and values and give the same answer again."""
+        model = small_model(seed=17)
+        store, index, _ = build_fixture(tmp_path, model, self.corpus)
+        prefix = store.load_prefix()
+        entries = [store.load_entry(doc_id) for doc_id, _, _ in self.corpus]
+
+        def snapshot():
+            return [(id(layer), [getattr(layer, name).copy() for name in
+                                 ("keys", "values", "position_ids", "visible")])
+                    for e in entries for layer in e.kv.layers]
+
+        before = snapshot()
+        pipeline = Pipeline(model, store, index, query_reserve=64)
+        answers = []
+        for schedule, strategy in ((None, "none"),
+                                   (PruningSchedule(interval=2, k_finish=1), "sort")):
+            for _ in range(2):
+                passed = list(entries)
+                result = pipeline.run_with_entries("the capital", passed, prefix=prefix,
+                                                   schedule=schedule, strategy=strategy,
+                                                   gen_tokens=4)
+                assert passed == []
+                answers.append((result.tokens, result.trace.per_layer_scores))
+        assert answers[0] == answers[1] and answers[2] == answers[3]
+        plan = plan_positions([e.doc_id for e in entries], 1, store.passage_len,
+                              prefix.token_count)
+        scores = [prefill_with_pruning(model, prefix, list(entries), [40, 41], None, plan,
+                                       strategy="none", gen_tokens=3).per_layer_scores
+                  for _ in range(2)]
+        assert scores[0] == scores[1]
+        for (id_before, fields_before), (id_after, fields_after) in zip(before, snapshot()):
+            assert id_before == id_after
+            for a, b in zip(fields_before, fields_after):
+                assert np.array_equal(a, b)
 
     def test_trace_reports_schedule_contract(self, tmp_path):
         model = small_model(seed=13)
