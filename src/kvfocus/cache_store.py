@@ -13,6 +13,14 @@ Cache files use the shared frame of `framing` with magic "CFKV". Header
 num_heads u32 | head_dim u32 | token_count u32 | rope_base f64 | pairing u8.
 Body: per layer, keys then values, row-major float32 (heads, tokens,
 head_dim).
+
+Loading reads each layer straight into an array of its own. A CacheStore
+checks a file's crc once: it records each file that passed by path, inode,
+size and mtime (ns) and skips the crc while those stay the same. Files are
+only ever replaced by rename, so a rewritten entry gets a new inode and is
+checked again. The trade-off: a bit flip on disk under an unchanged inode,
+size and mtime goes unnoticed until a new CacheStore (or process) loads the
+file, and so does an in-place edit within the same timestamp tick.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .framing import Framing, read_framed, write_atomic, write_framed
+from .framing import Framing, VerifiedFiles, open_framed, write_atomic, write_framed
 from .model import CostMeter, KVCache, LayerCache, Model
 from .rope import PAIRING_INTERLEAVED
 from .tokenizer import PAD_ID, ByteTokenizer
@@ -186,30 +194,37 @@ def _write_kv_file(path: Path, *, model_fingerprint: str, prefix_hash: str, kv: 
     return write_framed(path, CACHE_FRAME, header, body)
 
 
-def _read_kv_file(path: Path, *, start: int, valid: int | None = None):
+def _read_kv_file(path: Path, *, start: int, valid: int | None = None,
+                  verified: VerifiedFiles | None = None):
     """Read a cache file into (header dict, KVCache).
 
     Token i sits at position start + i; tokens from `valid` on (default:
-    none) are padding and not visible.
+    none) are padding and not visible. Each layer is read straight into an
+    array of its own, keys then values, so one layer can be freed while the
+    others live on. The crc is checked unless `verified` shows this file
+    already passed it.
     """
-    (fp, ph, num_layers, num_heads, head_dim, token_count, rope_base, pairing
-     ), body = read_framed(path, CACHE_FRAME)
-    if pairing != PAIRING_INTERLEAVED:
-        raise CACHE_FRAME.fail(path, f"unknown pairing convention {pairing}")
-    n = num_heads * token_count * head_dim
-    if len(body) != num_layers * 2 * 4 * n:
-        raise CACHE_FRAME.fail(path, f"body length {len(body)}, expected {num_layers * 2 * 4 * n}")
-    try:
-        fingerprint, prefix_hash = fp.decode("ascii"), ph.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise CACHE_FRAME.fail(path, "header ids are not ascii") from exc
-    shape = (num_heads, token_count, head_dim)
-    tensors = np.frombuffer(body, dtype="<f4").reshape(num_layers, 2, *shape)
+    with open_framed(path, CACHE_FRAME, verified=verified) as frame:
+        (fp, ph, num_layers, num_heads, head_dim, token_count, rope_base, pairing
+         ) = frame.fields
+        if pairing != PAIRING_INTERLEAVED:
+            raise CACHE_FRAME.fail(path, f"unknown pairing convention {pairing}")
+        expected = num_layers * 2 * 4 * num_heads * token_count * head_dim
+        if frame.body_size != expected:
+            raise CACHE_FRAME.fail(path, f"body length {frame.body_size}, expected {expected}")
+        try:
+            fingerprint, prefix_hash = fp.decode("ascii"), ph.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise CACHE_FRAME.fail(path, "header ids are not ascii") from exc
+        tensors = []
+        for _ in range(num_layers):
+            tensors.append(np.empty((2, num_heads, token_count, head_dim), dtype="<f4"))
+            frame.readinto(tensors[-1])
     visible = np.arange(token_count) < (token_count if valid is None else valid)
     kv = KVCache([
         LayerCache(
-            keys=keys.copy(),
-            values=values.copy(),
+            keys=keys,
+            values=values,
             position_ids=np.arange(start, start + token_count, dtype=np.int64),
             visible=visible.copy(),
         )
@@ -241,12 +256,14 @@ class CacheStore:
     go through a temp file and an atomic rename, so concurrent readers see
     whole files. save_entry's manifest update holds an exclusive lock on
     manifest.lock, so concurrent writers, in one process or several, lose no
-    entry.
+    entry. Each store checks the crc of a cache file once (see the module
+    docstring); its record of checked files is safe to share between threads.
     """
 
     def __init__(self, root, model: Model):
         self.root = Path(root)
         self.model = model
+        self._verified = VerifiedFiles()
 
     # -- manifest ---------------------------------------------------------
 
@@ -374,7 +391,8 @@ class CacheStore:
     def load_prefix(self, *, manifest: dict | None = None) -> PrefixCacheEntry:
         """Load the prefix cache; pass a manifest already read to skip reading it."""
         manifest = self.verify(manifest)
-        header, kv = _read_kv_file(self.root / "prefix.cfkv", start=0)
+        header, kv = _read_kv_file(self.root / "prefix.cfkv", start=0,
+                                   verified=self._verified)
         self._check_header(header, manifest["prefix_hash"])
         return PrefixCacheEntry(
             prefix_hash=manifest["prefix_hash"],
@@ -392,7 +410,7 @@ class CacheStore:
         prefix_len = int(manifest["prefix_len"])
         valid = int(info["valid_len"])
         header, kv = _read_kv_file(self.root / "docs" / info["file"], start=prefix_len,
-                                   valid=valid)
+                                   valid=valid, verified=self._verified)
         self._check_header(header, manifest["prefix_hash"])
         return CacheStoreEntry(
             doc_id=doc_id,

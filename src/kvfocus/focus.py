@@ -46,7 +46,7 @@ import numpy as np
 from .cache_store import CacheStore, CacheStoreEntry, PrefixCacheEntry, passage_tokens
 from .model import CostMeter, KVCache, LayerCache, Model
 from .retrieval import InvertedIndex, search
-from .rope import RopeConfig, reposition_array
+from .rope import RopeConfig, collect_position_overflows, reposition_array
 from .tokenizer import ByteTokenizer
 
 STRATEGIES = ("none", "align", "sort")
@@ -505,6 +505,7 @@ class PipelineTrace:
     timings: dict[str, float]
     op_counts: dict[str, int]
     decode_context_length: int    # tokens the decode cache holds before decoding
+    warnings: list[str]           # the run's query-reserve and position-overflow warnings
 
     def to_dict(self) -> dict:
         return {
@@ -519,6 +520,7 @@ class PipelineTrace:
             "timings": self.timings,
             "op_counts": self.op_counts,
             "decode_context_length": self.decode_context_length,
+            "warnings": self.warnings,
         }
 
 
@@ -556,18 +558,21 @@ class Pipeline:
         and frees each layer of the loaded entries once it is placed for the
         last time, so the entries are gone before decoding starts and are
         never all held beside the whole decode cache. Decoding appends to
-        that cache in place; with gen_tokens=1 no decode cache is built.
+        that cache in place; with gen_tokens=1 no decode cache is built. The
+        trace times retrieval (retrieve_s) and loading (load_s) as well, and
+        total_s counts every stage.
         """
+        t0 = time.perf_counter()
         retrieved = search(self.index, query_text, k) if k > 0 else []
-        meter = meter if meter is not None else CostMeter()
+        t1 = time.perf_counter()
         manifest = self.store.read_manifest()
         prefix = self.store.load_prefix(manifest=manifest)
         # pre-fill empties this list, the only holder of the entries
-        cache, first, trace = self._prefill(
-            query_text,
-            [self.store.load_entry(doc_id, manifest=manifest) for doc_id, _ in retrieved],
-            prefix, schedule=schedule, strategy=strategy, gen_tokens=gen_tokens, meter=meter)
-        return self._decode(cache, first, trace, gen_tokens, meter)
+        entries = [self.store.load_entry(doc_id, manifest=manifest) for doc_id, _ in retrieved]
+        t2 = time.perf_counter()
+        return self._answer(query_text, entries, prefix, schedule=schedule, strategy=strategy,
+                            gen_tokens=gen_tokens, meter=meter,
+                            timings={"retrieve_s": t1 - t0, "load_s": t2 - t1})
 
     def run_with_entries(self, query_text: str, entries: list[CacheStoreEntry], *,
                          prefix: PrefixCacheEntry, schedule: PruningSchedule | None = None,
@@ -577,25 +582,26 @@ class Pipeline:
 
         Like prefill_with_pruning, this empties `entries`, so entries the
         caller holds nowhere else are freed during pre-fill; pass a copy of
-        the list to keep them. The entries themselves are not changed.
+        the list to keep them. The entries themselves are not changed. The
+        trace times pre-fill and decoding only.
+        """
+        return self._answer(query_text, entries, prefix, schedule=schedule, strategy=strategy,
+                            gen_tokens=gen_tokens, meter=meter, timings={})
+
+    def _answer(self, query_text, entries, prefix, *, schedule, strategy, gen_tokens, meter,
+                timings) -> PipelineResult:
+        """Plan, prefill with pruning, assemble the decode cache and decode.
+
+        `timings` holds the stages already run; total_s is the sum of all.
+        Warnings issued on the way are also kept in the trace.
         """
         meter = meter if meter is not None else CostMeter()
-        cache, first, trace = self._prefill(
-            query_text, entries, prefix, schedule=schedule, strategy=strategy,
-            gen_tokens=gen_tokens, meter=meter)
-        return self._decode(cache, first, trace, gen_tokens, meter)
-
-    def _prefill(self, query_text, entries, prefix, *, schedule, strategy, gen_tokens, meter):
-        """Plan, prefill with pruning and assemble the decode cache.
-
-        Returns (cache, or None when gen_tokens is 1, first token, trace
-        without decode timings or op counts).
-        """
         meter.phase = "prefill"
         t0 = time.perf_counter()
         query_tokens = self.tokenizer.encode(query_text)
         cfg = self.model.config
         retrieved_ids = [e.doc_id for e in entries]
+        issued: list[str] = []
 
         if entries:
             lengths = {e.token_count for e in entries}
@@ -612,16 +618,26 @@ class Pipeline:
             plan = AllocationPlan(slots={}, n_reuse=0, cache_len=0,
                                   prefix_len=prefix.token_count)
         if len(query_tokens) + gen_tokens > self.query_reserve:
-            warnings.warn(
+            issued.append(
                 f"query plus generation ({len(query_tokens)} + {gen_tokens}) exceeds the "
-                f"reserved budget of {self.query_reserve}; positions may extrapolate",
-                stacklevel=3,
-            )
+                f"reserved budget of {self.query_reserve}; positions may extrapolate")
+            warnings.warn(issued[-1], stacklevel=3)
 
-        prefill = prefill_with_pruning(self.model, prefix, entries, query_tokens, schedule,
-                                       plan, strategy=strategy, gen_tokens=gen_tokens,
-                                       meter=meter)
-        cache = final_reposition(cfg.rope, prefix, prefill, plan) if gen_tokens > 1 else None
+        with collect_position_overflows(issued):
+            prefill = prefill_with_pruning(self.model, prefix, entries, query_tokens, schedule,
+                                           plan, strategy=strategy, gen_tokens=gen_tokens,
+                                           meter=meter)
+            cache = (final_reposition(cfg.rope, prefix, prefill, plan) if gen_tokens > 1
+                     else None)
+            t1 = time.perf_counter()
+            meter.phase = "decode"
+            tokens = [prefill.first_token]
+            if cache is not None:
+                tokens += self.model.decode(cache, prefill.first_token, gen_tokens - 1,
+                                            meter=meter)
+            t2 = time.perf_counter()
+        timings.update(prefill_s=t1 - t0, decode_s=t2 - t1)
+        timings["total_s"] = sum(timings.values())
         trace = PipelineTrace(
             query=query_text,
             retrieved_ids=retrieved_ids,
@@ -631,22 +647,12 @@ class Pipeline:
             pruned_at_layer=prefill.state.pruned_at_layer,
             final_ids=list(prefill.surviving_ids),
             strategy=strategy,
-            timings={"prefill_s": time.perf_counter() - t0},
-            op_counts={},
+            timings=timings,
+            op_counts={"prefill_mults": meter.prefill_mults,
+                       "decode_mults": meter.decode_mults},
             decode_context_length=prefill.decode_context_length,
+            warnings=issued,
         )
-        return cache, prefill.first_token, trace
-
-    def _decode(self, cache, first, trace, gen_tokens, meter) -> PipelineResult:
-        t1 = time.perf_counter()
-        meter.phase = "decode"
-        tokens = [first]
-        if cache is not None:
-            tokens += self.model.decode(cache, first, gen_tokens - 1, meter=meter)
-        decode_s = time.perf_counter() - t1
-        trace.timings.update(decode_s=decode_s, total_s=trace.timings["prefill_s"] + decode_s)
-        trace.op_counts = {"prefill_mults": meter.prefill_mults,
-                           "decode_mults": meter.decode_mults}
         return PipelineResult(text=self.tokenizer.decode(tokens), tokens=tokens, trace=trace)
 
 

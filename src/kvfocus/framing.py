@@ -7,7 +7,10 @@ Layout, little-endian:
 The crc covers the body only, so a header field that matters must be
 checked by the format that owns it. Files are written under a temporary
 name of their own and renamed into place, so a failed write leaves any
-earlier file at the path intact and no temporary file behind.
+earlier file at the path intact and no temporary file behind. Files are
+read front to back in chunks the caller sizes (`open_framed`), so a body is
+never copied whole; a `VerifiedFiles` record lets a reader skip the crc of a
+file it has already checked.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
+import threading
 import uuid
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 _U32 = struct.Struct("<I")
 
@@ -65,23 +68,111 @@ def write_framed(path, framing: Framing, header_bytes: bytes, body) -> int:
     )
 
 
+class FrameReader:
+    """A framed file open for reading, its body read front to back.
+
+    `fields` holds the unpacked header and `body_size` the body's length;
+    `readinto` fills buffers from the body in order and folds each chunk into
+    the crc. The crc is checked when the whole body has been read, unless a
+    `VerifiedFiles` record shows this very file already passed it.
+    """
+
+    def __init__(self, fh, path, framing: Framing, verified: "VerifiedFiles | None"):
+        self._fh, self.path, self.framing = fh, path, framing
+        self._verified = verified
+        self._stat = os.fstat(fh.fileno())
+        size = self._stat.st_size
+        preamble = fh.read(8 + framing.header.size)
+        if preamble[:4] != framing.magic:
+            raise framing.fail(path, f"bad magic {preamble[:4]!r}")
+        start = 8 + framing.header.size
+        if size < start + 4:
+            raise framing.fail(path, f"file ends inside its header ({size} bytes)")
+        (version,) = _U32.unpack_from(preamble, 4)
+        if version != framing.version:
+            raise framing.fail(path, f"unsupported version {version}")
+        self.fields = framing.header.unpack_from(preamble, 8)
+        self.body_size = self._remaining = size - start - 4
+        self._crc = None if verified is not None and verified.holds(path, self._stat) else 0
+
+    def readinto(self, buffer) -> None:
+        """Fill `buffer` with the next len(buffer) bytes of the body."""
+        view = memoryview(buffer).cast("B")
+        got = 0
+        while got < view.nbytes:
+            count = self._fh.readinto(view[got:])
+            if not count:  # the file shrank since it was opened
+                raise self.framing.fail(self.path, "file ends inside its body")
+            got += count
+        if self._crc is not None:
+            self._crc = zlib.crc32(view, self._crc)
+        self._remaining -= got
+
+    def finish(self) -> None:
+        """Check the crc of the whole body, and record a file that passed."""
+        if self._remaining:
+            raise ValueError(f"{self._remaining} body bytes left unread")
+        if self._crc is None:
+            return
+        tail = self._fh.read(4)
+        if len(tail) != 4 or _U32.unpack(tail)[0] != self._crc:
+            raise self.framing.fail(self.path, "checksum mismatch")
+        if self._verified is not None:
+            self._verified.record(self.path, self._stat, os.fstat(self._fh.fileno()))
+
+
+@contextlib.contextmanager
+def open_framed(path, framing: Framing, *, verified: "VerifiedFiles | None" = None):
+    """Open a framed file and check its magic, length and version.
+
+    Yields a `FrameReader`; the body must be read whole inside the block,
+    after which the crc is checked. Anything wrong with the frame raises
+    the format's error.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        reader = FrameReader(fh, path, framing, verified)
+        yield reader
+        reader.finish()
+
+
 def read_framed(path, framing: Framing) -> tuple[tuple, memoryview]:
     """Check a file's magic, length, version and crc.
 
-    Returns the unpacked header fields and a view of the body; anything
-    wrong with the frame raises the format's error.
+    Returns the unpacked header fields and a read-only view of the body;
+    anything wrong with the frame raises the format's error.
     """
-    raw = Path(path).read_bytes()
-    if raw[:4] != framing.magic:
-        raise framing.fail(path, f"bad magic {raw[:4]!r}")
-    start = 8 + framing.header.size
-    if len(raw) < start + 4:
-        raise framing.fail(path, f"file ends inside its header ({len(raw)} bytes)")
-    (version,) = _U32.unpack_from(raw, 4)
-    if version != framing.version:
-        raise framing.fail(path, f"unsupported version {version}")
-    body = memoryview(raw)[start:len(raw) - 4]
-    (crc,) = _U32.unpack_from(raw, len(raw) - 4)
-    if zlib.crc32(body) != crc:
-        raise framing.fail(path, "checksum mismatch")
-    return framing.header.unpack_from(raw, 8), body
+    with open_framed(path, framing) as frame:
+        body = bytearray(frame.body_size)
+        frame.readinto(body)
+    return frame.fields, memoryview(body).toreadonly()
+
+
+class VerifiedFiles:
+    """Files whose crc passed, so that a later read of the same file can skip it.
+
+    A file is known by its path, inode, size and modification time in ns.
+    A file replaced by rename gets a new inode, so it is checked again, as is
+    one rewritten in place at a later time. A change that keeps all four
+    (a bit flip on disk, or an in-place edit within one timestamp tick) goes
+    unnoticed until a new record reads the file. Safe to share between
+    threads.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._keys: dict[str, tuple[int, int, int]] = {}
+
+    @staticmethod
+    def _key(stat) -> tuple[int, int, int]:
+        return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+    def holds(self, path, stat) -> bool:
+        """Whether the file at `path`, as `stat` describes it, passed before."""
+        with self._lock:
+            return self._keys.get(os.fspath(path)) == self._key(stat)
+
+    def record(self, path, before, after) -> None:
+        """Record a file that passed its crc, if it did not change while it was read."""
+        if self._key(before) == self._key(after):
+            with self._lock:
+                self._keys[os.fspath(path)] = self._key(before)

@@ -13,6 +13,8 @@ Trigonometry runs in float64; results are returned in the caller's dtype.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +25,21 @@ PAIRING_INTERLEAVED = 0  # convention id recorded in cache/weight file headers
 
 class PositionOverflowWarning(UserWarning):
     """A position beyond the configured encoding range; angles extrapolate."""
+
+
+_overflow_sink: ContextVar[list[str] | None] = ContextVar("overflow_sink", default=None)
+
+
+@contextmanager
+def collect_position_overflows(into: list[str]):
+    """Also append to `into` the message of each PositionOverflowWarning this
+    thread raises inside the block, once per message; the warnings are still
+    issued as usual."""
+    token = _overflow_sink.set(into)
+    try:
+        yield
+    finally:
+        _overflow_sink.reset(token)
 
 
 @dataclass(frozen=True)
@@ -69,12 +86,12 @@ def _check_positions(config: RopeConfig, positions: np.ndarray) -> None:
         raise ValueError(f"positions must be non-negative, got {low}")
     if int(positions.max()) >= config.max_position:
         # one static message per config so repeated warnings deduplicate
-        warnings.warn(
-            f"positions beyond the encoding range [0, {config.max_position}); "
-            "angles extrapolate",
-            PositionOverflowWarning,
-            stacklevel=3,
-        )
+        message = (f"positions beyond the encoding range [0, {config.max_position}); "
+                   "angles extrapolate")
+        warnings.warn(message, PositionOverflowWarning, stacklevel=3)
+        sink = _overflow_sink.get()
+        if sink is not None and message not in sink:
+            sink.append(message)
 
 
 def rotate(config: RopeConfig, vectors: np.ndarray, positions) -> np.ndarray:

@@ -1,18 +1,23 @@
 """Cache store: slice equivalence against monolithic forwards, persistence."""
 
 import dataclasses
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kvfocus import framing
 from kvfocus.cache_store import (
+    CACHE_FRAME,
     CacheFormatError,
     CacheStore,
     MissingEntryError,
     StaleCacheError,
+    _read_kv_file,
     build_document_cache,
     build_prefix_cache,
     hash_tokens,
@@ -271,3 +276,150 @@ class TestMalformedFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(CacheFormatError, match="ascii"):
             store.load_prefix()
+
+
+class TestVerifiedFiles:
+    """A store checks a cache file's crc once and again whenever the file's
+    inode, size or mtime changes."""
+
+    corpus = [("doc1", "alpha", "first passage"), ("doc2", "beta", "second passage")]
+
+    @pytest.fixture
+    def store(self, model, tmp_path):
+        store = CacheStore(tmp_path / "store", model)
+        store.build([1, 2], self.corpus, passage_len=12)
+        return store
+
+    @pytest.fixture
+    def crc_calls(self, monkeypatch):
+        """Counts the crc32 calls of every framed read."""
+        calls = []
+        crc32 = framing.zlib.crc32
+        monkeypatch.setattr(framing, "zlib", SimpleNamespace(
+            crc32=lambda data, value=0: calls.append(1) or crc32(data, value)))
+        return calls
+
+    @staticmethod
+    def path_of(store, doc_id):
+        return store.root / "docs" / store.read_manifest()["docs"][doc_id]["file"]
+
+    @staticmethod
+    def flip_body_byte(path, offset=0):
+        """Damage one body byte in place: same inode, same size."""
+        stat = os.stat(path)
+        with open(path, "r+b") as fh:
+            fh.seek(8 + CACHE_FRAME.header.size + offset)
+            byte = fh.read(1)[0]
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte ^ 0xFF]))
+        return stat
+
+    def test_unchanged_file_is_checked_once(self, store, crc_calls):
+        store.load_entry("doc1")
+        assert len(crc_calls) == store.model.config.num_layers
+        store.load_entry("doc1")
+        store.load_prefix()
+        store.load_prefix()
+        assert len(crc_calls) == 2 * store.model.config.num_layers
+
+    def test_standalone_reads_always_check(self, store, crc_calls):
+        path = self.path_of(store, "doc1")
+        _read_kv_file(path, start=0)
+        _read_kv_file(path, start=0)
+        assert len(crc_calls) == 2 * store.model.config.num_layers
+
+    def test_entry_replaced_by_save_entry_is_checked_again(self, store, crc_calls):
+        entry = store.load_entry("doc1")
+        store.save_entry(entry)
+        crc_calls.clear()
+        again = store.load_entry("doc1")
+        assert len(crc_calls) == store.model.config.num_layers
+        for la, lb in zip(entry.kv.layers, again.kv.layers):
+            np.testing.assert_array_equal(la.keys, lb.keys)
+
+    def test_corrupted_replacement_raises(self, store):
+        path = self.path_of(store, "doc1")
+        store.load_entry("doc1")
+        damaged = bytearray(path.read_bytes())
+        damaged[8 + CACHE_FRAME.header.size] ^= 0x01
+        framing.write_atomic(path, bytes(damaged))
+        with pytest.raises(CacheFormatError, match="checksum"):
+            store.load_entry("doc1")
+
+    def test_file_changed_in_place_at_a_later_time_is_checked_again(self, store):
+        path = self.path_of(store, "doc1")
+        store.load_entry("doc1")
+        before = self.flip_body_byte(path)
+        # the same inode, size and mtime: the store does not look again
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        store.load_entry("doc1")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1_000_000_000))
+        with pytest.raises(CacheFormatError, match="checksum"):
+            store.load_entry("doc1")
+
+    def test_failed_file_is_never_recorded(self, store, crc_calls):
+        path = self.path_of(store, "doc2")
+        self.flip_body_byte(path, offset=5)
+        for _ in range(2):
+            crc_calls.clear()
+            with pytest.raises(CacheFormatError, match="checksum"):
+                store.load_entry("doc2")
+            assert len(crc_calls) == store.model.config.num_layers
+
+    def test_fresh_store_checks_again(self, store, model):
+        path = self.path_of(store, "doc1")
+        store.load_entry("doc1")
+        before = self.flip_body_byte(path)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        store.load_entry("doc1")
+        with pytest.raises(CacheFormatError, match="checksum"):
+            CacheStore(store.root, model).load_entry("doc1")
+
+    def test_layers_match_the_whole_file_and_own_their_buffers(self, store):
+        """Loaded tensors are bit-identical to a whole-file read of the body,
+        on the checked first load and the unchecked second one, and each
+        layer's keys and values share one array that no other layer shares."""
+        path = self.path_of(store, "doc1")
+        cfg = store.model.config
+        raw = path.read_bytes()
+        start = 8 + CACHE_FRAME.header.size
+        expected = np.frombuffer(raw[start:len(raw) - 4], dtype="<f4").reshape(
+            cfg.num_layers, 2, cfg.num_heads, 12, cfg.head_dim).copy()
+        for _ in range(2):
+            layers = store.load_entry("doc1").kv.layers
+            bases = []
+            for layer, (keys, values) in zip(layers, expected):
+                assert layer.keys.dtype == np.float32 and layer.keys.flags.c_contiguous
+                assert np.array_equal(layer.keys.view(np.uint32), keys.view(np.uint32))
+                assert np.array_equal(layer.values.view(np.uint32), values.view(np.uint32))
+                base = layer.keys.base
+                assert base is layer.values.base and base.flags.owndata
+                assert base.nbytes == layer.keys.nbytes + layer.values.nbytes
+                bases.append(base)
+            assert len({id(base) for base in bases}) == cfg.num_layers
+
+    def test_threads_loading_an_unchecked_file_get_equal_tensors(self, store, model):
+        """Eight threads load the same file at once, switching every 10 us,
+        through a store that has not checked it yet, for 10 rounds."""
+        expected = store.load_entry("doc2")
+        threads = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for _ in range(10):
+                    fresh = CacheStore(store.root, model)
+                    barrier = threading.Barrier(threads)
+
+                    def load():
+                        barrier.wait(timeout=30)
+                        return fresh.load_entry("doc2")
+
+                    futures = [pool.submit(load) for _ in range(threads)]
+                    for future in futures:
+                        for la, lb in zip(future.result(timeout=60).kv.layers,
+                                          expected.kv.layers):
+                            np.testing.assert_array_equal(la.keys, lb.keys)
+                            np.testing.assert_array_equal(la.values, lb.values)
+        finally:
+            sys.setswitchinterval(interval)

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,7 +34,7 @@ from kvfocus.focus import (
 )
 from kvfocus.model import KVCache, LayerCache, Model, make_config
 from kvfocus.retrieval import index_corpus
-from kvfocus.rope import reposition_array, rotate
+from kvfocus.rope import PositionOverflowWarning, reposition_array, rotate
 from kvfocus.tokenizer import ByteTokenizer
 
 
@@ -503,8 +504,10 @@ class TestPipeline:
                               schedule=PruningSchedule(interval=2, k_finish=1))
         assert len(result.trace.final_ids) == 1
         assert result.trace.op_counts["prefill_mults"] > 0
-        assert result.trace.timings["total_s"] == pytest.approx(
-            result.trace.timings["prefill_s"] + result.trace.timings["decode_s"], abs=1e-6)
+        timings = result.trace.timings
+        assert timings["total_s"] == pytest.approx(
+            timings["retrieve_s"] + timings["load_s"] + timings["prefill_s"]
+            + timings["decode_s"], abs=1e-6)
 
     def test_single_document_identity_with_naive_forward(self, tmp_path):
         """k=1, no pruning, sequential layout reproduces the monolithic path."""
@@ -552,6 +555,81 @@ class TestPipeline:
         finally:
             sys.setswitchinterval(interval)
         assert concurrent == sequential
+
+    def test_run_times_retrieval_and_loading(self, tmp_path, monkeypatch):
+        """run's trace times retrieval and loading: with 50 ms of retrieval and
+        3 x 20 ms of loading patched in, the stage times hold them, total_s is
+        their sum, and the stages cover the run's wall time to within 5%."""
+        model = small_model(seed=13)
+        store, index, _ = build_fixture(tmp_path, model, self.corpus)
+        pipeline = Pipeline(model, store, index)
+        search, load_entry = focus.search, CacheStore.load_entry
+        monkeypatch.setattr(focus, "search",
+                            lambda *a, **kw: time.sleep(0.05) or search(*a, **kw))
+        monkeypatch.setattr(CacheStore, "load_entry",
+                            lambda *a, **kw: time.sleep(0.02) or load_entry(*a, **kw))
+        started = time.perf_counter()
+        result = pipeline.run("the capital", k=3, gen_tokens=4,
+                              schedule=PruningSchedule(interval=2, k_finish=1))
+        wall = time.perf_counter() - started
+        timings = result.trace.timings
+        assert set(timings) == {"retrieve_s", "load_s", "prefill_s", "decode_s", "total_s"}
+        assert timings["retrieve_s"] >= 0.05
+        assert timings["load_s"] >= 3 * 0.02
+        stages = sum(v for name, v in timings.items() if name != "total_s")
+        assert timings["total_s"] == pytest.approx(stages, abs=1e-9)
+        assert wall * 0.95 <= timings["total_s"] <= wall
+
+    def test_run_with_entries_times_prefill_and_decode_only(self, tmp_path):
+        model = small_model(seed=13)
+        store, index, _ = build_fixture(tmp_path, model, self.corpus)
+        pipeline = Pipeline(model, store, index)
+        result = pipeline.run_with_entries("the capital", [store.load_entry("doc-rome")],
+                                           prefix=store.load_prefix(), gen_tokens=3)
+        assert set(result.trace.timings) == {"prefill_s", "decode_s", "total_s"}
+
+    def test_query_reserve_overflow_is_a_trace_field(self, tmp_path):
+        """Past the query reserve but inside the encoding range: the reserve
+        warning is issued and kept in the trace, and nothing else is."""
+        model = small_model(seed=13)
+        store, index, _ = build_fixture(tmp_path, model, self.corpus)
+        pipeline = Pipeline(model, store, index, query_reserve=8)
+        with pytest.warns(UserWarning, match="reserved budget of 8") as issued:
+            result = pipeline.run("the capital", k=2, gen_tokens=4)
+        assert not any(isinstance(w.message, PositionOverflowWarning) for w in issued)
+        assert result.trace.warnings == [
+            "query plus generation (11 + 4) exceeds the reserved budget of 8; "
+            "positions may extrapolate"]
+        assert result.trace.to_dict()["warnings"] == result.trace.warnings
+        quiet = Pipeline(model, store, index, query_reserve=64).run("the capital", k=2,
+                                                                   gen_tokens=4)
+        assert quiet.trace.warnings == []
+
+    def test_position_overflow_is_a_trace_field(self, tmp_path):
+        """Decoding past max_position raises PositionOverflowWarning; the run's
+        trace keeps its message once, after the reserve warning, and a run on
+        another thread at the same time, inside the range, records neither."""
+        model = small_model(seed=15, max_position=64)
+        store, index, _ = build_fixture(tmp_path, model, self.corpus)
+        pipeline = Pipeline(model, store, index, query_reserve=4)
+        inside = Pipeline(model, store, index, query_reserve=40)
+        barrier = threading.Barrier(2)
+
+        def run(p, gen_tokens):
+            barrier.wait(timeout=30)
+            return p.run("the capital", k=3, gen_tokens=gen_tokens).trace.warnings
+
+        with pytest.warns(UserWarning) as issued:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                over = pool.submit(run, pipeline, 40)
+                within = pool.submit(run, inside, 20)
+                over, within = over.result(timeout=60), within.result(timeout=60)
+        assert any(isinstance(w.message, PositionOverflowWarning) for w in issued)
+        assert within == []
+        assert len(over) == 2
+        assert "reserved budget of 4" in over[0]
+        assert over[1] == ("positions beyond the encoding range [0, 64); "
+                           "angles extrapolate")
 
     def test_multi_group_run_stays_within_range(self, tmp_path):
         model = small_model(seed=15, max_position=64)
