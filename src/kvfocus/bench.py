@@ -20,6 +20,7 @@ from .cache_store import CacheStore, build_document_cache, build_prefix_cache, p
 from .focus import Pipeline, PruningSchedule, run_full_context
 from .model import CostMeter, Model
 from .retrieval import InvertedIndex, search
+from .rope import collect_position_overflows
 from .tokenizer import ByteTokenizer
 
 MODES = ("naive", "no-cache", "cache", "prune")
@@ -35,8 +36,9 @@ def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, tex
     once, and only cache and prune load its prefix cache; the pipeline frees
     the loaded or encoded document entries during pre-fill. Returns (tokens,
     trace dict); the trace holds at least `context_length` (the tokens before
-    pruning), `decode_context_length` (the tokens decode sees), `timings` and
-    `op_counts`.
+    pruning), `decode_context_length` (the tokens decode sees), `timings`,
+    `op_counts` and `warnings` (the position-overflow and, in the cached
+    modes, query-reserve messages the run issued).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -58,14 +60,17 @@ def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, tex
 
     if mode == "naive":
         prepared = time.perf_counter() - t0
-        tokens, context_length, timings = run_full_context(
-            model, prefix_tokens, passages, tokenizer.encode(query_text),
-            gen_tokens=gen_tokens, meter=meter)
+        issued: list[str] = []
+        with collect_position_overflows(issued):
+            tokens, context_length, timings = run_full_context(
+                model, prefix_tokens, passages, tokenizer.encode(query_text),
+                gen_tokens=gen_tokens, meter=meter)
         trace = {"query": query_text, "retrieved_ids": list(doc_ids),
                  "context_length": context_length,
                  "decode_context_length": context_length, "timings": timings,
                  "op_counts": {"prefill_mults": meter.prefill_mults,
-                               "decode_mults": meter.decode_mults}}
+                               "decode_mults": meter.decode_mults},
+                 "warnings": issued}
     else:
         if mode == "no-cache":
             prefix = build_prefix_cache(model, prefix_tokens, meter=meter)
@@ -113,12 +118,6 @@ class BenchReport:
     environment: dict
     rows: list[BenchRow]
     ratios: dict[str, list[dict]]
-
-    def row(self, mode: str, doc_count: int) -> BenchRow:
-        for row in self.rows:
-            if row.mode == mode and row.doc_count == doc_count:
-                return row
-        raise KeyError(f"no bench row for mode={mode!r} doc_count={doc_count}")
 
 
 def select_documents(index, corpus_records, query_text: str, k: int) -> list[str]:
@@ -178,10 +177,10 @@ def run_bench(model, store, index, corpus_records, query_text, *, doc_counts,
             pairs.append({
                 "from_doc_count": a.doc_count,
                 "to_doc_count": b.doc_count,
-                "prefill_mult_ratio": b.prefill_mults / a.prefill_mults,
-                "decode_mult_ratio": b.decode_mults / a.decode_mults,
-                "total_mult_ratio": (b.prefill_mults + b.decode_mults)
-                / (a.prefill_mults + a.decode_mults),
+                "prefill_mult_ratio": _ratio(b.prefill_mults, a.prefill_mults),
+                "decode_mult_ratio": _ratio(b.decode_mults, a.decode_mults),
+                "total_mult_ratio": _ratio(b.prefill_mults + b.decode_mults,
+                                           a.prefill_mults + a.decode_mults),
             })
         ratios[mode.replace("-", "_")] = pairs
 
@@ -201,6 +200,11 @@ def run_bench(model, store, index, corpus_records, query_text, *, doc_counts,
         "passage_len": store.passage_len,
     }
     return BenchReport(environment=environment, rows=rows, ratios=ratios)
+
+
+def _ratio(new: int, base: int) -> float | None:
+    """new / base, or None when base is 0 (no decode mults with one token)."""
+    return new / base if base else None
 
 
 _CSV_COLUMNS = ("mode", "doc_count", "context_length", "prefill_s", "decode_s",

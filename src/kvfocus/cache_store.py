@@ -132,24 +132,22 @@ def build_document_cache(
     doc_tokens,
     *,
     doc_id: str = "",
-    valid_len: int | None = None,
+    valid_len: int,
     meter: CostMeter | None = None,
 ) -> CacheStoreEntry:
     """Forward one fixed-length passage on top of the prefix cache.
 
-    The stored slice covers only the document tokens, rotated at canonical
-    positions [prefix_len, prefix_len + len(doc_tokens)). Independent of any
-    query and of every other document, so builds can run in any order.
+    The first valid_len tokens are real and the rest padding, as
+    passage_tokens returns them. The stored slice covers only the document
+    tokens, rotated at canonical positions [prefix_len, prefix_len +
+    len(doc_tokens)). Independent of any query and of every other document,
+    so builds can run in any order.
     """
     if prefix.model_fingerprint != model.fingerprint:
         raise StaleCacheError("prefix cache was built with a different model")
     tokens = [int(t) for t in doc_tokens]
     if not tokens:
         raise ValueError("document tokens must be non-empty")
-    if valid_len is None:
-        valid_len = len(tokens)
-        while valid_len and tokens[valid_len - 1] == PAD_ID:
-            valid_len -= 1
     if not 0 < valid_len <= len(tokens):
         raise ValueError(f"valid_len {valid_len} out of range for {len(tokens)} tokens")
 
@@ -205,7 +203,7 @@ def _read_kv_file(path: Path, *, start: int, valid: int | None = None,
     already passed it.
     """
     with open_framed(path, CACHE_FRAME, verified=verified) as frame:
-        (fp, ph, num_layers, num_heads, head_dim, token_count, rope_base, pairing
+        (fp, ph, num_layers, num_heads, head_dim, token_count, _rope_base, pairing
          ) = frame.fields
         if pairing != PAIRING_INTERLEAVED:
             raise CACHE_FRAME.fail(path, f"unknown pairing convention {pairing}")
@@ -237,7 +235,6 @@ def _read_kv_file(path: Path, *, start: int, valid: int | None = None,
         "num_heads": num_heads,
         "head_dim": head_dim,
         "token_count": token_count,
-        "rope_base": rope_base,
     }
     return header, kv
 
@@ -339,7 +336,7 @@ class CacheStore:
             entry = build_document_cache(
                 self.model, prefix_entry, tokens, doc_id=doc_id, valid_len=valid, meter=meter
             )
-            total_bytes += self.save_entry(entry, _manifest=False)
+            total_bytes += self._write_entry(entry)
             docs[doc_id] = {"file": _entry_filename(doc_id), "valid_len": valid}
         manifest = {
             "format": CACHE_FRAME.version,
@@ -367,26 +364,31 @@ class CacheStore:
             rope_base=self.model.config.rope.base,
         )
 
-    def save_entry(self, entry: CacheStoreEntry, _manifest: bool = True) -> int:
+    def save_entry(self, entry: CacheStoreEntry) -> int:
+        """Write one entry's cache file and add it to the manifest; returns
+        the file's size in bytes."""
+        size = self._write_entry(entry)
+        with self._manifest_lock():
+            manifest = self.read_manifest()
+            manifest["docs"][entry.doc_id] = {
+                "file": _entry_filename(entry.doc_id),
+                "valid_len": entry.valid_len,
+            }
+            self._write_manifest(manifest)
+        return size
+
+    def _write_entry(self, entry: CacheStoreEntry) -> int:
+        """Write one entry's cache file, leaving the manifest as it is."""
         if entry.model_fingerprint != self.model.fingerprint:
             raise StaleCacheError("entry does not belong to this store's model")
         (self.root / "docs").mkdir(parents=True, exist_ok=True)
-        size = _write_kv_file(
+        return _write_kv_file(
             self.root / "docs" / _entry_filename(entry.doc_id),
             model_fingerprint=entry.model_fingerprint,
             prefix_hash=entry.prefix_hash,
             kv=entry.kv,
             rope_base=self.model.config.rope.base,
         )
-        if _manifest:
-            with self._manifest_lock():
-                manifest = self.read_manifest()
-                manifest["docs"][entry.doc_id] = {
-                    "file": _entry_filename(entry.doc_id),
-                    "valid_len": entry.valid_len,
-                }
-                self._write_manifest(manifest)
-        return size
 
     def load_prefix(self, *, manifest: dict | None = None) -> PrefixCacheEntry:
         """Load the prefix cache; pass a manifest already read to skip reading it."""

@@ -99,6 +99,8 @@ def cmd_run(args) -> int:
     index = load_index(args.index)
     texts = ({doc_id: (title, text) for doc_id, title, text in read_corpus(args.corpus)}
              if args.corpus else None)
+    if args.k < 0:
+        raise ValueError(f"--k must be >= 0, got {args.k}")
     doc_ids = [doc_id for doc_id, _ in search(index, args.query, args.k)] if args.k > 0 else []
     tokens, trace = answer(model, store, index, args.mode, texts, args.query, doc_ids,
                            gen_tokens=args.gen_tokens, schedule=_schedule_from_args(args),
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--corpus", default=None, help="document text, needed by the modes that encode documents")
     p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, default=5, help="documents to retrieve")
+    p.add_argument("--k", type=int, default=5, help="documents to retrieve (0 or more)")
     p.add_argument("--mode", choices=MODES, default="prune")
     p.add_argument("--strategy", choices=("none", "align", "sort"), default="none")
     p.add_argument("--n", type=int, default=4, help="prune every n-th layer")

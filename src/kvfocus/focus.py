@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -437,7 +437,6 @@ def final_reposition(
     rope: RopeConfig,
     prefix: PrefixCacheEntry,
     prefill: PrefillResult,
-    plan: AllocationPlan,
 ) -> KVCache:
     """Assemble the decode cache: prefix, surviving caches, query KV, laid
     out per layer by the same helper as pre-fill, in float64 buffers with
@@ -466,7 +465,7 @@ def final_reposition(
             rank = prefill.state.rank_of
             placed.sort(key=lambda cache_id: (prefill.scores[cache_id], -rank[cache_id]))
         targets = {}
-        cursor = plan.prefix_len
+        cursor = prefix.token_count
         for cache_id in placed:
             count = survivors[cache_id][2].size
             targets[cache_id] = np.arange(cursor, cursor + count, dtype=np.int64)
@@ -508,25 +507,11 @@ class PipelineTrace:
     warnings: list[str]           # the run's query-reserve and position-overflow warnings
 
     def to_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "retrieved_ids": self.retrieved_ids,
-            "n_reuse": self.n_reuse,
-            "plan": self.plan,
-            "per_layer_scores": self.per_layer_scores,
-            "pruned_at_layer": {str(k): v for k, v in self.pruned_at_layer.items()},
-            "final_ids": self.final_ids,
-            "strategy": self.strategy,
-            "timings": self.timings,
-            "op_counts": self.op_counts,
-            "decode_context_length": self.decode_context_length,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
 
 @dataclass
 class PipelineResult:
-    text: str
     tokens: list[int]
     trace: PipelineTrace
 
@@ -562,6 +547,8 @@ class Pipeline:
         trace times retrieval (retrieve_s) and loading (load_s) as well, and
         total_s counts every stage.
         """
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         t0 = time.perf_counter()
         retrieved = search(self.index, query_text, k) if k > 0 else []
         t1 = time.perf_counter()
@@ -627,8 +614,7 @@ class Pipeline:
             prefill = prefill_with_pruning(self.model, prefix, entries, query_tokens, schedule,
                                            plan, strategy=strategy, gen_tokens=gen_tokens,
                                            meter=meter)
-            cache = (final_reposition(cfg.rope, prefix, prefill, plan) if gen_tokens > 1
-                     else None)
+            cache = final_reposition(cfg.rope, prefix, prefill) if gen_tokens > 1 else None
             t1 = time.perf_counter()
             meter.phase = "decode"
             tokens = [prefill.first_token]
@@ -653,7 +639,7 @@ class Pipeline:
             decode_context_length=prefill.decode_context_length,
             warnings=issued,
         )
-        return PipelineResult(text=self.tokenizer.decode(tokens), tokens=tokens, trace=trace)
+        return PipelineResult(tokens=tokens, trace=trace)
 
 
 def run_full_context(model: Model, prefix_tokens, passages, query_tokens, *,

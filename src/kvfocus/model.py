@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,10 +216,6 @@ class KVCache:
 
     layers: list[LayerCache]
 
-    @classmethod
-    def empty(cls, config: ModelConfig) -> "KVCache":
-        return cls([LayerCache.empty(config.num_heads, config.head_dim) for _ in range(config.num_layers)])
-
     @property
     def token_count(self) -> int:
         counts = {layer.token_count for layer in self.layers}
@@ -409,11 +404,10 @@ class Model:
     def from_file(cls, path) -> "Model":
         return cls(*load_weights(path))
 
-    def save_weights(self, path) -> None:
-        save_weights(self.config, self.weights, path)
-
     def new_cache(self) -> KVCache:
-        return KVCache.empty(self.config)
+        cfg = self.config
+        return KVCache([LayerCache.empty(cfg.num_heads, cfg.head_dim)
+                        for _ in range(cfg.num_layers)])
 
     def embed(self, tokens) -> np.ndarray:
         ids = np.asarray(tokens, dtype=np.int64)
@@ -489,9 +483,7 @@ class Model:
         """Run tokens through every layer, extending the cache in place.
 
         positions default to the next sequential positions after the highest
-        one already cached, which cannot collide with a cached one; explicit
-        positions that do collide raise a warning. Returns final hidden
-        states (tokens, hidden_dim).
+        one already cached. Returns final hidden states (tokens, hidden_dim).
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
@@ -499,15 +491,6 @@ class Model:
         if positions is None:
             start = cache.next_position()
             positions = np.arange(start, start + ids.size, dtype=np.int64)
-        else:
-            positions = np.asarray(positions, dtype=np.int64)
-            existing = cache.layers[0].position_ids
-            if existing.size and np.intersect1d(existing, positions).size:
-                warnings.warn(
-                    "new tokens share positions with cached tokens (parallel windows "
-                    "legitimately do this)",
-                    stacklevel=2,
-                )
         hidden = self.embed(ids)
         for layer_index in range(self.config.num_layers):
             hidden, _, _, _ = self.forward_layer(

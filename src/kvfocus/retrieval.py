@@ -12,16 +12,18 @@ with unique terms visited in first-occurrence order. That order, and the
 (-score, doc_id) ranking with ascending-id tie-break, pin the results down
 to the bit.
 
-Index files use the shared frame of `framing` with magic "CFIX" and an
-empty header, so the crc covers everything after the version. Body
-(little-endian): doc_count u32 | avgdl f64 | per doc: id (u16 len + utf-8),
-length u32 | term_count u32 | per term: term (u16 len + utf-8), postings
-count u32, (doc_index u32, tf u32)*. Documents are sorted by id at build
-time so postings are sorted by doc id too.
+Index files use the shared frame of `framing` with magic "CFIX", version 2
+and an empty header, so the crc covers everything after the version. The
+body is one compact JSON object (ASCII, non-ASCII characters escaped):
+{"doc_ids": [id, ...], "doc_lengths": [tokens, ...], "postings": {term:
+[[doc_index, tf], ...], ...}}. Documents are sorted by id and terms
+alphabetically at build time, so postings are sorted by doc id too and a
+rebuild writes the same bytes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import struct
@@ -40,7 +42,7 @@ class IndexFormatError(RuntimeError):
     """An index file is malformed."""
 
 
-INDEX_FRAME = Framing(b"CFIX", 1, struct.Struct("<"), IndexFormatError, "index file")
+INDEX_FRAME = Framing(b"CFIX", 2, struct.Struct("<"), IndexFormatError, "index file")
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -120,72 +122,37 @@ def search(index: InvertedIndex, query_text: str, k: int) -> list[tuple[str, flo
     return [(index.doc_ids[i], s) for i, s in ranked[:k]]
 
 
-def _pack_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError("string too long for index format")
-    return struct.pack("<H", len(raw)) + raw
-
-
 def save_index(index: InvertedIndex, path) -> None:
-    body = bytearray()
-    body += struct.pack("<Id", index.doc_count, index.avg_doc_length)
-    for doc_id, length in zip(index.doc_ids, index.doc_lengths):
-        body += _pack_str(doc_id)
-        body += struct.pack("<I", length)
-    body += struct.pack("<I", len(index.postings))
-    for term in index.postings:  # already sorted at build time
-        plist = index.postings[term]
-        body += _pack_str(term)
-        body += struct.pack("<I", len(plist))
-        for doc_index, tf in plist:
-            body += struct.pack("<II", doc_index, tf)
-    write_framed(path, INDEX_FRAME, b"", body)
+    body = json.dumps({"doc_ids": index.doc_ids, "doc_lengths": index.doc_lengths,
+                       "postings": index.postings}, separators=(",", ":"))
+    write_framed(path, INDEX_FRAME, b"", body.encode("utf-8"))
 
 
 def load_index(path) -> InvertedIndex:
     """Read an index file; a malformed one raises IndexFormatError."""
     _, body = read_framed(path, INDEX_FRAME)
     try:
-        return _parse_index_body(body)
-    except (struct.error, ValueError) as exc:
+        data = json.loads(str(body, "utf-8"))
+        doc_ids, doc_lengths, postings = data["doc_ids"], data["doc_lengths"], data["postings"]
+
+        def is_posting(pair) -> bool:  # [doc_index, tf]
+            return _is_list(pair, _is_count) and len(pair) == 2 and pair[0] < len(doc_ids)
+
+        if not (_is_list(doc_ids, lambda doc_id: isinstance(doc_id, str))
+                and _is_list(doc_lengths, _is_count) and len(doc_lengths) == len(doc_ids)
+                and isinstance(postings, dict)
+                and all(_is_list(plist, is_posting) for plist in postings.values())):
+            raise ValueError("a field has the wrong type or length")
+    except (ValueError, KeyError, TypeError) as exc:
         raise INDEX_FRAME.fail(path, f"malformed index body ({exc})") from exc
+    return InvertedIndex(doc_ids=doc_ids, doc_lengths=doc_lengths,
+                         postings={term: [(i, tf) for i, tf in plist]
+                                   for term, plist in postings.items()})
 
 
-def _parse_index_body(body: memoryview) -> InvertedIndex:
-    offset = 0
+def _is_list(value, item_ok) -> bool:
+    return isinstance(value, list) and all(map(item_ok, value))
 
-    def read_str() -> str:
-        nonlocal offset
-        (n,) = struct.unpack_from("<H", body, offset)
-        offset += 2
-        if offset + n > len(body):
-            raise ValueError(f"a string of {n} bytes runs past the body")
-        value = str(body[offset:offset + n], "utf-8")
-        offset += n
-        return value
 
-    doc_count, _avgdl = struct.unpack_from("<Id", body, offset)
-    offset += 12
-    doc_ids, doc_lengths = [], []
-    for _ in range(doc_count):
-        doc_ids.append(read_str())
-        (length,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        doc_lengths.append(length)
-    (term_count,) = struct.unpack_from("<I", body, offset)
-    offset += 4
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for _ in range(term_count):
-        term = read_str()
-        (n,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        plist = []
-        for _ in range(n):
-            doc_index, tf = struct.unpack_from("<II", body, offset)
-            offset += 8
-            plist.append((doc_index, tf))
-        postings[term] = plist
-    if offset != len(body):
-        raise ValueError(f"{len(body) - offset} bytes left after the last term")
-    return InvertedIndex(doc_ids=doc_ids, doc_lengths=doc_lengths, postings=postings)
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0

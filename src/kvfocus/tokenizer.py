@@ -13,11 +13,6 @@ VOCAB_SIZE = 259
 
 
 class ByteTokenizer:
-    pad_id = PAD_ID
-    bos_id = BOS_ID
-    eos_id = EOS_ID
-    vocab_size = VOCAB_SIZE
-
     def encode(self, text: str, add_bos: bool = False) -> list[int]:
         ids = list(text.encode("utf-8"))
         if add_bos:

@@ -94,7 +94,8 @@ def test_criterion_02_cache_equivalence():
         doc_tokens = list(outer.integers(1, 97, size=int(outer.integers(3, 9))))
 
         prefix = build_prefix_cache(model, prefix_tokens)
-        entry = build_document_cache(model, prefix, doc_tokens, doc_id="d")
+        entry = build_document_cache(model, prefix, doc_tokens, doc_id="d",
+                                     valid_len=len(doc_tokens))
         mono = model.new_cache()
         p = len(prefix_tokens)
         model.forward(
@@ -169,7 +170,7 @@ def test_criterion_04_removal_count_formula():
     prefix = build_prefix_cache(model, [1, 2])
     docs = [build_document_cache(model, prefix, [(3 + i) % 67, (5 + i) % 67,
                                                  (7 + i) % 67, (11 + i) % 67],
-                                 doc_id=f"d{i:02d}") for i in range(40)]
+                                 doc_id=f"d{i:02d}", valid_len=4) for i in range(40)]
     plan = plan_positions([d.doc_id for d in docs], 1, cache_len=4, prefix_len=2)
     result = prefill_with_pruning(model, prefix, docs, [20, 21, 22],
                                   PruningSchedule(interval=4, k_finish=5), plan)
@@ -241,7 +242,7 @@ def test_criterion_06_pruning_behavior():
         k_finish = int(rng.integers(1, k))
         interval = int(rng.integers(1, 4))
         docs = [build_document_cache(
-            model, prefix, list(rng.integers(1, 89, size=3)), doc_id=f"d{i}")
+            model, prefix, list(rng.integers(1, 89, size=3)), doc_id=f"d{i}", valid_len=3)
             for i in range(k)]
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=3, prefix_len=2)
         result = prefill_with_pruning(
@@ -298,7 +299,8 @@ def test_criterion_07_allocation_strategies():
     prefix = build_prefix_cache(model, [1, 2, 3])
     cache_len = 4
     pool = [build_document_cache(
-        model, prefix, list(rng.integers(1, 89, size=cache_len)), doc_id=f"d{i}")
+        model, prefix, list(rng.integers(1, 89, size=cache_len)), doc_id=f"d{i}",
+        valid_len=cache_len)
         for i in range(8)]
 
     for trial in range(100):
@@ -314,7 +316,7 @@ def test_criterion_07_allocation_strategies():
             prefill = prefill_with_pruning(model, prefix, list(entries), query, None, plan,
                                            strategy=strategy, gen_tokens=2)
             prefill.scores.update(scores_drawn)
-            cache = final_reposition(model.config.rope, prefix, prefill, plan)
+            cache = final_reposition(model.config.rope, prefix, prefill)
             # the last layer: a token's layer-0 values depend on the token
             # alone, so two documents sharing a token would match there
             layer = cache.layers[-1]
@@ -371,17 +373,17 @@ def test_criterion_08_complexity_scaling(bench_report):
     naive prefill, linear cached prefill, prune decode invariant to initial k,
     and pruned totals growing far slower than naive."""
     report = bench_report
+    rows = {(row.mode, row.doc_count): row for row in report.rows}
     for pair in report.ratios["naive"]:
         assert 3.6 <= pair["prefill_mult_ratio"] <= 4.4, pair
     for pair in report.ratios["cache"]:
         assert 1.8 <= pair["prefill_mult_ratio"] <= 2.2, pair
-    prune_decode = [report.row("prune", k).decode_mults for k in (10, 20, 40)]
+    prune_decode = [rows["prune", k].decode_mults for k in (10, 20, 40)]
     spread = (max(prune_decode) - min(prune_decode)) / min(prune_decode)
     assert spread <= 0.01
 
     for k in (10, 20, 40):
-        naive = report.row("naive", k)
-        prune = report.row("prune", k)
+        naive, prune = rows["naive", k], rows["prune", k]
         assert (prune.prefill_mults + prune.decode_mults
                 < naive.prefill_mults + naive.decode_mults)
     naive_growth = report.ratios["naive"][-1]["total_mult_ratio"]

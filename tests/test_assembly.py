@@ -146,7 +146,7 @@ def check_against_reference(strategy, schedule, n_reuse):
 
     result = prefill_with_pruning(model, prefix, docs, query, schedule, plan,
                                   strategy=strategy, gen_tokens=7)
-    cache = final_reposition(model.config.rope, prefix, result, plan)
+    cache = final_reposition(model.config.rope, prefix, result)
 
     assert result.first_token == first
     assert result.per_layer_scores == scores
@@ -250,7 +250,7 @@ def test_prefill_does_not_copy_the_caches():
     model = Model.from_seed(make_config(), 0)
     prefix = build_prefix_cache(model, [1, 99, 100, 101])
     docs = [build_document_cache(model, prefix, [(7 * i + t) % 250 + 4 for t in range(64)],
-                                 doc_id=f"d{i}") for i in range(40)]
+                                 doc_id=f"d{i}", valid_len=64) for i in range(40)]
     entry_bytes = sum(layer.keys.nbytes + layer.values.nbytes
                       for d in docs for layer in d.kv.layers)
     cfg = model.config
@@ -294,6 +294,6 @@ def test_each_cache_layer_is_rotated_once_without_pruning(monkeypatch):
                                   strategy="none", gen_tokens=4)
     assert sorted(calls) == sorted((d.doc_id, i) for d in docs
                                    for i in range(model.config.num_layers))
-    cache = final_reposition(model.config.rope, prefix, result, plan)
+    cache = final_reposition(model.config.rope, prefix, result)
     assert len(calls) == len(docs) * model.config.num_layers
     assert [layer.capacity for layer in cache.layers] == [cache.token_count + 3] * 4

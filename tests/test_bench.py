@@ -3,8 +3,10 @@ clock covers, how often the store's manifest is read, and the benchmark's
 patch points and the counts its tracer reads there."""
 
 import importlib.util
+import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from kvfocus.cache_store import CacheStore, passage_tokens
 from kvfocus.focus import Pipeline, PruningSchedule
 from kvfocus.model import Model, make_config
 from kvfocus.retrieval import index_corpus
+from kvfocus.rope import PositionOverflowWarning
 from kvfocus.tokenizer import ByteTokenizer
 
 CORPUS = [(f"d{i}", f"title {i}", f"capital {i} of country {i % 3} and its tokens")
@@ -77,7 +80,7 @@ def test_no_cache_prefill_time_includes_encoding(setup, monkeypatch):
     monkeypatch.setattr(bench, "build_document_cache", slow_build)
     report = bench.run_bench(model, store, index, CORPUS, QUERY, doc_counts=[3],
                              gen_tokens=2, modes=("no-cache",), query_reserve=48)
-    row = report.row("no_cache", 3)
+    (row,) = report.rows
     assert row.prefill_s >= 0.05 * 3
     assert row.total_s == pytest.approx(row.prefill_s + row.decode_s)
 
@@ -94,6 +97,44 @@ def test_trace_reports_the_context_decode_sees(setup, mode):
     assert trace["context_length"] == prefix_len + 3 * passage_len + query_len
     kept = 1 if mode == "prune" else 3  # the schedule's k_finish is 1
     assert trace["decode_context_length"] == prefix_len + kept * passage_len + query_len
+
+
+def naive_warnings(setup, doc_ids, gen_tokens):
+    model, store, index = setup
+    texts = {doc_id: (title, text) for doc_id, title, text in CORPUS}
+    _, trace = bench.answer(model, store, index, "naive", texts, QUERY, doc_ids,
+                            gen_tokens=gen_tokens, schedule=None, strategy="none",
+                            query_reserve=48)
+    return trace["warnings"]
+
+
+def test_naive_trace_records_position_overflow_once(setup):
+    """Six documents and 45 tokens decode past max_position 160: the overflow
+    is issued as a warning and kept once in the trace."""
+    with pytest.warns(PositionOverflowWarning):
+        over = naive_warnings(setup, [f"d{i}" for i in range(6)], 45)
+    assert over == ["positions beyond the encoding range [0, 160); angles extrapolate"]
+
+
+def test_naive_trace_within_range_records_no_warning(setup):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert naive_warnings(setup, ["d0", "d1", "d2"], 3) == []
+
+
+def test_ratios_over_zero_decode_mults_are_none(setup):
+    """With one generated token no row decodes, so each decode ratio has a
+    base of 0 and is reported as None (null in JSON)."""
+    model, store, index = setup
+    report = bench.run_bench(model, store, index, CORPUS, QUERY, doc_counts=[2, 4],
+                             gen_tokens=1, query_reserve=48)
+    assert all(row.decode_mults == 0 for row in report.rows)
+    for pairs in report.ratios.values():
+        (pair,) = pairs
+        assert pair["decode_mult_ratio"] is None
+        assert pair["total_mult_ratio"] == pair["prefill_mult_ratio"] > 1
+    ratios = json.loads(bench.report_to_json(report))["ratios"]
+    assert ratios["cache"][0]["decode_mult_ratio"] is None
 
 
 def test_unknown_mode_is_rejected(setup):

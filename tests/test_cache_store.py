@@ -76,9 +76,10 @@ class TestBuild:
     def test_documents_are_independent_and_order_free(self, model):
         prefix = build_prefix_cache(model, [1, 2])
         docs = {"a": [11, 12], "b": [13, 14], "c": [15, 16]}
-        forward_order = {d: build_document_cache(model, prefix, t, doc_id=d)
+        forward_order = {d: build_document_cache(model, prefix, t, doc_id=d, valid_len=len(t))
                          for d, t in docs.items()}
-        reverse_order = {d: build_document_cache(model, prefix, docs[d], doc_id=d)
+        reverse_order = {d: build_document_cache(model, prefix, docs[d], doc_id=d,
+                                                 valid_len=len(docs[d]))
                          for d in reversed(list(docs))}
         for d in docs:
             for la, lb in zip(forward_order[d].kv.layers, reverse_order[d].kv.layers):
@@ -91,13 +92,13 @@ class TestBuild:
     def test_empty_document_rejected(self, model):
         prefix = build_prefix_cache(model, [1])
         with pytest.raises(ValueError):
-            build_document_cache(model, prefix, [])
+            build_document_cache(model, prefix, [], valid_len=0)
 
     def test_stale_prefix_rejected(self, model):
         other = Model.from_seed(model.config, 99)
         prefix = build_prefix_cache(other, [1, 2])
         with pytest.raises(StaleCacheError):
-            build_document_cache(model, prefix, [3, 4])
+            build_document_cache(model, prefix, [3, 4], valid_len=2)
 
 
 class TestPassageTokens:
@@ -234,7 +235,8 @@ class TestConcurrentWriters:
         is in the manifest afterwards."""
         store = CacheStore(tmp_path / "store", model)
         store.build([1, 2], [("doc0", "alpha", "first passage")], passage_len=8)
-        entry = build_document_cache(model, store.load_prefix(), [5, 6, 7, 8], doc_id="new")
+        entry = build_document_cache(model, store.load_prefix(), [5, 6, 7, 8], doc_id="new",
+                                     valid_len=4)
         rounds, writers = 30, 4
         saved = ["doc0"]
         interval = sys.getswitchinterval()

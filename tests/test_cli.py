@@ -7,7 +7,7 @@ import pytest
 
 from kvfocus.cache_store import CacheStore
 from kvfocus.cli import main, score_answer
-from kvfocus.model import Model, make_config
+from kvfocus.model import Model, make_config, save_weights
 
 SMALL_MODEL_FLAGS = [
     "--num-layers", "2", "--num-heads", "2", "--head-dim", "8",
@@ -112,7 +112,8 @@ class TestRunCommand:
                                         "base-one"])
     def test_malformed_weight_file_is_user_error(self, workspace, capsys, damage):
         path = workspace["tmp"] / "m.cfwt"
-        Model.from_seed(make_config(num_layers=2, num_heads=2, head_dim=8), 7).save_weights(path)
+        model = Model.from_seed(make_config(num_layers=2, num_heads=2, head_dim=8), 7)
+        save_weights(model.config, model.weights, path)
         raw = path.read_bytes()
         path.write_bytes({"short-header": b"CFWT",
                           "short-config": b"CFWT\x01\x00\x00\x00\x08",
@@ -154,6 +155,26 @@ class TestRunCommand:
                                 "--mode", "cache")
         assert payload["trace"]["retrieved_ids"] == []
         assert isinstance(payload["answer"], str)
+
+    def test_negative_k_is_user_error(self, workspace, capsys):
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     "--k", "-3", "--mode", "prune", *SMALL_MODEL_FLAGS])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--k must be >= 0, got -3" in captured.err
+        assert captured.out == ""
+
+    def test_version_one_index_is_user_error(self, workspace, capsys):
+        raw = bytearray(workspace["index"].read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        workspace["index"].write_bytes(bytes(raw))
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     *SMALL_MODEL_FLAGS])
+        assert code == 1
+        assert f"index file {workspace['index']}: unsupported version 1" in (
+            capsys.readouterr().err)
 
     def test_trace_schema(self, workspace, capsys):
         payload = self.run_json(workspace, capsys, "--query", "capital of italy",
@@ -265,6 +286,13 @@ class TestBenchCommand:
     def test_csv_stdout_format(self, workspace, capsys):
         out = self.bench(workspace, capsys, "--out", "csv")
         assert out.splitlines()[0].startswith("mode,doc_count,context_length")
+
+    def test_one_generated_token_reports_null_decode_ratios(self, workspace, capsys):
+        report = json.loads(self.bench(workspace, capsys, "--gen-tokens", "1"))
+        assert all(row["decode_mults"] == 0 for row in report["rows"])
+        for (pair,) in report["ratios"].values():
+            assert pair["decode_mult_ratio"] is None
+            assert pair["prefill_mult_ratio"] > 1
 
     def test_doc_count_beyond_corpus_is_user_error(self, workspace, capsys):
         code = main(["bench", "--corpus", str(workspace["corpus"]),

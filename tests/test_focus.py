@@ -205,7 +205,7 @@ class TestAccumulateScores:
     def test_symmetric_documents_score_equally(self):
         model = small_model(seed=9)
         prefix = build_prefix_cache(model, [1, 2])
-        doc = build_document_cache(model, prefix, [7, 8, 9], doc_id="a")
+        doc = build_document_cache(model, prefix, [7, 8, 9], doc_id="a", valid_len=3)
         twin = CacheStoreEntry(doc_id="b", model_fingerprint=doc.model_fingerprint,
                                prefix_hash=doc.prefix_hash, prefix_len=doc.prefix_len,
                                token_count=doc.token_count, valid_len=doc.valid_len,
@@ -263,7 +263,8 @@ class TestPruningBehavior:
     def test_disabled_schedule_keeps_everything(self):
         model = small_model(seed=5)
         prefix = build_prefix_cache(model, [1])
-        docs = [build_document_cache(model, prefix, [10 + i, 20 + i], doc_id=f"d{i}")
+        docs = [build_document_cache(model, prefix, [10 + i, 20 + i], doc_id=f"d{i}",
+                                     valid_len=2)
                 for i in range(3)]
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=2, prefix_len=1)
         result = prefill_with_pruning(model, prefix, docs, [5, 6],
@@ -276,7 +277,8 @@ class TestPruningBehavior:
         maps by an independent summation."""
         model = small_model(seed=21)
         prefix = build_prefix_cache(model, [1, 2])
-        docs = [build_document_cache(model, prefix, [60 + i, 70 + i, 80 + i], doc_id=f"d{i}")
+        docs = [build_document_cache(model, prefix, [60 + i, 70 + i, 80 + i],
+                                     doc_id=f"d{i}", valid_len=3)
                 for i in range(3)]
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=3, prefix_len=2)
         maps = []
@@ -308,7 +310,7 @@ class TestPruningBehavior:
         keys freshly rotated at the target positions (rope oracle, full layer)."""
         model = small_model(seed=22)
         prefix = build_prefix_cache(model, [1, 2])
-        doc = build_document_cache(model, prefix, [9, 10, 11, 12], doc_id="d")
+        doc = build_document_cache(model, prefix, [9, 10, 11, 12], doc_id="d", valid_len=4)
         layer = doc.kv.layers[0]
         old = layer.position_ids
         target = np.arange(40, 44)
@@ -325,7 +327,8 @@ class TestPruningBehavior:
     def test_per_layer_scores_monotone_nondecreasing(self):
         model = small_model(seed=6)
         prefix = build_prefix_cache(model, [1, 2])
-        docs = [build_document_cache(model, prefix, [30 + i, 40 + i, 50 + i], doc_id=f"d{i}")
+        docs = [build_document_cache(model, prefix, [30 + i, 40 + i, 50 + i],
+                                     doc_id=f"d{i}", valid_len=3)
                 for i in range(4)]
         plan = plan_positions([d.doc_id for d in docs], 2, cache_len=3, prefix_len=2)
         result = prefill_with_pruning(model, prefix, docs, [7, 8, 9], None, plan)
@@ -350,7 +353,8 @@ class TestFinalReposition:
                                     strategy=strategy, gen_tokens=2)
 
     def make_docs(self, model, prefix, n):
-        return [build_document_cache(model, prefix, [100 + 2 * i, 101 + 2 * i], doc_id=f"d{i}")
+        return [build_document_cache(model, prefix, [100 + 2 * i, 101 + 2 * i],
+                                     doc_id=f"d{i}", valid_len=2)
                 for i in range(n)]
 
     def test_single_survivor_align_equals_sort(self):
@@ -359,7 +363,7 @@ class TestFinalReposition:
         docs = self.make_docs(model, prefix, 1)
         plan = plan_positions(["d0"], 1, cache_len=2, prefix_len=3)
         a, b = (final_reposition(model.config.rope, prefix,
-                                 self.run_prefill(model, prefix, docs, plan, strategy), plan)
+                                 self.run_prefill(model, prefix, docs, plan, strategy))
                 for strategy in ("align", "sort"))
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.keys, lb.keys)
@@ -373,7 +377,7 @@ class TestFinalReposition:
         prefill = self.run_prefill(model, prefix, docs, plan, "sort")
         prefill.scores["d0"] = 0.1
         prefill.scores["d1"] = 0.9
-        cache = final_reposition(model.config.rope, prefix, prefill, plan)
+        cache = final_reposition(model.config.rope, prefix, prefill)
         layer = cache.layers[0]
         pos = layer.position_ids
         # d1 occupies the slot adjacent to the query block
@@ -389,7 +393,7 @@ class TestFinalReposition:
         docs = self.make_docs(model, prefix, 3)
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=2, prefix_len=2)
         prefill = self.run_prefill(model, prefix, docs, plan, "none")
-        cache = final_reposition(model.config.rope, prefix, prefill, plan)
+        cache = final_reposition(model.config.rope, prefix, prefill)
         pos = cache.layers[0].position_ids
         expected = np.concatenate([
             np.arange(2), np.arange(2, 8), prefill.query_positions])
@@ -402,7 +406,7 @@ class TestFinalReposition:
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=2, prefix_len=2)
         prefill = self.run_prefill(model, prefix, docs, plan, "align",
                                    schedule=PruningSchedule(interval=2, k_finish=2))
-        cache = final_reposition(model.config.rope, prefix, prefill, plan)
+        cache = final_reposition(model.config.rope, prefix, prefill)
         pos = cache.layers[0].position_ids
         # contiguous: prefix 0..1, two docs 2..5, query right after
         np.testing.assert_array_equal(
@@ -441,6 +445,12 @@ class TestPipeline:
         assert len(result.tokens) == 3
         assert result.trace.retrieved_ids == []
         assert result.trace.final_ids == []
+
+    def test_negative_k_is_rejected(self, tmp_path):
+        model = small_model(seed=12)
+        store, index, _ = build_fixture(tmp_path, model, self.corpus)
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            Pipeline(model, store, index).run("capital", -1, gen_tokens=2)
 
     @pytest.mark.parametrize("schedule", [None, PruningSchedule(interval=2, k_finish=1)],
                              ids=["no-schedule", "prune"])

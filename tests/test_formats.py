@@ -57,7 +57,7 @@ FORMATS = {
     "cache": (write_cache, lambda path: _read_kv_file(path, start=0), CACHE_FRAME,
               "4993c475972a11bb50edfd9d96c360b13f302b509113554daf13c3fd9b198b10"),
     "index": (write_index, load_index, INDEX_FRAME,
-              "a8b8610aa4bf64d374632d0065a4deabb3fd002fcf0020d195605ad78d996eb1"),
+              "b0e694a5436b2ba2a532f737f7d0d7936b5ffc2db44fea31fe576c312717d8de"),
     "weights": (write_weights, load_weights, WEIGHT_FRAME,
                 "1542965e802d83af56994b4e89638fd42ba2e7b5554bea283fa15191f5d41e5c"),
 }

@@ -16,6 +16,7 @@ from kvfocus.model import (
     fingerprint,
     load_weights,
     make_config,
+    save_weights,
 )
 
 
@@ -140,13 +141,6 @@ class TestForward:
             np.testing.assert_array_equal(la.keys, lb.keys)
             np.testing.assert_array_equal(la.values, lb.values)
 
-    def test_position_collision_warns(self):
-        model = tiny_model()
-        cache = model.new_cache()
-        model.forward(cache, [1, 2])
-        with pytest.warns(UserWarning, match="share positions"):
-            model.forward(cache, [3], positions=[1])
-
     def test_invisible_keys_are_skipped(self):
         model = tiny_model(seed=8)
         with_pad = model.new_cache()
@@ -233,7 +227,7 @@ class TestWeights:
     def test_weight_file_round_trip(self, tmp_path):
         model = tiny_model(seed=13)
         path = tmp_path / "m.cfwt"
-        model.save_weights(path)
+        save_weights(model.config, model.weights, path)
         config, weights = load_weights(path)
         assert config.num_layers == model.config.num_layers
         assert fingerprint(config, weights) == model.fingerprint
@@ -245,7 +239,7 @@ class TestWeights:
     def test_corrupt_file_rejected(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "m.cfwt"
-        model.save_weights(path)
+        save_weights(model.config, model.weights, path)
         raw = bytearray(path.read_bytes())
         raw[50] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -255,7 +249,8 @@ class TestWeights:
     @pytest.mark.parametrize("damage", ["short-header", "short-config", "short-body"])
     def test_truncated_file_rejected(self, tmp_path, damage):
         path = tmp_path / "m.cfwt"
-        tiny_model().save_weights(path)
+        model = tiny_model()
+        save_weights(model.config, model.weights, path)
         raw = path.read_bytes()
         path.write_bytes({"short-header": b"CFWT",
                           "short-config": b"CFWT\x01\x00\x00\x00\x08",

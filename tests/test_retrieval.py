@@ -162,6 +162,12 @@ class TestPersistence:
         assert loaded.postings == index.postings
         assert search(loaded, "w2 w4", 10) == search(index, "w2 w4", 10)
 
+    def test_round_trip_of_non_ascii_ids_and_terms(self, tmp_path):
+        index = index_corpus([("é-1", "Ünïcode", "naïve café"), ("日本", "", "東京 café")])
+        path = tmp_path / "unicode.cfix"
+        save_index(index, path)
+        assert load_index(path) == index
+
     def test_reindex_is_byte_identical(self, tmp_path):
         corpus = synthetic_corpus(15, seed=6)
         a, b = tmp_path / "a.cfix", tmp_path / "b.cfix"
@@ -173,18 +179,18 @@ class TestPersistence:
 class TestMalformedIndex:
     def framed(self, body: bytes) -> bytes:
         """A CFIX file around `body` with a valid checksum."""
-        return b"CFIX" + struct.pack("<I", 1) + body + struct.pack("<I", zlib.crc32(body))
+        return b"CFIX" + struct.pack("<I", 2) + body + struct.pack("<I", zlib.crc32(body))
 
     def test_file_ending_inside_header(self, tmp_path):
         path = tmp_path / "short.cfix"
-        path.write_bytes(b"CFIX\x01\x00")
+        path.write_bytes(b"CFIX\x02\x00")
         with pytest.raises(IndexFormatError, match="header"):
             load_index(path)
 
     @pytest.mark.parametrize("body", [
-        b"\x03\x00",                                   # no room for the doc count
-        struct.pack("<Id", 3, 1.0),                     # no document table
-        struct.pack("<Id", 3, 1.0) + b"\x02\x00a",      # an id cut short
+        b'{"doc_ids":["a","b","c"]}',                                  # no lengths
+        b'{"doc_ids":["a","b","c"],"doc_lengths":[1],"postings":{}}',  # one length
+        b'{"doc_ids":["a","b","c"',                                    # the ids cut short
     ], ids=["count", "table", "id"])
     def test_body_shorter_than_its_doc_count(self, tmp_path, body):
         path = tmp_path / "short-body.cfix"
@@ -192,10 +198,29 @@ class TestMalformedIndex:
         with pytest.raises(IndexFormatError, match="malformed"):
             load_index(path)
 
+    @pytest.mark.parametrize("body", [
+        b'{"doc_ids":5,"doc_lengths":[],"postings":{}}',
+        b'{"doc_ids":"ab","doc_lengths":[1,1],"postings":{}}',
+        b'{"doc_ids":["a"],"doc_lengths":[true],"postings":{}}',
+        b'{"doc_ids":["a"],"doc_lengths":[-1],"postings":{}}',
+        b'{"doc_ids":["a"],"doc_lengths":[1],"postings":[]}',
+        b'{"doc_ids":["a"],"doc_lengths":[1],"postings":{"x":[[0]]}}',
+        b'{"doc_ids":["a"],"doc_lengths":[1],"postings":{"x":[[1,1]]}}',
+        b'{"doc_ids":["a"],"doc_lengths":[1],"postings":{"x":[[0,1.0]]}}',
+        b'[1, 2]',
+        b'\xff',
+    ], ids=["ids-int", "ids-str", "length-bool", "length-negative", "postings-list",
+            "posting-short", "posting-past-the-docs", "tf-float", "not-an-object", "not-utf8"])
+    def test_wrong_json_types_are_format_errors(self, tmp_path, body):
+        path = tmp_path / "typed.cfix"
+        path.write_bytes(self.framed(body))
+        with pytest.raises(IndexFormatError, match=f"index file {path}: malformed"):
+            load_index(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "trailing.cfix"
         save_index(index_corpus([("d", "", "alpha beta")]), path)
         raw = path.read_bytes()
         path.write_bytes(self.framed(raw[8:-4] + b"\x00"))
-        with pytest.raises(IndexFormatError, match="left after"):
+        with pytest.raises(IndexFormatError, match="malformed index body \\(Extra data"):
             load_index(path)
