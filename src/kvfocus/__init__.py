@@ -10,7 +10,6 @@ and the command line (cli).
 from .cache_store import (
     CacheStore,
     CacheStoreEntry,
-    PrefixCacheEntry,
     StaleCacheError,
     build_document_cache,
     build_prefix_cache,
@@ -55,7 +54,6 @@ __all__ = [
     "Model",
     "ModelConfig",
     "Pipeline",
-    "PrefixCacheEntry",
     "PruningSchedule",
     "PruningState",
     "RopeConfig",

@@ -44,9 +44,9 @@ def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, tex
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     t0 = time.perf_counter()
     tokenizer = ByteTokenizer()
-    manifest = store.verify(store.read_manifest())
-    prefix_tokens = [int(t) for t in manifest["prefix_tokens"]]
-    passage_len = int(manifest["passage_len"])
+    manifest = store.read_manifest()
+    prefix_tokens = manifest["prefix_tokens"]
+    passage_len = manifest["passage_len"]
     meter = CostMeter()
 
     passages = []
@@ -140,17 +140,6 @@ def select_documents(index, corpus_records, query_text: str, k: int) -> list[str
     return ranked
 
 
-def _bench_one(mode, model, store, index, corpus_records, texts, query_text, doc_count, *,
-               gen_tokens, schedule, strategy, query_reserve):
-    ids = select_documents(index, corpus_records, query_text, doc_count)
-    _, trace = answer(model, store, index, mode, texts, query_text, ids,
-                      gen_tokens=gen_tokens, schedule=schedule, strategy=strategy,
-                      query_reserve=query_reserve)
-    return BenchRow(mode=mode.replace("-", "_"), doc_count=doc_count,
-                    context_length=trace["context_length"], **trace["timings"],
-                    **trace["op_counts"])
-
-
 def run_bench(model, store, index, corpus_records, query_text, *, doc_counts,
               gen_tokens=100, modes=MODES, schedule=None, strategy="none",
               query_reserve=128, seed=None) -> BenchReport:
@@ -164,10 +153,13 @@ def run_bench(model, store, index, corpus_records, query_text, *, doc_counts,
     rows = []
     for mode in modes:
         for doc_count in doc_counts:
-            rows.append(_bench_one(
-                mode, model, store, index, corpus_records, texts, query_text, doc_count,
-                gen_tokens=gen_tokens, schedule=schedule, strategy=strategy,
-                query_reserve=query_reserve))
+            ids = select_documents(index, corpus_records, query_text, doc_count)
+            _, trace = answer(model, store, index, mode, texts, query_text, ids,
+                              gen_tokens=gen_tokens, schedule=schedule, strategy=strategy,
+                              query_reserve=query_reserve)
+            rows.append(BenchRow(mode=mode.replace("-", "_"), doc_count=doc_count,
+                                 context_length=trace["context_length"], **trace["timings"],
+                                 **trace["op_counts"]))
 
     ratios: dict[str, list[dict]] = {}
     for mode in modes:

@@ -1,12 +1,14 @@
 """Offline, query-independent construction and persistence of KV caches.
 
 A store directory holds the cache of one shared prefix plus one file per
-document, all built against one model. Document caches are computed on top
-of the prefix cache and stored with keys rotated at their canonical
-positions [prefix_len, prefix_len + passage_len); any other layout is
-reached later by re-positioning. Entries are valid only for the exact
-(model fingerprint, prefix hash) pair recorded in the manifest, which makes
-invalidation after a model or prefix change a directory-level check.
+document, all built against one model. The prefix and the documents are the
+same kind of entry (CacheStoreEntry) in the same kind of file. Document
+caches are computed on top of the prefix cache and stored with keys rotated
+at their canonical positions [prefix_len, prefix_len + passage_len); any
+other layout is reached later by re-positioning. Entries are valid only for
+the exact (model fingerprint, prefix hash) pair recorded in the manifest,
+which makes invalidation after a model or prefix change a directory-level
+check.
 
 Cache files use the shared frame of `framing` with magic "CFKV". Header
 (little-endian): model_fingerprint 16s | prefix_hash 16s | num_layers u32 |
@@ -50,7 +52,7 @@ class StaleCacheError(RuntimeError):
 
 
 class CacheFormatError(RuntimeError):
-    """A cache file is malformed."""
+    """A cache file or a store manifest is malformed."""
 
 
 class MissingEntryError(KeyError):
@@ -61,34 +63,26 @@ CACHE_FRAME = Framing(b"CFKV", 1, struct.Struct("<16s16sIIIIdB"), CacheFormatErr
 
 
 @dataclass
-class PrefixCacheEntry:
-    """The shared prefix cache, occupying positions [0, prefix_len)."""
-
-    prefix_hash: str
-    model_fingerprint: str
-    tokens: list[int]
-    kv: KVCache
-
-    @property
-    def token_count(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass
 class CacheStoreEntry:
-    """One document's cache slice, keys at canonical positions.
+    """One stored cache: the shared prefix or one document's passage, with
+    keys rotated at canonical positions.
 
-    token_count is the fixed passage length; valid_len counts the real
-    tokens before padding starts (padding keys are never attended).
+    The prefix has doc_id "", prefix_len 0, positions [0, its length) and
+    its own hash as prefix_hash. A document sits at [prefix_len, prefix_len
+    + passage_len); valid_len counts its real tokens before padding starts
+    (padding keys are never attended). The prefix has no padding.
     """
 
     doc_id: str
     model_fingerprint: str
     prefix_hash: str
     prefix_len: int
-    token_count: int
     valid_len: int
     kv: KVCache
+
+    @property
+    def token_count(self) -> int:
+        return self.kv.token_count
 
 
 def hash_tokens(tokens) -> str:
@@ -102,6 +96,8 @@ def passage_tokens(tokenizer: ByteTokenizer, title: str, text: str, length: int)
     Truncates past `length`; shorter passages are padded with PAD tokens.
     Returns (tokens of exactly `length`, count of real tokens).
     """
+    if length < 1:
+        raise ValueError(f"passage length must be >= 1, got {length}")
     body = f"{title}\n{text}" if title else text
     ids = tokenizer.encode(body)[:length]
     valid = len(ids)
@@ -111,24 +107,26 @@ def passage_tokens(tokenizer: ByteTokenizer, title: str, text: str, length: int)
     return ids, valid
 
 
-def build_prefix_cache(model: Model, prefix_tokens, *, meter: CostMeter | None = None) -> PrefixCacheEntry:
+def build_prefix_cache(model: Model, prefix_tokens, *, meter: CostMeter | None = None) -> CacheStoreEntry:
     """Forward the shared prefix once; its cache starts at position 0."""
     tokens = [int(t) for t in prefix_tokens]
     if not tokens:
         raise ValueError("prefix must be non-empty")
     cache = model.new_cache()
     model.forward(cache, tokens, positions=np.arange(len(tokens)), meter=meter)
-    return PrefixCacheEntry(
-        prefix_hash=hash_tokens(tokens),
+    return CacheStoreEntry(
+        doc_id="",
         model_fingerprint=model.fingerprint,
-        tokens=tokens,
+        prefix_hash=hash_tokens(tokens),
+        prefix_len=0,
+        valid_len=len(tokens),
         kv=cache,
     )
 
 
 def build_document_cache(
     model: Model,
-    prefix: PrefixCacheEntry,
+    prefix: CacheStoreEntry,
     doc_tokens,
     *,
     doc_id: str = "",
@@ -146,13 +144,14 @@ def build_document_cache(
     if prefix.model_fingerprint != model.fingerprint:
         raise StaleCacheError("prefix cache was built with a different model")
     tokens = [int(t) for t in doc_tokens]
-    if not tokens:
-        raise ValueError("document tokens must be non-empty")
     if not 0 < valid_len <= len(tokens):
         raise ValueError(f"valid_len {valid_len} out of range for {len(tokens)} tokens")
 
     p = prefix.token_count
-    cache = prefix.kv.copy()
+    cache = model.new_cache()
+    cache.reserve(p + len(tokens))
+    for layer, cached in zip(cache.layers, prefix.kv.layers):
+        layer.append(cached.keys, cached.values, cached.position_ids, cached.visible)
     visible = np.arange(len(tokens)) < valid_len
     model.forward(
         cache,
@@ -166,22 +165,21 @@ def build_document_cache(
         model_fingerprint=model.fingerprint,
         prefix_hash=prefix.prefix_hash,
         prefix_len=p,
-        token_count=len(tokens),
         valid_len=valid_len,
         kv=cache.slice(p, p + len(tokens)),
     )
 
 
-def _write_kv_file(path: Path, *, model_fingerprint: str, prefix_hash: str, kv: KVCache, rope_base: float) -> int:
-    layers = kv.layers
+def _write_kv_file(path: Path, entry: CacheStoreEntry, rope_base: float) -> int:
+    layers = entry.kv.layers
     num_heads, token_count, head_dim = layers[0].keys.shape
     body = bytearray()
     for layer in layers:
         body += np.ascontiguousarray(layer.keys, dtype=np.float32).tobytes()
         body += np.ascontiguousarray(layer.values, dtype=np.float32).tobytes()
     header = CACHE_FRAME.header.pack(
-        model_fingerprint.encode("ascii"),
-        prefix_hash.encode("ascii"),
+        entry.model_fingerprint.encode("ascii"),
+        entry.prefix_hash.encode("ascii"),
         len(layers),
         num_heads,
         head_dim,
@@ -194,7 +192,7 @@ def _write_kv_file(path: Path, *, model_fingerprint: str, prefix_hash: str, kv: 
 
 def _read_kv_file(path: Path, *, start: int, valid: int | None = None,
                   verified: VerifiedFiles | None = None):
-    """Read a cache file into (header dict, KVCache).
+    """Read a cache file into (model fingerprint, prefix hash, KVCache).
 
     Token i sits at position start + i; tokens from `valid` on (default:
     none) are padding and not visible. Each layer is read straight into an
@@ -228,15 +226,7 @@ def _read_kv_file(path: Path, *, start: int, valid: int | None = None,
         )
         for keys, values in tensors
     ])
-    header = {
-        "model_fingerprint": fingerprint,
-        "prefix_hash": prefix_hash,
-        "num_layers": num_layers,
-        "num_heads": num_heads,
-        "head_dim": head_dim,
-        "token_count": token_count,
-    }
-    return header, kv
+    return fingerprint, prefix_hash, kv
 
 
 def _entry_filename(doc_id: str) -> str:
@@ -248,13 +238,14 @@ def _entry_filename(doc_id: str) -> str:
 class CacheStore:
     """On-disk store of the prefix cache and per-document cache entries.
 
-    Bound to one model: every load checks the stored fingerprint and prefix
-    hash and refuses mismatches rather than serving stale tensors. Writes
-    go through a temp file and an atomic rename, so concurrent readers see
-    whole files. save_entry's manifest update holds an exclusive lock on
-    manifest.lock, so concurrent writers, in one process or several, lose no
-    entry. Each store checks the crc of a cache file once (see the module
-    docstring); its record of checked files is safe to share between threads.
+    Bound to one model: reading the manifest refuses a store built with
+    another model, and every load checks the file's fingerprint, prefix hash
+    and dimensions rather than serving stale tensors. Writes go through a
+    temp file and an atomic rename, so concurrent readers see whole files.
+    save_entry's manifest update holds an exclusive lock on manifest.lock,
+    so concurrent writers, in one process or several, lose no entry. Each
+    store checks the crc of a cache file once (see the module docstring);
+    its record of checked files is safe to share between threads.
     """
 
     def __init__(self, root, model: Model):
@@ -268,14 +259,39 @@ class CacheStore:
     def manifest_path(self) -> Path:
         return self.root / MANIFEST_NAME
 
-    def exists(self) -> bool:
-        return self.manifest_path.exists()
-
     def read_manifest(self) -> dict:
-        if not self.exists():
+        """Read the manifest, check its top-level fields and refuse a store
+        built with another model; load_entry checks the record of each
+        document it loads."""
+        if not self.manifest_path.exists():
             raise MissingEntryError(f"no cache store at {self.root}")
-        with open(self.manifest_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(self.manifest_path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except ValueError as exc:
+            raise self._bad_manifest(f"not JSON ({exc})") from exc
+        if not isinstance(manifest, dict):
+            raise self._bad_manifest("not a JSON object")
+        for key in ("model_fingerprint", "prefix_hash"):
+            if not isinstance(manifest.get(key), str):
+                raise self._bad_manifest(f"{key} is not a string")
+        tokens = manifest.get("prefix_tokens")
+        if not isinstance(tokens, list) or not all(type(t) is int for t in tokens):
+            raise self._bad_manifest("prefix_tokens is not a list of ints")
+        for key in ("prefix_len", "passage_len"):
+            if type(manifest.get(key)) is not int or manifest[key] < 1:
+                raise self._bad_manifest(f"{key} is not an int >= 1")
+        if not isinstance(manifest.get("docs"), dict):
+            raise self._bad_manifest("docs is not an object")
+        if manifest["model_fingerprint"] != self.model.fingerprint:
+            raise StaleCacheError(
+                f"store at {self.root} was built with model {manifest['model_fingerprint']}, "
+                f"not {self.model.fingerprint}; pass force to rebuild it"
+            )
+        return manifest
+
+    def _bad_manifest(self, problem: str) -> CacheFormatError:
+        return CacheFormatError(f"manifest {self.manifest_path}: {problem}")
 
     @contextmanager
     def _manifest_lock(self):
@@ -289,18 +305,9 @@ class CacheStore:
         write_atomic(self.manifest_path,
                      (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
-    def verify(self, manifest: dict | None = None) -> dict:
-        manifest = manifest or self.read_manifest()
-        if manifest.get("model_fingerprint") != self.model.fingerprint:
-            raise StaleCacheError(
-                f"store at {self.root} was built with model "
-                f"{manifest.get('model_fingerprint')}, not {self.model.fingerprint}"
-            )
-        return manifest
-
     @property
     def passage_len(self) -> int:
-        return int(self.read_manifest()["passage_len"])
+        return self.read_manifest()["passage_len"]
 
     # -- building ---------------------------------------------------------
 
@@ -311,20 +318,15 @@ class CacheStore:
         Refuses to overwrite a store built for a different model or prefix
         unless force is set. Returns {"documents": n, "bytes": total}.
         """
+        if passage_len < 1:
+            raise ValueError(f"passage length must be >= 1, got {passage_len}")
+        prefix_tokens = [int(t) for t in prefix_tokens]
         prefix_entry = build_prefix_cache(self.model, prefix_tokens, meter=meter)
-        if self.exists():
-            old = self.read_manifest()
-            stale = (
-                old.get("model_fingerprint") != self.model.fingerprint
-                or old.get("prefix_hash") != prefix_entry.prefix_hash
-            )
-            if stale and not force:
+        if self.manifest_path.exists() and not force:
+            if self.read_manifest()["prefix_hash"] != prefix_entry.prefix_hash:
                 raise StaleCacheError(
-                    f"store at {self.root} belongs to another model/prefix; "
-                    "pass force to rebuild"
+                    f"store at {self.root} was built on another prefix; pass force to rebuild it"
                 )
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / "docs").mkdir(exist_ok=True)
 
         tokenizer = ByteTokenizer()
         total_bytes = self.save_prefix(prefix_entry)
@@ -336,13 +338,13 @@ class CacheStore:
             entry = build_document_cache(
                 self.model, prefix_entry, tokens, doc_id=doc_id, valid_len=valid, meter=meter
             )
-            total_bytes += self._write_entry(entry)
+            total_bytes += self._write(entry, self.root / "docs" / _entry_filename(doc_id))
             docs[doc_id] = {"file": _entry_filename(doc_id), "valid_len": valid}
         manifest = {
             "format": CACHE_FRAME.version,
             "model_fingerprint": self.model.fingerprint,
             "prefix_hash": prefix_entry.prefix_hash,
-            "prefix_tokens": prefix_entry.tokens,
+            "prefix_tokens": prefix_tokens,
             "prefix_len": prefix_entry.token_count,
             "passage_len": passage_len,
             "docs": docs,
@@ -352,22 +354,13 @@ class CacheStore:
 
     # -- persistence ------------------------------------------------------
 
-    def save_prefix(self, entry: PrefixCacheEntry) -> int:
-        if entry.model_fingerprint != self.model.fingerprint:
-            raise StaleCacheError("prefix entry does not belong to this store's model")
-        self.root.mkdir(parents=True, exist_ok=True)
-        return _write_kv_file(
-            self.root / "prefix.cfkv",
-            model_fingerprint=entry.model_fingerprint,
-            prefix_hash=entry.prefix_hash,
-            kv=entry.kv,
-            rope_base=self.model.config.rope.base,
-        )
+    def save_prefix(self, entry: CacheStoreEntry) -> int:
+        return self._write(entry, self.root / "prefix.cfkv")
 
     def save_entry(self, entry: CacheStoreEntry) -> int:
         """Write one entry's cache file and add it to the manifest; returns
         the file's size in bytes."""
-        size = self._write_entry(entry)
+        size = self._write(entry, self.root / "docs" / _entry_filename(entry.doc_id))
         with self._manifest_lock():
             manifest = self.read_manifest()
             manifest["docs"][entry.doc_id] = {
@@ -377,63 +370,59 @@ class CacheStore:
             self._write_manifest(manifest)
         return size
 
-    def _write_entry(self, entry: CacheStoreEntry) -> int:
-        """Write one entry's cache file, leaving the manifest as it is."""
+    def _write(self, entry: CacheStoreEntry, path: Path) -> int:
+        """Write one cache file, leaving the manifest as it is."""
         if entry.model_fingerprint != self.model.fingerprint:
-            raise StaleCacheError("entry does not belong to this store's model")
-        (self.root / "docs").mkdir(parents=True, exist_ok=True)
-        return _write_kv_file(
-            self.root / "docs" / _entry_filename(entry.doc_id),
-            model_fingerprint=entry.model_fingerprint,
-            prefix_hash=entry.prefix_hash,
-            kv=entry.kv,
-            rope_base=self.model.config.rope.base,
-        )
+            raise StaleCacheError(f"entry built with model {entry.model_fingerprint} does not "
+                                  f"belong to this store's model {self.model.fingerprint}")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return _write_kv_file(path, entry, self.model.config.rope.base)
 
-    def load_prefix(self, *, manifest: dict | None = None) -> PrefixCacheEntry:
+    def load_prefix(self, *, manifest: dict | None = None) -> CacheStoreEntry:
         """Load the prefix cache; pass a manifest already read to skip reading it."""
-        manifest = self.verify(manifest)
-        header, kv = _read_kv_file(self.root / "prefix.cfkv", start=0,
-                                   verified=self._verified)
-        self._check_header(header, manifest["prefix_hash"])
-        return PrefixCacheEntry(
-            prefix_hash=manifest["prefix_hash"],
-            model_fingerprint=header["model_fingerprint"],
-            tokens=[int(t) for t in manifest["prefix_tokens"]],
-            kv=kv,
-        )
+        manifest = manifest or self.read_manifest()
+        return self._load(self.root / "prefix.cfkv", manifest, doc_id="", prefix_len=0,
+                          valid_len=manifest["prefix_len"])
 
     def load_entry(self, doc_id: str, *, manifest: dict | None = None) -> CacheStoreEntry:
         """Load one document's entry; pass a manifest already read to skip reading it."""
-        manifest = self.verify(manifest)
+        manifest = manifest or self.read_manifest()
         info = manifest["docs"].get(doc_id)
         if info is None:
             raise MissingEntryError(f"no cache entry for document {doc_id!r}")
-        prefix_len = int(manifest["prefix_len"])
-        valid = int(info["valid_len"])
-        header, kv = _read_kv_file(self.root / "docs" / info["file"], start=prefix_len,
-                                   valid=valid, verified=self._verified)
-        self._check_header(header, manifest["prefix_hash"])
-        return CacheStoreEntry(
-            doc_id=doc_id,
-            model_fingerprint=header["model_fingerprint"],
-            prefix_hash=header["prefix_hash"],
-            prefix_len=prefix_len,
-            token_count=header["token_count"],
-            valid_len=valid,
-            kv=kv,
-        )
+        if not isinstance(info, dict):
+            raise self._bad_manifest(f"record of {doc_id!r} is not an object")
+        name, valid = info.get("file"), info.get("valid_len")
+        if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+            raise self._bad_manifest(f"file of {doc_id!r} is not a plain file name")
+        if type(valid) is not int or not 1 <= valid <= manifest["passage_len"]:
+            raise self._bad_manifest(f"valid_len of {doc_id!r} is not an int in [1, passage_len]")
+        return self._load(self.root / "docs" / name, manifest, doc_id=doc_id,
+                          prefix_len=manifest["prefix_len"], valid_len=valid)
 
-    def _check_header(self, header: dict, prefix_hash: str) -> None:
-        if header["model_fingerprint"] != self.model.fingerprint:
+    def _load(self, path: Path, manifest: dict, *, doc_id: str, prefix_len: int,
+              valid_len: int) -> CacheStoreEntry:
+        """Read one cache file, refusing one built for another model, prefix
+        or config."""
+        fingerprint, prefix_hash, kv = _read_kv_file(path, start=prefix_len, valid=valid_len,
+                                                     verified=self._verified)
+        if fingerprint != self.model.fingerprint:
             raise StaleCacheError(
-                f"cache file fingerprint {header['model_fingerprint']} does not match "
+                f"cache file {path} fingerprint {fingerprint} does not match "
                 f"model {self.model.fingerprint}"
             )
-        if header["prefix_hash"] != prefix_hash:
-            raise StaleCacheError("cache file prefix hash does not match the store manifest")
+        if prefix_hash != manifest["prefix_hash"]:
+            raise StaleCacheError(f"cache file {path} prefix hash does not match the store manifest")
         cfg = self.model.config
-        if (header["num_layers"], header["num_heads"], header["head_dim"]) != (
-            cfg.num_layers, cfg.num_heads, cfg.head_dim
-        ):
-            raise StaleCacheError("cache file dimensions do not match the model config")
+        # keys are (heads, tokens, head_dim); a model has at least one layer
+        if (len(kv.layers) != cfg.num_layers
+                or kv.layers[0].keys.shape[::2] != (cfg.num_heads, cfg.head_dim)):
+            raise StaleCacheError(f"cache file {path} dimensions do not match the model config")
+        return CacheStoreEntry(
+            doc_id=doc_id,
+            model_fingerprint=fingerprint,
+            prefix_hash=prefix_hash,
+            prefix_len=prefix_len,
+            valid_len=valid_len,
+            kv=kv,
+        )

@@ -16,7 +16,7 @@ import traceback
 from .bench import MODES, answer, report_to_csv, report_to_json, run_bench
 from .cache_store import CacheFormatError, CacheStore, MissingEntryError, StaleCacheError
 from .corpus import CorpusError, read_corpus
-from .focus import ConfigurationError, PruningSchedule
+from .focus import STRATEGIES, ConfigurationError, PruningSchedule
 from .model import CapacityError, Model, WeightFormatError, make_config
 from .retrieval import IndexFormatError, index_corpus, load_index, save_index, search
 from .tokenizer import ByteTokenizer
@@ -161,6 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags.add_argument("--query-reserve", type=int, default=128,
                              help="positions kept free for the query and generation")
 
+    query_flags = argparse.ArgumentParser(add_help=False)
+    query_flags.add_argument("--store", required=True)
+    query_flags.add_argument("--index", required=True)
+    query_flags.add_argument("--query", required=True)
+    query_flags.add_argument("--strategy", choices=STRATEGIES, default="none")
+    query_flags.add_argument("--n", type=int, default=4, help="prune every n-th layer")
+    query_flags.add_argument("--k-finish", type=int, default=5, help="caches kept after pre-fill")
+
     p = sub.add_parser("index", help="build the BM25 index from a JSON-lines corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--index", required=True)
@@ -176,32 +184,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rebuild even over a store for another model/prefix")
     p.set_defaults(func=cmd_build_cache)
 
-    p = sub.add_parser("run", parents=[model_flags], help="answer one query")
-    p.add_argument("--store", required=True)
-    p.add_argument("--index", required=True)
+    p = sub.add_parser("run", parents=[model_flags, query_flags], help="answer one query")
     p.add_argument("--corpus", default=None, help="document text, needed by the modes that encode documents")
-    p.add_argument("--query", required=True)
     p.add_argument("--k", type=int, default=5, help="documents to retrieve (0 or more)")
     p.add_argument("--mode", choices=MODES, default="prune")
-    p.add_argument("--strategy", choices=("none", "align", "sort"), default="none")
-    p.add_argument("--n", type=int, default=4, help="prune every n-th layer")
-    p.add_argument("--k-finish", type=int, default=5, help="caches kept after pre-fill")
     p.add_argument("--gen-tokens", type=int, default=20)
     p.add_argument("--trace", default=None, help="also write the JSON output here")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("bench", parents=[model_flags],
+    p = sub.add_parser("bench", parents=[model_flags, query_flags],
                        help="latency/op-count benchmark across modes and doc counts")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--store", required=True)
-    p.add_argument("--query", required=True)
     p.add_argument("--doc-counts", default="10,20,40")
     p.add_argument("--modes", default=",".join(MODES))
     p.add_argument("--gen-tokens", type=int, default=100)
-    p.add_argument("--strategy", choices=("none", "align", "sort"), default="none")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--k-finish", type=int, default=5)
     p.add_argument("--out", choices=("csv", "json"), default="json",
                    help="format printed to stdout")
     p.add_argument("--csv-path", default=None)

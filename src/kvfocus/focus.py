@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cache_store import CacheStore, CacheStoreEntry, PrefixCacheEntry, passage_tokens
+from .cache_store import CacheStore, CacheStoreEntry
 from .model import CostMeter, KVCache, LayerCache, Model
 from .retrieval import InvertedIndex, search
 from .rope import RopeConfig, collect_position_overflows, reposition_array
@@ -306,7 +306,7 @@ class PrefillResult:
 
 def prefill_with_pruning(
     model: Model,
-    prefix: PrefixCacheEntry,
+    prefix: CacheStoreEntry,
     entries: list[CacheStoreEntry],
     query_tokens,
     schedule: PruningSchedule | None,
@@ -435,7 +435,7 @@ def prefill_with_pruning(
 
 def final_reposition(
     rope: RopeConfig,
-    prefix: PrefixCacheEntry,
+    prefix: CacheStoreEntry,
     prefill: PrefillResult,
 ) -> KVCache:
     """Assemble the decode cache: prefix, surviving caches, query KV, laid
@@ -526,6 +526,8 @@ class Pipeline:
 
     def __init__(self, model: Model, store: CacheStore, index: InvertedIndex,
                  *, query_reserve: int = 128):
+        if query_reserve < 0:
+            raise ValueError(f"query_reserve must be >= 0, got {query_reserve}")
         self.model = model
         self.store = store
         self.index = index
@@ -562,7 +564,7 @@ class Pipeline:
                             timings={"retrieve_s": t1 - t0, "load_s": t2 - t1})
 
     def run_with_entries(self, query_text: str, entries: list[CacheStoreEntry], *,
-                         prefix: PrefixCacheEntry, schedule: PruningSchedule | None = None,
+                         prefix: CacheStoreEntry, schedule: PruningSchedule | None = None,
                          strategy: str = "none", gen_tokens: int = 20,
                          meter: CostMeter | None = None) -> PipelineResult:
         """The pipeline on explicit entries, loaded from the store or built online.

@@ -12,12 +12,13 @@ how the context was assembled.
 Caches carry explicit per-token position ids and a visibility flag so
 padding keys can be masked out of attention. They do not record which
 source each token came from: the code that lays out a context knows where
-each part starts and ends (see `focus`). Caches loaded from disk, sliced or
-copied hold float32 arrays. A cache that is laid out or appended to, as in
-pre-fill, final allocation and decoding, keeps the same float32-rounded
-values in float64 buffers (the widening is exact) that are sized up front
-or grow geometrically, so each decoded token writes only its own rows and
-attention reads the cache in place, with no concatenate and no cast.
+each part starts and ends (see `focus`). Caches loaded from disk or sliced
+hold float32 arrays. Every cache the model writes, from new_cache() or laid
+out for pre-fill, final allocation and decoding, keeps the same
+float32-rounded values in float64 buffers (the widening is exact) that are
+sized up front or grow geometrically, so each decoded token writes only its
+own rows and attention reads the cache in place, with no concatenate and no
+cast.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class LayerCache:
     float64 buffers with room to grow (the widening is exact); from then on
     the four fields are views of the buffers' first token_count rows, and
     appends write new rows in place, so a view taken earlier keeps its
-    values. Replace a cache rather than its fields. slice() and copy()
-    return independent float32 caches.
+    values. Replace a cache rather than its fields. slice() returns an
+    independent float32 cache.
     """
 
     keys: np.ndarray
@@ -123,21 +124,13 @@ class LayerCache:
     _buffers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def empty(cls, num_heads: int, head_dim: int) -> "LayerCache":
-        return cls(
-            keys=np.zeros((num_heads, 0, head_dim), dtype=np.float32),
-            values=np.zeros((num_heads, 0, head_dim), dtype=np.float32),
-            position_ids=np.zeros(0, dtype=np.int64),
-            visible=np.zeros(0, dtype=bool),
-        )
-
-    @classmethod
     def with_capacity(cls, num_heads: int, head_dim: int, capacity: int) -> "LayerCache":
         """An empty cache whose float64 buffers hold `capacity` tokens;
         appends that fit allocate nothing."""
-        cache = cls.empty(num_heads, head_dim)
-        cache._buffers = _new_buffers(num_heads, capacity, head_dim)
-        cache._expose(0)
+        buffers = _new_buffers(num_heads, capacity, head_dim)
+        k, v, pos, vis = buffers
+        cache = cls(keys=k[:, :0], values=v[:, :0], position_ids=pos[:0], visible=vis[:0])
+        cache._buffers = buffers
         return cache
 
     @property
@@ -199,9 +192,6 @@ class LayerCache:
             visible=self.visible[start:stop].copy(),
         )
 
-    def copy(self) -> "LayerCache":
-        return self.slice(0, self.token_count)
-
 
 def _new_buffers(heads: int, capacity: int, dim: int) -> tuple:
     return (np.empty((heads, capacity, dim), dtype=np.float64),
@@ -235,9 +225,6 @@ class KVCache:
 
     def slice(self, start: int, stop: int) -> "KVCache":
         return KVCache([layer.slice(start, stop) for layer in self.layers])
-
-    def copy(self) -> "KVCache":
-        return KVCache([layer.copy() for layer in self.layers])
 
 
 class CostMeter:
@@ -406,7 +393,7 @@ class Model:
 
     def new_cache(self) -> KVCache:
         cfg = self.config
-        return KVCache([LayerCache.empty(cfg.num_heads, cfg.head_dim)
+        return KVCache([LayerCache.with_capacity(cfg.num_heads, cfg.head_dim, 0)
                         for _ in range(cfg.num_layers)])
 
     def embed(self, tokens) -> np.ndarray:

@@ -221,8 +221,7 @@ def _synthetic_entry(model, prefix, doc_id, keys, token_count):
         ))
     return CacheStoreEntry(doc_id=doc_id, model_fingerprint=model.fingerprint,
                            prefix_hash=prefix.prefix_hash, prefix_len=p,
-                           token_count=token_count, valid_len=token_count,
-                           kv=KVCache(layers))
+                           valid_len=token_count, kv=KVCache(layers))
 
 
 def test_criterion_06_pruning_behavior():

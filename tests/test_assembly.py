@@ -135,7 +135,7 @@ def check_against_reference(strategy, schedule, n_reuse):
     the pre-fill result."""
     model = small_model(seed=11)
     prefix = build_prefix_cache(model, [1, 2, 3])
-    prefix.kv = prefix.kv.copy()  # float32, as loaded from a store
+    prefix.kv = prefix.kv.slice(0, prefix.token_count)  # float32, as loaded from a store
     docs = padded_documents(model, prefix, 6)
     plan = plan_positions([d.doc_id for d in docs], n_reuse, 6, prefix.token_count)
     query = [40, 41, 42, 43]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import shutil
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -117,6 +118,11 @@ class TestPassageTokens:
         with pytest.raises(ValueError):
             passage_tokens(ByteTokenizer(), "", "", 8)
 
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_length_below_one_rejected(self, length):
+        with pytest.raises(ValueError, match=f"passage length must be >= 1, got {length}"):
+            passage_tokens(ByteTokenizer(), "t", "text", length)
+
 
 class TestStore:
     def corpus(self):
@@ -139,7 +145,9 @@ class TestStore:
         assert entry.prefix_len == 3
 
         loaded_prefix = store.load_prefix()
-        assert loaded_prefix.tokens == [1, 2, 3]
+        assert store.read_manifest()["prefix_tokens"] == [1, 2, 3]
+        assert (loaded_prefix.doc_id, loaded_prefix.prefix_len, loaded_prefix.valid_len) == ("", 0, 3)
+        assert loaded_prefix.prefix_hash == hash_tokens([1, 2, 3]) == prefix.prefix_hash
         for la, lb in zip(loaded_prefix.kv.layers, prefix.kv.layers):
             np.testing.assert_array_equal(la.keys, lb.keys)
 
@@ -164,6 +172,33 @@ class TestStore:
         # force allows the rebuild to proceed
         stale.build([1, 2], self.corpus(), passage_len=10, force=True)
         assert CacheStore(root, other).load_entry("doc1").model_fingerprint == other.fingerprint
+
+    @pytest.mark.parametrize("passage_len", [0, -5])
+    def test_passage_len_below_one_rejected_before_writing(self, model, tmp_path, passage_len):
+        store = CacheStore(tmp_path / "store", model)
+        with pytest.raises(ValueError, match=f"passage length must be >= 1, got {passage_len}"):
+            store.build([1, 2], self.corpus(), passage_len=passage_len)
+        assert not store.manifest_path.exists()
+        assert not (store.root / "prefix.cfkv").exists()
+
+    def test_save_entry_refuses_a_store_of_another_model(self, model, tmp_path):
+        root = tmp_path / "store"
+        CacheStore(root, model).build([1, 2], self.corpus(), passage_len=10)
+        other = Model.from_seed(model.config, 1234)
+        prefix = build_prefix_cache(other, [1, 2])
+        entry = build_document_cache(other, prefix, [5, 6], doc_id="new", valid_len=2)
+        with pytest.raises(StaleCacheError, match="pass force"):
+            CacheStore(root, other).save_entry(entry)
+        assert sorted(CacheStore(root, model).read_manifest()["docs"]) == ["doc1", "doc2"]
+
+    def test_force_rebuilds_over_a_malformed_manifest(self, model, tmp_path):
+        store = CacheStore(tmp_path / "store", model)
+        store.build([1, 2], self.corpus(), passage_len=10)
+        store.manifest_path.write_text("[]", encoding="utf-8")
+        with pytest.raises(CacheFormatError, match="not a JSON object"):
+            store.build([1, 2], self.corpus(), passage_len=10)
+        store.build([1, 2], self.corpus(), passage_len=10, force=True)
+        assert sorted(store.read_manifest()["docs"]) == ["doc1", "doc2"]
 
     def test_missing_entry(self, model, tmp_path):
         store = CacheStore(tmp_path / "store", model)
@@ -278,6 +313,61 @@ class TestMalformedFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(CacheFormatError, match="ascii"):
             store.load_prefix()
+
+
+class TestLoaderChecks:
+    """The checks the loader makes of each cache file it reads, past the
+    store-level check of the manifest: for the prefix file and a document
+    file alike, a file from a store built on another prefix, a file from
+    another model's store, and a header with num_heads and head_dim swapped
+    (the body length is unchanged, so the frame accepts it) are each a
+    StaleCacheError."""
+
+    corpus = [("doc1", "alpha", "first passage")]
+
+    @pytest.fixture
+    def store(self, model, tmp_path):
+        store = CacheStore(tmp_path / "store", model)
+        store.build([1, 2], self.corpus, passage_len=12)
+        return store
+
+    @staticmethod
+    def path_of(store, which):
+        if which == "prefix":
+            return store.root / "prefix.cfkv"
+        return store.root / "docs" / store.read_manifest()["docs"]["doc1"]["file"]
+
+    @staticmethod
+    def load(store, which):
+        return store.load_prefix() if which == "prefix" else store.load_entry("doc1")
+
+    @pytest.mark.parametrize("which", ["prefix", "doc"])
+    def test_file_built_on_another_prefix(self, model, store, tmp_path, which):
+        other = CacheStore(tmp_path / "other", model)
+        other.build([3, 4], self.corpus, passage_len=12)
+        shutil.copyfile(self.path_of(other, which), self.path_of(store, which))
+        with pytest.raises(StaleCacheError, match="prefix hash"):
+            self.load(store, which)
+
+    @pytest.mark.parametrize("which", ["prefix", "doc"])
+    def test_file_of_another_model(self, model, store, tmp_path, which):
+        other = CacheStore(tmp_path / "other", Model.from_seed(model.config, 99))
+        other.build([1, 2], self.corpus, passage_len=12)
+        shutil.copyfile(self.path_of(other, which), self.path_of(store, which))
+        with pytest.raises(StaleCacheError, match="fingerprint"):
+            self.load(store, which)
+
+    @pytest.mark.parametrize("which", ["prefix", "doc"])
+    def test_heads_and_head_dim_swapped(self, store, which):
+        path = self.path_of(store, which)
+        raw = bytearray(path.read_bytes())
+        fields = list(CACHE_FRAME.header.unpack_from(raw, 8))
+        fields[3], fields[4] = fields[4], fields[3]  # num_heads, head_dim
+        assert fields[3] != fields[4]
+        raw[8:8 + CACHE_FRAME.header.size] = CACHE_FRAME.header.pack(*fields)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StaleCacheError, match="dimensions"):
+            self.load(store, which)
 
 
 class TestVerifiedFiles:

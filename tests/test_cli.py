@@ -1,12 +1,14 @@
 """CLI end-to-end: subcommands, trace schema, bench report invariants."""
 
 import json
+import re
 import struct
 
 import pytest
 
 from kvfocus.cache_store import CacheStore
 from kvfocus.cli import main, score_answer
+from kvfocus.focus import STRATEGIES
 from kvfocus.model import Model, make_config, save_weights
 
 SMALL_MODEL_FLAGS = [
@@ -98,6 +100,56 @@ class TestBuildCacheCommand:
         assert "force" in capsys.readouterr().err
         assert main(stale + ["--force"]) == 0
 
+    @pytest.mark.parametrize("passage_len", ["0", "-5"])
+    def test_passage_len_below_one_is_user_error(self, workspace, capsys, passage_len):
+        store = workspace["tmp"] / "fresh"
+        code = main(["build-cache", "--corpus", str(workspace["corpus"]),
+                     "--store", str(store), "--prefix", "context:",
+                     "--passage-len", passage_len, *SMALL_MODEL_FLAGS])
+        assert code == 1
+        assert f"passage length must be >= 1, got {passage_len}" in capsys.readouterr().err
+        assert not (store / "manifest.json").exists()
+
+
+def _set(field, value):
+    return lambda manifest: manifest.__setitem__(field, value)
+
+
+def _drop(field):
+    return lambda manifest: manifest.__delitem__(field)
+
+
+def _set_record(field, value):
+    return lambda manifest: manifest["docs"]["d-paris"].__setitem__(field, value)
+
+
+# name -> (a change to the store's manifest: the new body, or None after
+# editing the parsed manifest in place; what the error says is wrong)
+MANIFEST_DAMAGE = {
+    "list": (lambda manifest: "[]", "not a JSON object"),
+    "not-json": (lambda manifest: "{bad", "not JSON"),
+    "docs-only": (lambda manifest: '{"docs": {}}', "model_fingerprint is not a string"),
+    "fingerprint-number": (_set("model_fingerprint", 5), "model_fingerprint is not a string"),
+    "prefix-hash-missing": (_drop("prefix_hash"), "prefix_hash is not a string"),
+    "prefix-tokens-string": (_set("prefix_tokens", "abc"), "prefix_tokens is not a list of ints"),
+    "prefix-token-float": (_set("prefix_tokens", [1, 2.5]), "prefix_tokens is not a list of ints"),
+    "prefix-len-zero": (_set("prefix_len", 0), "prefix_len is not an int >= 1"),
+    "prefix-len-bool": (_set("prefix_len", True), "prefix_len is not an int >= 1"),
+    "passage-len-negative": (_set("passage_len", -5), "passage_len is not an int >= 1"),
+    "passage-len-string": (_set("passage_len", "16"), "passage_len is not an int >= 1"),
+    "docs-list": (_set("docs", []), "docs is not an object"),
+    "record-string": (lambda manifest: manifest["docs"].__setitem__("d-paris", "x.cfkv"),
+                      "record of 'd-paris' is not an object"),
+    "file-parent": (_set_record("file", "../prefix.cfkv"), "file of 'd-paris' is not a plain"),
+    "file-absolute": (_set_record("file", "/etc/hostname"), "file of 'd-paris' is not a plain"),
+    "file-empty": (_set_record("file", ""), "file of 'd-paris' is not a plain"),
+    "file-number": (_set_record("file", 3), "file of 'd-paris' is not a plain"),
+    "valid-len-zero": (_set_record("valid_len", 0), "valid_len of 'd-paris' is not an int in"),
+    "valid-len-past-passage": (_set_record("valid_len", 17),
+                               "valid_len of 'd-paris' is not an int in"),
+    "valid-len-string": (_set_record("valid_len", "3"), "valid_len of 'd-paris' is not an int in"),
+}
+
 
 class TestRunCommand:
     def run_json(self, workspace, capsys, *extra):
@@ -149,6 +201,28 @@ class TestRunCommand:
                      *SMALL_MODEL_FLAGS])
         assert code == 1
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", MANIFEST_DAMAGE)
+    def test_malformed_manifest_is_user_error(self, workspace, capsys, damage):
+        path = workspace["store"] / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        change, problem = MANIFEST_DAMAGE[damage]
+        body = change(manifest)
+        path.write_text(json.dumps(manifest) if body is None else body, encoding="utf-8")
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     "--k", "4", *SMALL_MODEL_FLAGS])
+        assert code == 1
+        assert f"error: manifest {path}: {problem}" in capsys.readouterr().err
+
+    def test_negative_query_reserve_is_user_error(self, workspace, capsys):
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     "--k", "4", *SMALL_MODEL_FLAGS, "--query-reserve", "-500"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "query_reserve must be >= 0, got -500" in captured.err
+        assert captured.out == ""
 
     def test_k_zero_answers_from_prefix_and_query(self, workspace, capsys):
         payload = self.run_json(workspace, capsys, "--query", "capital", "--k", "0",
@@ -301,3 +375,24 @@ class TestBenchCommand:
                      "--query", "x", "--doc-counts", "9",
                      "--gen-tokens", "2", *SMALL_MODEL_FLAGS])
         assert code == 1
+
+
+class TestHelp:
+    MODEL_FLAGS = {"--seed", "--weights", "--num-layers", "--num-heads", "--head-dim",
+                   "--max-position", "--rope-base", "--query-reserve"}
+    QUERY_FLAGS = {"--store", "--index", "--query", "--strategy", "--n", "--k-finish"}
+    OWN_FLAGS = {
+        "run": {"--corpus", "--k", "--mode", "--gen-tokens", "--trace"},
+        "bench": {"--corpus", "--doc-counts", "--modes", "--gen-tokens", "--out",
+                  "--csv-path", "--json-path"},
+    }
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_help_lists_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        expected = {"--help"} | self.MODEL_FLAGS | self.QUERY_FLAGS | self.OWN_FLAGS[command]
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == expected
+        assert "{" + ",".join(STRATEGIES) + "}" in out

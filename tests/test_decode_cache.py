@@ -31,7 +31,7 @@ def float32_context(model, length=20):
     positions = np.concatenate([np.arange(length // 2), np.arange(length // 2) + 40])
     visible = np.arange(length) % 7 != 6
     first, _ = model.prefill(cache, tokens, positions=positions, visible=visible)
-    return first, cache.copy()
+    return first, cache.slice(0, cache.token_count)
 
 
 def reference_layers(cache):
@@ -150,7 +150,7 @@ class TestViewsAndCopies:
         model = tiny_model(seed=6)
         cache = model.new_cache()
         model.forward(cache, [1, 2, 3, 4, 5])
-        dup = cache.copy()
+        dup = cache.slice(0, cache.token_count)
         part = cache.slice(1, 4)
         saved = [[getattr(layer, name).copy() for name in FIELDS]
                  for kv in (dup, part) for layer in kv.layers]

@@ -208,8 +208,7 @@ class TestAccumulateScores:
         doc = build_document_cache(model, prefix, [7, 8, 9], doc_id="a", valid_len=3)
         twin = CacheStoreEntry(doc_id="b", model_fingerprint=doc.model_fingerprint,
                                prefix_hash=doc.prefix_hash, prefix_len=doc.prefix_len,
-                               token_count=doc.token_count, valid_len=doc.valid_len,
-                               kv=doc.kv.copy())
+                               valid_len=doc.valid_len, kv=doc.kv.slice(0, doc.token_count))
         plan = plan_positions(["a", "b"], 2, cache_len=3, prefix_len=2)  # shared range
         result = prefill_with_pruning(model, prefix, [doc, twin], [5, 6], None, plan)
         assert result.scores["a"] == pytest.approx(result.scores["b"], abs=1e-5)
@@ -230,8 +229,7 @@ def synthetic_entry(model, prefix, doc_id, keys_fn, token_count=8):
         ))
     return CacheStoreEntry(doc_id=doc_id, model_fingerprint=model.fingerprint,
                            prefix_hash=prefix.prefix_hash, prefix_len=p,
-                           token_count=token_count, valid_len=token_count,
-                           kv=KVCache(layers))
+                           valid_len=token_count, kv=KVCache(layers))
 
 
 def basis_spike_keys(num_heads, token_count, head_dim, magnitude):
@@ -451,6 +449,13 @@ class TestPipeline:
         store, index, _ = build_fixture(tmp_path, model, self.corpus)
         with pytest.raises(ValueError, match="k must be >= 0, got -1"):
             Pipeline(model, store, index).run("capital", -1, gen_tokens=2)
+
+    def test_negative_query_reserve_is_rejected(self, tmp_path):
+        model = small_model(seed=12)
+        store, index, _ = build_fixture(tmp_path, model, self.corpus)
+        with pytest.raises(ValueError, match="query_reserve must be >= 0, got -1"):
+            Pipeline(model, store, index, query_reserve=-1)
+        assert Pipeline(model, store, index, query_reserve=0).query_reserve == 0
 
     @pytest.mark.parametrize("schedule", [None, PruningSchedule(interval=2, k_finish=1)],
                              ids=["no-schedule", "prune"])

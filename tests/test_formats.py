@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvfocus import framing, model as model_module
-from kvfocus.cache_store import CACHE_FRAME, CacheStore, _read_kv_file, _write_kv_file
+from kvfocus.cache_store import (
+    CACHE_FRAME,
+    CacheStore,
+    CacheStoreEntry,
+    _read_kv_file,
+    _write_kv_file,
+)
 from kvfocus.model import (
     WEIGHT_FRAME,
     KVCache,
@@ -39,8 +45,10 @@ def write_cache(path, seed=0):
                           values=rng.standard_normal((2, 3, 4)).astype(np.float32),
                           position_ids=np.arange(3), visible=np.ones(3, bool))
 
-    _write_kv_file(path, model_fingerprint="0123456789abcdef", prefix_hash="fedcba9876543210",
-                   kv=KVCache([layer(), layer()]), rope_base=10000.0)
+    entry = CacheStoreEntry(doc_id="", model_fingerprint="0123456789abcdef",
+                            prefix_hash="fedcba9876543210", prefix_len=0, valid_len=3,
+                            kv=KVCache([layer(), layer()]))
+    _write_kv_file(path, entry, rope_base=10000.0)
 
 
 def write_index(path, seed=0):

@@ -110,6 +110,8 @@ class TestForward:
     def test_cache_grows_by_token_count(self):
         model = tiny_model()
         cache = model.new_cache()
+        assert [(layer.capacity, layer.keys.dtype) for layer in cache.layers] == [
+            (0, np.float64)] * model.config.num_layers
         model.forward(cache, [5])
         assert cache.token_count == 1
         model.forward(cache, [1, 2, 3])
@@ -265,9 +267,6 @@ class TestWeights:
         part = cache.slice(1, 3)
         assert part.token_count == 2
         np.testing.assert_array_equal(part.layers[0].position_ids, [1, 2])
-        dup = cache.copy()
-        dup.layers[0].keys[:] = 0
-        assert cache.layers[0].keys.any()
 
     def test_mismatched_layer_counts_detected(self):
         model = tiny_model()
