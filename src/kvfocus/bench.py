@@ -42,6 +42,8 @@ def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, tex
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if query_reserve < 0:
+        raise ValueError(f"query_reserve must be >= 0, got {query_reserve}")
     t0 = time.perf_counter()
     tokenizer = ByteTokenizer()
     manifest = store.read_manifest()
@@ -88,9 +90,7 @@ def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, tex
         result = pipeline.run_with_entries(
             query_text, entries, prefix=prefix, schedule=schedule, strategy=strategy,
             gen_tokens=gen_tokens, meter=meter)
-        tokens, trace = result.tokens, result.trace.to_dict()
-        trace["context_length"] = len(prefix_tokens) + len(doc_ids) * passage_len \
-            + len(tokenizer.encode(query_text))
+        tokens, trace = result.tokens, asdict(result.trace)
 
     timings = trace["timings"]
     timings["prefill_s"] += prepared

@@ -359,14 +359,12 @@ class CacheStore:
 
     def save_entry(self, entry: CacheStoreEntry) -> int:
         """Write one entry's cache file and add it to the manifest; returns
-        the file's size in bytes."""
-        size = self._write(entry, self.root / "docs" / _entry_filename(entry.doc_id))
+        the file's size in bytes. Nothing is written when the manifest is refused."""
+        name = _entry_filename(entry.doc_id)
         with self._manifest_lock():
             manifest = self.read_manifest()
-            manifest["docs"][entry.doc_id] = {
-                "file": _entry_filename(entry.doc_id),
-                "valid_len": entry.valid_len,
-            }
+            size = self._write(entry, self.root / "docs" / name)
+            manifest["docs"][entry.doc_id] = {"file": name, "valid_len": entry.valid_len}
             self._write_manifest(manifest)
         return size
 

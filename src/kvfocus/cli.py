@@ -158,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags.add_argument("--head-dim", type=int, default=32)
     model_flags.add_argument("--max-position", type=int, default=512)
     model_flags.add_argument("--rope-base", type=float, default=10000.0)
-    model_flags.add_argument("--query-reserve", type=int, default=128,
-                             help="positions kept free for the query and generation")
 
     query_flags = argparse.ArgumentParser(add_help=False)
     query_flags.add_argument("--store", required=True)
@@ -168,6 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     query_flags.add_argument("--strategy", choices=STRATEGIES, default="none")
     query_flags.add_argument("--n", type=int, default=4, help="prune every n-th layer")
     query_flags.add_argument("--k-finish", type=int, default=5, help="caches kept after pre-fill")
+    query_flags.add_argument("--query-reserve", type=int, default=128,
+                             help="positions kept free for the query and generation")
 
     p = sub.add_parser("index", help="build the BM25 index from a JSON-lines corpus")
     p.add_argument("--corpus", required=True)

@@ -15,7 +15,8 @@ relevance profile.
 Pruning: document scores start at zero and accumulate layer by layer; at
 every interval-th layer the lowest-scoring caches are dropped. The per-event
 removal count is (k - k_finish) divided by the number of events, floored,
-with the final event trimmed or extended so exactly k_finish caches remain.
+and the final event keeps exactly k_finish caches. The whole schedule is one
+table, fixed when the query starts, of the caches kept after each event.
 
 Context assembly: one helper lays out a layer's context as the prefix, then
 each cache with its keys rotated to its target positions, then the query,
@@ -91,10 +92,10 @@ class AllocationPlan:
     sequential. Insertion order of `slots` is retrieval-rank order.
     """
 
-    slots: dict[str, PlanSlot]
     n_reuse: int
     cache_len: int
     prefix_len: int
+    slots: dict[str, PlanSlot]
 
     @property
     def slots_per_group(self) -> int:
@@ -118,17 +119,6 @@ class AllocationPlan:
                     f"cache {cache_id!r} at [{slot.start}, {slot.start + self.cache_len}) "
                     f"exceeds max_position {max_position}"
                 )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_reuse": self.n_reuse,
-            "cache_len": self.cache_len,
-            "prefix_len": self.prefix_len,
-            "slots": {
-                cid: {"group": s.group, "slot": s.slot, "start": s.start}
-                for cid, s in self.slots.items()
-            },
-        }
 
 
 def plan_positions(ids_sorted: list[str], n_reuse: int, cache_len: int,
@@ -181,62 +171,49 @@ def removals_per_event(k: int, k_finish: int, num_layers: int, interval: int) ->
 
 @dataclass
 class PruningState:
-    """Survivor set, accumulated scores, and the resolved schedule."""
+    """Survivor set, accumulated scores and the prune schedule of one query."""
 
     surviving_ids: list[str]
     scores: dict[str, float]
-    schedule: PruningSchedule | None
-    k_prune: int
-    num_events: int
     rank_of: dict[str, int]           # retrieval rank, breaks score ties
-    events_done: int = 0
+    keep_after: dict[int, int]        # {layers run: caches kept} at each prune event
     pruned_at_layer: dict[int, list[str]] = field(default_factory=dict)
 
     @classmethod
     def start(cls, ids: list[str], schedule: PruningSchedule | None,
               num_layers: int) -> "PruningState":
-        """A state that never prunes when schedule is None or k <= k_finish."""
-        active = schedule is not None and len(ids) > schedule.k_finish
-        k_prune = removals_per_event(len(ids), schedule.k_finish, num_layers,
-                                     schedule.interval) if active else 0
-        return cls(
-            surviving_ids=list(ids),
-            scores={i: 0.0 for i in ids},
-            schedule=schedule,
-            k_prune=k_prune,
-            num_events=(num_layers // schedule.interval) if active else 0,
-            rank_of={i: r for r, i in enumerate(ids)},
-        )
+        """Prune event e, after e * interval layers, keeps k - e *
+        removals_per_event caches, and the last one keeps k_finish; with
+        schedule None or k <= k_finish there is no event."""
+        keep_after = {}
+        if schedule is not None and len(ids) > schedule.k_finish:
+            k_prune = removals_per_event(len(ids), schedule.k_finish, num_layers,
+                                         schedule.interval)
+            events = num_layers // schedule.interval
+            keep_after = {e * schedule.interval: len(ids) - e * k_prune
+                          for e in range(1, events)}
+            keep_after[events * schedule.interval] = schedule.k_finish
+        return cls(surviving_ids=list(ids), scores={i: 0.0 for i in ids},
+                   rank_of={i: r for r, i in enumerate(ids)}, keep_after=keep_after)
 
     @property
     def settled_from(self) -> int:
         """The first layer laid out after the last prune event; it and every
         later layer hold the final survivors (all layers when none is pruned)."""
-        return self.num_events * self.schedule.interval if self.num_events else 0
+        return max(self.keep_after, default=0)
 
-    @property
-    def active(self) -> bool:
-        return self.num_events > 0 and len(self.surviving_ids) > self.schedule.k_finish
-
-    def prune_event(self, layer: int) -> list[str]:
-        """Drop the lowest-score caches; ties keep the better-retrieved one.
-
-        The final event removes exactly enough to land on k_finish.
-        """
-        self.events_done += 1
-        excess = len(self.surviving_ids) - self.schedule.k_finish
-        if self.events_done >= self.num_events:
-            target = excess
-        else:
-            target = min(self.k_prune, excess)
-        if target <= 0:
+    def prune_after(self, layers_run: int) -> list[str]:
+        """After `layers_run` layers, drop the lowest-score caches when the
+        schedule has an event there; ties keep the better-retrieved one.
+        Returns the ids dropped."""
+        keep = self.keep_after.get(layers_run)
+        if keep is None or len(self.surviving_ids) <= keep:
             return []
         order = sorted(self.surviving_ids,
                        key=lambda i: (self.scores[i], -self.rank_of[i]))
-        removed = set(order[:target])
+        removed = self.pruned_at_layer[layers_run] = order[:len(order) - keep]
         self.surviving_ids = [i for i in self.surviving_ids if i not in removed]
-        self.pruned_at_layer[layer] = [i for i in order[:target]]
-        return self.pruned_at_layer[layer]
+        return removed
 
 
 def accumulate_scores(weights: np.ndarray, blocks: dict[str, slice],
@@ -280,13 +257,10 @@ def _assemble_layer(ctx: LayerCache, rope: RopeConfig, layer_index: int,
 
 @dataclass
 class PrefillResult:
-    """What the pruning prefill hands to final repositioning and decoding."""
+    """What the pruning prefill hands to final repositioning and decoding;
+    the survivors and their scores are those of `state`."""
 
-    query_keys: list[np.ndarray]      # per layer (heads, q, head_dim) float32
-    query_values: list[np.ndarray]
-    query_positions: np.ndarray
-    surviving_ids: list[str]
-    scores: dict[str, float]
+    query: list[LayerCache]           # per layer, the query's float32 rows at pre-fill positions
     logits: np.ndarray                # (q, vocab) from the final layer
     state: PruningState
     per_layer_scores: list[dict[str, float]]
@@ -321,8 +295,8 @@ def prefill_with_pruning(
     Per layer: lay out the prefix and the caches still alive, keys moved to
     their planned ranges, in a float64 buffer with room for the query;
     append the query's rows and attend over the buffer in place; accumulate
-    per-document attention mass; and at every interval-th layer drop the
-    weakest caches, which are not repositioned again. With k <= k_finish
+    per-document attention mass; and where the schedule has an event, drop
+    the weakest caches, which are not repositioned again. With k <= k_finish
     (or schedule None) pruning is disabled and the pass only accumulates
     scores. Returns the query's own per-layer KV, the survivor set, and the
     score trajectory.
@@ -370,13 +344,13 @@ def prefill_with_pruning(
 
     query_start = plan.end if ids else plan.prefix_len
     query_positions = np.arange(query_start, query_start + query_tokens.size, dtype=np.int64)
+    query_visible = np.ones(query_tokens.size, dtype=bool)
     decoding = gen_tokens > 1
     first_decode_layer = (state.settled_from if decoding and strategy == "none"
                           else cfg.num_layers)
 
     hidden = model.embed(query_tokens)
-    query_keys: list[np.ndarray] = []
-    query_values: list[np.ndarray] = []
+    query: list[LayerCache] = []
     per_layer_scores: list[dict[str, float]] = []
     decode_layers: list[LayerCache | None] = [None] * cfg.num_layers
     shared = None
@@ -397,31 +371,19 @@ def prefill_with_pruning(
                 layers[layer_index] = None
         hidden, k32, v32, weights = model.forward_layer(
             layer_index, hidden, ctx, query_positions, meter=meter, collect_map=True)
-        query_keys.append(k32)
-        query_values.append(v32)
+        query.append(LayerCache(k32, v32, query_positions, query_visible))
         accumulate_scores(weights, dict(zip(state.surviving_ids, blocks)), state)
         # free the map before the next layer's decode buffer is allocated, so
         # that buffer can take its place (about 4 MB less peak RSS at k=40
         # without pruning)
         del weights
         per_layer_scores.append(dict(state.scores))
-        if state.active and (layer_index + 1) % state.schedule.interval == 0:
-            for cache_id in state.prune_event(layer_index + 1):
-                del placement[cache_id]
-
-    if state.num_events and len(state.surviving_ids) != state.schedule.k_finish:
-        raise AssertionError(
-            f"pruning ended with {len(state.surviving_ids)} caches, "
-            f"expected {state.schedule.k_finish}"
-        )
+        for cache_id in state.prune_after(layer_index + 1):
+            del placement[cache_id]
 
     survivors = {cache_id: placement[cache_id] for cache_id in state.surviving_ids}
     return PrefillResult(
-        query_keys=query_keys,
-        query_values=query_values,
-        query_positions=query_positions,
-        surviving_ids=list(state.surviving_ids),
-        scores=dict(state.scores),
+        query=query,
         logits=model.logits(hidden),
         state=state,
         per_layer_scores=per_layer_scores,
@@ -455,29 +417,25 @@ def final_reposition(
     if prefill.gen_tokens < 2:
         raise ValueError("pre-fill ran for one token, which needs no decode cache")
     survivors = prefill.survivors
-    q_len = prefill.query_positions.size
+    query_positions = prefill.query[0].position_ids
     if prefill.strategy == "none":
         targets = {cache_id: positions for cache_id, (_, positions, _) in survivors.items()}
-        query_positions = prefill.query_positions
     else:
         placed = list(survivors)
         if prefill.strategy == "sort":
-            rank = prefill.state.rank_of
-            placed.sort(key=lambda cache_id: (prefill.scores[cache_id], -rank[cache_id]))
+            state = prefill.state
+            placed.sort(key=lambda cache_id: (state.scores[cache_id], -state.rank_of[cache_id]))
         targets = {}
         cursor = prefix.token_count
         for cache_id in placed:
             count = survivors[cache_id][2].size
             targets[cache_id] = np.arange(cursor, cursor + count, dtype=np.int64)
             cursor += count
-        query_positions = np.arange(cursor, cursor + q_len, dtype=np.int64)
+        query_positions = np.arange(cursor, cursor + query_positions.size, dtype=np.int64)
 
-    query_visible = np.ones(q_len, dtype=bool)
-    query_layers = [LayerCache(keys, values, prefill.query_positions, query_visible)
-                    for keys, values in zip(prefill.query_keys, prefill.query_values)]
     caches = [(layers, targets[cache_id], visible)
               for cache_id, (layers, _, visible) in survivors.items()]
-    caches.append((query_layers, query_positions, True))
+    caches.append((list(prefill.query), query_positions, True))  # drops below spare prefill.query
     heads, _, dim = prefix.kv.layers[0].keys.shape
     capacity = prefill.decode_context_length + prefill.gen_tokens - 1
     layers = []
@@ -503,11 +461,9 @@ class PipelineTrace:
     strategy: str
     timings: dict[str, float]
     op_counts: dict[str, int]
+    context_length: int           # prefix, every entry and the query, before pruning
     decode_context_length: int    # tokens the decode cache holds before decoding
     warnings: list[str]           # the run's query-reserve and position-overflow warnings
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -559,30 +515,25 @@ class Pipeline:
         # pre-fill empties this list, the only holder of the entries
         entries = [self.store.load_entry(doc_id, manifest=manifest) for doc_id, _ in retrieved]
         t2 = time.perf_counter()
-        return self._answer(query_text, entries, prefix, schedule=schedule, strategy=strategy,
-                            gen_tokens=gen_tokens, meter=meter,
-                            timings={"retrieve_s": t1 - t0, "load_s": t2 - t1})
+        result = self.run_with_entries(query_text, entries, prefix=prefix, schedule=schedule,
+                                       strategy=strategy, gen_tokens=gen_tokens, meter=meter)
+        timings = result.trace.timings
+        result.trace.timings = {"retrieve_s": t1 - t0, "load_s": t2 - t1, **timings,
+                                "total_s": t2 - t0 + timings["total_s"]}
+        return result
 
     def run_with_entries(self, query_text: str, entries: list[CacheStoreEntry], *,
                          prefix: CacheStoreEntry, schedule: PruningSchedule | None = None,
                          strategy: str = "none", gen_tokens: int = 20,
                          meter: CostMeter | None = None) -> PipelineResult:
-        """The pipeline on explicit entries, loaded from the store or built online.
+        """Plan, prefill with pruning, assemble the decode cache and decode,
+        on explicit entries, loaded from the store or built online.
 
         Like prefill_with_pruning, this empties `entries`, so entries the
         caller holds nowhere else are freed during pre-fill; pass a copy of
         the list to keep them. The entries themselves are not changed. The
-        trace times pre-fill and decoding only.
-        """
-        return self._answer(query_text, entries, prefix, schedule=schedule, strategy=strategy,
-                            gen_tokens=gen_tokens, meter=meter, timings={})
-
-    def _answer(self, query_text, entries, prefix, *, schedule, strategy, gen_tokens, meter,
-                timings) -> PipelineResult:
-        """Plan, prefill with pruning, assemble the decode cache and decode.
-
-        `timings` holds the stages already run; total_s is the sum of all.
-        Warnings issued on the way are also kept in the trace.
+        trace times pre-fill and decoding only, and keeps the warnings issued
+        on the way.
         """
         meter = meter if meter is not None else CostMeter()
         meter.phase = "prefill"
@@ -590,6 +541,8 @@ class Pipeline:
         query_tokens = self.tokenizer.encode(query_text)
         cfg = self.model.config
         retrieved_ids = [e.doc_id for e in entries]
+        context_length = (prefix.token_count + sum(e.token_count for e in entries)
+                          + len(query_tokens))
         issued: list[str] = []
 
         if entries:
@@ -610,7 +563,7 @@ class Pipeline:
             issued.append(
                 f"query plus generation ({len(query_tokens)} + {gen_tokens}) exceeds the "
                 f"reserved budget of {self.query_reserve}; positions may extrapolate")
-            warnings.warn(issued[-1], stacklevel=3)
+            warnings.warn(issued[-1], stacklevel=2)
 
         with collect_position_overflows(issued):
             prefill = prefill_with_pruning(self.model, prefix, entries, query_tokens, schedule,
@@ -624,20 +577,19 @@ class Pipeline:
                 tokens += self.model.decode(cache, prefill.first_token, gen_tokens - 1,
                                             meter=meter)
             t2 = time.perf_counter()
-        timings.update(prefill_s=t1 - t0, decode_s=t2 - t1)
-        timings["total_s"] = sum(timings.values())
         trace = PipelineTrace(
             query=query_text,
             retrieved_ids=retrieved_ids,
             n_reuse=n_reuse,
-            plan=plan.to_dict(),
+            plan=asdict(plan),
             per_layer_scores=prefill.per_layer_scores,
             pruned_at_layer=prefill.state.pruned_at_layer,
-            final_ids=list(prefill.surviving_ids),
+            final_ids=list(prefill.state.surviving_ids),
             strategy=strategy,
-            timings=timings,
+            timings={"prefill_s": t1 - t0, "decode_s": t2 - t1, "total_s": t2 - t0},
             op_counts={"prefill_mults": meter.prefill_mults,
                        "decode_mults": meter.decode_mults},
+            context_length=context_length,
             decode_context_length=prefill.decode_context_length,
             warnings=issued,
         )

@@ -74,8 +74,7 @@ def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
             cols[start:stop] = True
             state.scores[cache_id] += float(weights[:, :, cols].sum(axis=2).mean())
         per_layer_scores.append(dict(state.scores))
-        if state.active and (layer_index + 1) % state.schedule.interval == 0:
-            state.prune_event(layer_index + 1)
+        state.prune_after(layer_index + 1)
     first = int(np.argmax(model.logits(hidden)[-1]))
     return first, query_keys, query_values, query_positions, state, per_layer_scores
 
@@ -151,7 +150,7 @@ def check_against_reference(strategy, schedule, n_reuse):
     assert result.first_token == first
     assert result.per_layer_scores == scores
     assert result.state.pruned_at_layer == state.pruned_at_layer
-    assert result.surviving_ids == state.surviving_ids
+    assert result.state.surviving_ids == state.surviving_ids
     for got, ref in zip(cache.layers, expected.layers):
         for name in FIELDS:
             a, b = getattr(got, name), getattr(ref, name)

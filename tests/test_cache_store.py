@@ -187,9 +187,11 @@ class TestStore:
         other = Model.from_seed(model.config, 1234)
         prefix = build_prefix_cache(other, [1, 2])
         entry = build_document_cache(other, prefix, [5, 6], doc_id="new", valid_len=2)
+        docs = sorted(p.name for p in (root / "docs").iterdir())
         with pytest.raises(StaleCacheError, match="pass force"):
             CacheStore(root, other).save_entry(entry)
         assert sorted(CacheStore(root, model).read_manifest()["docs"]) == ["doc1", "doc2"]
+        assert sorted(p.name for p in (root / "docs").iterdir()) == docs  # no orphan file
 
     def test_force_rebuilds_over_a_malformed_manifest(self, model, tmp_path):
         store = CacheStore(tmp_path / "store", model)

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from kvfocus.bench import MODES
 from kvfocus.cache_store import CacheStore
 from kvfocus.cli import main, score_answer
 from kvfocus.focus import STRATEGIES
@@ -13,8 +14,10 @@ from kvfocus.model import Model, make_config, save_weights
 
 SMALL_MODEL_FLAGS = [
     "--num-layers", "2", "--num-heads", "2", "--head-dim", "8",
-    "--max-position", "128", "--query-reserve", "48", "--seed", "7",
+    "--max-position", "128", "--seed", "7",
 ]
+# run and bench also take the query flags
+RUN_FLAGS = [*SMALL_MODEL_FLAGS, "--query-reserve", "48"]
 
 CORPUS = [
     {"id": "d-paris", "title": "paris", "text": "paris is the capital of france"},
@@ -156,7 +159,7 @@ class TestRunCommand:
         code = main(["run", "--store", str(workspace["store"]),
                      "--index", str(workspace["index"]),
                      "--corpus", str(workspace["corpus"]),
-                     "--gen-tokens", "4", *SMALL_MODEL_FLAGS, *extra])
+                     "--gen-tokens", "4", *RUN_FLAGS, *extra])
         assert code == 0
         return json.loads(capsys.readouterr().out)
 
@@ -190,7 +193,7 @@ class TestRunCommand:
         path.write_bytes(bytes(raw))
         code = main(["run", "--store", str(workspace["store"]),
                      "--index", str(workspace["index"]), "--query", "capital",
-                     *SMALL_MODEL_FLAGS])
+                     *RUN_FLAGS])
         assert code == 1
         assert f"{kind} file {path}" in capsys.readouterr().err
 
@@ -198,7 +201,7 @@ class TestRunCommand:
         workspace["index"].write_bytes(b"CFIX\x01\x00")
         code = main(["run", "--store", str(workspace["store"]),
                      "--index", str(workspace["index"]), "--query", "capital",
-                     *SMALL_MODEL_FLAGS])
+                     *RUN_FLAGS])
         assert code == 1
         assert "header" in capsys.readouterr().err
 
@@ -211,18 +214,20 @@ class TestRunCommand:
         path.write_text(json.dumps(manifest) if body is None else body, encoding="utf-8")
         code = main(["run", "--store", str(workspace["store"]),
                      "--index", str(workspace["index"]), "--query", "capital",
-                     "--k", "4", *SMALL_MODEL_FLAGS])
+                     "--k", "4", *RUN_FLAGS])
         assert code == 1
         assert f"error: manifest {path}: {problem}" in capsys.readouterr().err
 
     def test_negative_query_reserve_is_user_error(self, workspace, capsys):
-        code = main(["run", "--store", str(workspace["store"]),
-                     "--index", str(workspace["index"]), "--query", "capital",
-                     "--k", "4", *SMALL_MODEL_FLAGS, "--query-reserve", "-500"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "query_reserve must be >= 0, got -500" in captured.err
-        assert captured.out == ""
+        for mode in MODES:
+            code = main(["run", "--store", str(workspace["store"]),
+                         "--index", str(workspace["index"]), "--query", "capital",
+                         "--corpus", str(workspace["corpus"]), "--k", "4", "--mode", mode,
+                         *RUN_FLAGS, "--query-reserve", "-500"])
+            assert code == 1, mode
+            captured = capsys.readouterr()
+            assert "query_reserve must be >= 0, got -500" in captured.err, mode
+            assert captured.out == "", mode
 
     def test_k_zero_answers_from_prefix_and_query(self, workspace, capsys):
         payload = self.run_json(workspace, capsys, "--query", "capital", "--k", "0",
@@ -233,7 +238,7 @@ class TestRunCommand:
     def test_negative_k_is_user_error(self, workspace, capsys):
         code = main(["run", "--store", str(workspace["store"]),
                      "--index", str(workspace["index"]), "--query", "capital",
-                     "--k", "-3", "--mode", "prune", *SMALL_MODEL_FLAGS])
+                     "--k", "-3", "--mode", "prune", *RUN_FLAGS])
         assert code == 1
         captured = capsys.readouterr()
         assert "--k must be >= 0, got -3" in captured.err
@@ -245,7 +250,7 @@ class TestRunCommand:
         workspace["index"].write_bytes(bytes(raw))
         code = main(["run", "--store", str(workspace["store"]),
                      "--index", str(workspace["index"]), "--query", "capital",
-                     *SMALL_MODEL_FLAGS])
+                     *RUN_FLAGS])
         assert code == 1
         assert f"index file {workspace['index']}: unsupported version 1" in (
             capsys.readouterr().err)
@@ -276,7 +281,7 @@ class TestRunCommand:
         assert main(["bench", "--corpus", str(workspace["corpus"]),
                      "--index", str(workspace["index"]), "--store", str(workspace["store"]),
                      "--query", "the capital", "--doc-counts", "2", "--modes", "no-cache",
-                     "--gen-tokens", "4", *SMALL_MODEL_FLAGS]) == 0
+                     "--gen-tokens", "4", *RUN_FLAGS]) == 0
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert fresh["trace"]["retrieved_ids"] == cached["trace"]["retrieved_ids"]
         assert fresh["trace"]["op_counts"]["prefill_mults"] == row["prefill_mults"]
@@ -287,7 +292,7 @@ class TestRunCommand:
     def test_text_modes_require_corpus(self, workspace, capsys, mode):
         code = main(["run", "--store", str(workspace["store"]),
                      "--index", str(workspace["index"]), "--query", "capital",
-                     "--mode", mode, *SMALL_MODEL_FLAGS])
+                     "--mode", mode, *RUN_FLAGS])
         assert code == 1
         assert "text" in capsys.readouterr().err
 
@@ -306,7 +311,7 @@ class TestRunCommand:
         code = main(["run", "--store", str(workspace["store"]),
                      "--index", str(workspace["index"]), "--query", "capital",
                      "--k", "1", "--mode", "cache", "--gen-tokens", "2",
-                     "--trace", str(trace_path), *SMALL_MODEL_FLAGS])
+                     "--trace", str(trace_path), *RUN_FLAGS])
         assert code == 0
         on_disk = json.loads(trace_path.read_text())
         assert on_disk == json.loads(capsys.readouterr().out)
@@ -319,7 +324,7 @@ class TestBenchCommand:
                      "--store", str(workspace["store"]),
                      "--query", "the capital", "--doc-counts", "1,2",
                      "--gen-tokens", "4", "--k-finish", "1", "--n", "1",
-                     *SMALL_MODEL_FLAGS, *extra])
+                     *RUN_FLAGS, *extra])
         assert code == 0
         return capsys.readouterr().out
 
@@ -373,26 +378,36 @@ class TestBenchCommand:
                      "--index", str(workspace["index"]),
                      "--store", str(workspace["store"]),
                      "--query", "x", "--doc-counts", "9",
-                     "--gen-tokens", "2", *SMALL_MODEL_FLAGS])
+                     "--gen-tokens", "2", *RUN_FLAGS])
         assert code == 1
 
 
 class TestHelp:
     MODEL_FLAGS = {"--seed", "--weights", "--num-layers", "--num-heads", "--head-dim",
-                   "--max-position", "--rope-base", "--query-reserve"}
-    QUERY_FLAGS = {"--store", "--index", "--query", "--strategy", "--n", "--k-finish"}
+                   "--max-position", "--rope-base"}
+    QUERY_FLAGS = {"--store", "--index", "--query", "--strategy", "--n", "--k-finish",
+                   "--query-reserve"}
     OWN_FLAGS = {
         "run": {"--corpus", "--k", "--mode", "--gen-tokens", "--trace"},
         "bench": {"--corpus", "--doc-counts", "--modes", "--gen-tokens", "--out",
                   "--csv-path", "--json-path"},
     }
 
-    @pytest.mark.parametrize("command", ["run", "bench"])
-    def test_help_lists_every_flag(self, capsys, command):
+    @staticmethod
+    def help_text(capsys, command):
         with pytest.raises(SystemExit) as stop:
             main([command, "--help"])
         assert stop.value.code == 0
         out = capsys.readouterr().out
-        expected = {"--help"} | self.MODEL_FLAGS | self.QUERY_FLAGS | self.OWN_FLAGS[command]
-        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == expected
+        return out, set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_help_lists_every_flag(self, capsys, command):
+        out, flags = self.help_text(capsys, command)
+        assert flags == {"--help"} | self.MODEL_FLAGS | self.QUERY_FLAGS | self.OWN_FLAGS[command]
         assert "{" + ",".join(STRATEGIES) + "}" in out
+
+    def test_build_cache_takes_no_query_flags(self, capsys):
+        _, flags = self.help_text(capsys, "build-cache")
+        assert flags == {"--help", "--corpus", "--store", "--prefix", "--passage-len",
+                         "--force"} | self.MODEL_FLAGS

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -133,22 +134,34 @@ class TestPruningSchedule:
     def test_state_runs_worked_example(self):
         ids = [f"d{i}" for i in range(40)]
         state = PruningState.start(ids, PruningSchedule(interval=4, k_finish=5), 28)
-        assert state.k_prune == 5 and state.num_events == 7
+        assert state.keep_after == {4: 35, 8: 30, 12: 25, 16: 20, 20: 15, 24: 10, 28: 5}
+        assert state.settled_from == 28
         rng = np.random.default_rng(0)
         for i in ids:
             state.scores[i] = float(rng.random())
-        events = 0
         for layer in range(1, 29):
-            if state.active and layer % 4 == 0:
-                state.prune_event(layer)
-                events += 1
-        assert events == 7
+            state.prune_after(layer)
+        assert sorted(state.pruned_at_layer) == [4, 8, 12, 16, 20, 24, 28]
         assert len(state.surviving_ids) == 5
         assert all(len(v) == 5 for v in state.pruned_at_layer.values())
 
+    def test_last_event_absorbs_the_remainder(self):
+        # 8 layers, every 2nd: 11 -> 2 drops 2, 2, 2 and then 3
+        state = PruningState.start([f"d{i}" for i in range(11)],
+                                   PruningSchedule(interval=2, k_finish=2), 8)
+        assert state.keep_after == {2: 9, 4: 7, 6: 5, 8: 2}
+        # 4 -> 2 over four events drops none until the last
+        state = PruningState.start([f"d{i}" for i in range(4)],
+                                   PruningSchedule(interval=2, k_finish=2), 8)
+        assert state.keep_after == {2: 4, 4: 4, 6: 4, 8: 2}
+        assert [len(state.prune_after(layer)) for layer in range(1, 9)] == [0] * 7 + [2]
+        assert list(state.pruned_at_layer) == [8]
+
     def test_no_pruning_when_k_at_target(self):
         state = PruningState.start(["a", "b"], PruningSchedule(interval=2, k_finish=2), 8)
-        assert not state.active
+        assert state.keep_after == {} and state.settled_from == 0
+        assert all(state.prune_after(layer) == [] for layer in range(1, 9))
+        assert PruningState.start(["a", "b", "c"], None, 8).keep_after == {}
 
     def test_nested_and_exact_terminal_count(self):
         rng = np.random.default_rng(42)
@@ -164,20 +177,21 @@ class TestPruningSchedule:
                 state.scores[i] = float(rng.random())
             previous = set(state.surviving_ids)
             for layer in range(1, layers + 1):
-                if state.active and layer % interval == 0:
-                    state.prune_event(layer)
-                    current = set(state.surviving_ids)
-                    assert current <= previous  # monotone shrinking
-                    previous = current
+                state.prune_after(layer)
+                current = set(state.surviving_ids)
+                assert current <= previous  # monotone shrinking
+                assert current == previous or layer % interval == 0
+                previous = current
             assert len(state.surviving_ids) == k_finish
+            assert state.settled_from == layers // interval * interval
 
     def test_tie_break_keeps_better_retrieval_rank(self):
         state = PruningState.start(["best", "mid", "worst"],
                                    PruningSchedule(interval=1, k_finish=1), 2)
         # identical scores: the worse-ranked documents go first
-        removed = state.prune_event(1)
+        removed = state.prune_after(1)
         assert removed == ["worst"]
-        removed = state.prune_event(2)
+        removed = state.prune_after(2)
         assert removed == ["mid"]
         assert state.surviving_ids == ["best"]
 
@@ -211,7 +225,7 @@ class TestAccumulateScores:
                                valid_len=doc.valid_len, kv=doc.kv.slice(0, doc.token_count))
         plan = plan_positions(["a", "b"], 2, cache_len=3, prefix_len=2)  # shared range
         result = prefill_with_pruning(model, prefix, [doc, twin], [5, 6], None, plan)
-        assert result.scores["a"] == pytest.approx(result.scores["b"], abs=1e-5)
+        assert result.state.scores["a"] == pytest.approx(result.state.scores["b"], abs=1e-5)
 
 
 def synthetic_entry(model, prefix, doc_id, keys_fn, token_count=8):
@@ -256,7 +270,7 @@ class TestPruningBehavior:
                                       PruningSchedule(interval=2, k_finish=1), plan)
         first_pruned = result.state.pruned_at_layer[min(result.state.pruned_at_layer)]
         assert first_pruned[0] == "dead"
-        assert "dead" not in result.surviving_ids
+        assert "dead" not in result.state.surviving_ids
 
     def test_disabled_schedule_keeps_everything(self):
         model = small_model(seed=5)
@@ -267,7 +281,7 @@ class TestPruningBehavior:
         plan = plan_positions([d.doc_id for d in docs], 1, cache_len=2, prefix_len=1)
         result = prefill_with_pruning(model, prefix, docs, [5, 6],
                                       PruningSchedule(interval=2, k_finish=3), plan)
-        assert result.surviving_ids == ["d0", "d1", "d2"]
+        assert result.state.surviving_ids == ["d0", "d1", "d2"]
         assert result.state.pruned_at_layer == {}
 
     def test_scores_recomputable_from_stored_maps(self, monkeypatch):
@@ -290,7 +304,7 @@ class TestPruningBehavior:
         assert len(maps) == model.config.num_layers
         # prefix columns 0-1, then d0, d1, d2 three columns each, then the query
         columns = {"d0": range(2, 5), "d1": range(5, 8), "d2": range(8, 11)}
-        for doc_id in result.scores:
+        for doc_id in result.state.scores:
             recomputed = 0.0
             for weights in maps:
                 assert weights.shape[2] == 11 + 3
@@ -301,7 +315,7 @@ class TestPruningBehavior:
                         for c in columns[doc_id]:
                             mass += float(weights[h, r, c])
                 recomputed += mass / (heads * rows)
-            assert result.scores[doc_id] == pytest.approx(recomputed, abs=1e-5)
+            assert result.state.scores[doc_id] == pytest.approx(recomputed, abs=1e-5)
 
     def test_reposition_equivalence_through_attention(self):
         """Attention logits against a repositioned cache equal logits against
@@ -373,15 +387,15 @@ class TestFinalReposition:
         docs = self.make_docs(model, prefix, 2)
         plan = plan_positions(["d0", "d1"], 1, cache_len=2, prefix_len=2)
         prefill = self.run_prefill(model, prefix, docs, plan, "sort")
-        prefill.scores["d0"] = 0.1
-        prefill.scores["d1"] = 0.9
+        prefill.state.scores["d0"] = 0.1
+        prefill.state.scores["d1"] = 0.9
         cache = final_reposition(model.config.rope, prefix, prefill)
         layer = cache.layers[0]
         pos = layer.position_ids
         # d1 occupies the slot adjacent to the query block
         d0_max = pos[rows_holding(layer, docs[0].kv.layers[0].values)].max()
         d1_max = pos[rows_holding(layer, docs[1].kv.layers[0].values)].max()
-        q_min = pos[rows_holding(layer, prefill.query_values[0])].min()
+        q_min = pos[rows_holding(layer, prefill.query[0].values)].min()
         assert d0_max < d1_max < q_min
         assert d1_max + 1 == q_min
 
@@ -394,7 +408,7 @@ class TestFinalReposition:
         cache = final_reposition(model.config.rope, prefix, prefill)
         pos = cache.layers[0].position_ids
         expected = np.concatenate([
-            np.arange(2), np.arange(2, 8), prefill.query_positions])
+            np.arange(2), np.arange(2, 8), prefill.query[0].position_ids])
         np.testing.assert_array_equal(pos, expected)
 
     def test_align_compacts_after_pruning_gaps(self):
@@ -603,6 +617,18 @@ class TestPipeline:
                                            prefix=store.load_prefix(), gen_tokens=3)
         assert set(result.trace.timings) == {"prefill_s", "decode_s", "total_s"}
 
+    def test_run_traces_the_context_before_and_after_pruning(self, tmp_path):
+        """context_length counts the prefix, every loaded entry and the query;
+        decode_context_length only the survivors."""
+        model = small_model(seed=13)
+        store, index, prefix_tokens = build_fixture(tmp_path, model, self.corpus)
+        result = Pipeline(model, store, index).run(
+            "the capital", k=3, gen_tokens=2, schedule=PruningSchedule(interval=2, k_finish=1))
+        query_len = len(ByteTokenizer().encode("the capital"))
+        assert len(result.trace.retrieved_ids) == 3
+        assert result.trace.context_length == len(prefix_tokens) + 3 * 12 + query_len
+        assert result.trace.decode_context_length == len(prefix_tokens) + 12 + query_len
+
     def test_query_reserve_overflow_is_a_trace_field(self, tmp_path):
         """Past the query reserve but inside the encoding range: the reserve
         warning is issued and kept in the trace, and nothing else is."""
@@ -615,7 +641,7 @@ class TestPipeline:
         assert result.trace.warnings == [
             "query plus generation (11 + 4) exceeds the reserved budget of 8; "
             "positions may extrapolate"]
-        assert result.trace.to_dict()["warnings"] == result.trace.warnings
+        assert asdict(result.trace)["warnings"] == result.trace.warnings
         quiet = Pipeline(model, store, index, query_reserve=64).run("the capital", k=2,
                                                                    gen_tokens=4)
         assert quiet.trace.warnings == []
