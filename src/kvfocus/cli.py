@@ -2,8 +2,8 @@
 
 The answer modes and the benchmark harness live in `kvfocus.bench`.
 
-Exit codes: 0 success, 1 user error (bad input, stale store, missing files),
-2 internal error. All randomness flows from --seed.
+Exit codes: 0 success (and --help), 1 user error (bad arguments, bad input,
+stale store, missing files), 2 internal error. All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -215,7 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return 1  # argparse has printed the usage and the error
     try:
         return args.func(args)
     except USER_ERRORS as exc:

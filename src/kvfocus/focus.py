@@ -47,7 +47,7 @@ import numpy as np
 from .cache_store import CacheStore, CacheStoreEntry
 from .model import CostMeter, KVCache, LayerCache, Model
 from .retrieval import InvertedIndex, search
-from .rope import RopeConfig, collect_position_overflows, reposition_array
+from .rope import RopeConfig, Rotation, collect_position_overflows, reposition_array
 from .tokenizer import ByteTokenizer
 
 STRATEGIES = ("none", "align", "sort")
@@ -344,6 +344,7 @@ def prefill_with_pruning(
 
     query_start = plan.end if ids else plan.prefix_len
     query_positions = np.arange(query_start, query_start + query_tokens.size, dtype=np.int64)
+    query_rotation = Rotation.at(cfg.rope, query_positions)
     query_visible = np.ones(query_tokens.size, dtype=bool)
     decoding = gen_tokens > 1
     first_decode_layer = (state.settled_from if decoding and strategy == "none"
@@ -370,7 +371,7 @@ def prefill_with_pruning(
             for layers, _, _ in alive:  # placed for the last time
                 layers[layer_index] = None
         hidden, k32, v32, weights = model.forward_layer(
-            layer_index, hidden, ctx, query_positions, meter=meter, collect_map=True)
+            layer_index, hidden, ctx, query_rotation, meter=meter, collect_map=True)
         query.append(LayerCache(k32, v32, query_positions, query_visible))
         accumulate_scores(weights, dict(zip(state.surviving_ids, blocks)), state)
         # free the map before the next layer's decode buffer is allocated, so

@@ -19,6 +19,13 @@ float32-rounded values in float64 buffers (the widening is exact) that are
 sized up front or grow geometrically, so each decoded token writes only its
 own rows and attention reads the cache in place, with no concatenate and no
 cast.
+
+Work that is the same in every layer runs once per forward call: the
+positions are checked, and the cos/sin of their rotation computed
+(`rope.Rotation`), before the first layer, and every layer applies that
+rotation. A single visible new token, the decode case, is appended first and
+attends with the cache's own visibility flags as its mask, a view of the
+buffer, so decoding a token builds no mask.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .framing import Framing, read_framed, write_framed
-from .rope import PAIRING_INTERLEAVED, RopeConfig, rotate
+from .rope import PAIRING_INTERLEAVED, RopeConfig, Rotation
 from .tokenizer import VOCAB_SIZE
 
 FFN_MULT = 4
@@ -288,7 +295,11 @@ def attention(queries, keys, values, causal_mask, *, meter=None, collect_map=Tru
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + NORM_EPS)
+    # np.mean's own reduce-then-divide, without its Python wrapper
+    scale = np.square(x).sum(axis=-1, keepdims=True)
+    scale /= x.shape[-1]
+    scale += NORM_EPS
+    np.sqrt(scale, out=scale)
     return x / scale * gain
 
 
@@ -415,42 +426,47 @@ class Model:
         layer_index: int,
         hidden: np.ndarray,
         layer_cache: LayerCache,
-        positions,
+        rotation: Rotation,
         *,
-        visible=None,
+        visible: np.ndarray | None = None,
         meter: CostMeter | None = None,
         collect_map: bool = False,
     ):
         """One transformer block over `hidden` (tokens, hidden_dim) float64.
 
-        The new tokens' keys/values (float32, rotated at `positions`) are
-        appended to layer_cache, and the new tokens attend, reading the grown
-        cache in place, to every visible cached key plus themselves under a
-        causal mask. Returns (new_hidden, new_keys, new_values, weights or
-        None); the float32 weights' columns follow the cache's token order.
+        The new tokens' keys/values (float32, rotated by `rotation`, which
+        also gives their positions) are appended to layer_cache, and the new
+        tokens attend, reading the grown cache in place, to every visible
+        cached key plus themselves under a causal mask. `visible` holds a
+        flag per new token, None for all visible. Returns (new_hidden,
+        new_keys, new_values, weights or None); the float32 weights' columns
+        follow the cache's token order.
         """
-        cfg = self.config
         t = hidden.shape[0]
-        positions = np.asarray(positions, dtype=np.int64)
-        visible = np.ones(t, dtype=bool) if visible is None else np.asarray(visible, dtype=bool)
+        if visible is not None and np.shape(visible) != (t,):
+            raise ValueError(f"visible shape {np.shape(visible)} does not match token count {t}")
         w = self._w64
         p = f"layers.{layer_index}."
 
         x = _rms_norm(hidden, w[p + "attn_norm"])
-        q = rotate(cfg.rope, self._split_heads(x @ w[p + "wq"]), positions)
-        k32 = rotate(cfg.rope, self._split_heads(x @ w[p + "wk"]), positions).astype(np.float32)
+        q = rotation.apply(self._split_heads(x @ w[p + "wq"]))
+        k32 = rotation.apply(self._split_heads(x @ w[p + "wk"])).astype(np.float32)
         v32 = self._split_heads(x @ w[p + "wv"]).astype(np.float32)
 
-        ctx = layer_cache.token_count
-        mask = np.empty((t, ctx + t), dtype=bool)
-        if ctx:
-            mask[:, :ctx] = layer_cache.visible[None, :]
-        # causal within the new block; invisible new keys stay self-visible
-        mask[:, ctx:] = np.tril(np.ones((t, t), dtype=bool)) & (
-            visible[None, :] | np.eye(t, dtype=bool)
-        )
+        layer_cache.append(k32, v32, rotation.positions, True if visible is None else visible)
+        seen = layer_cache.visible
+        if t == 1 and seen[-1]:
+            # one visible new token sees exactly the visible keys, itself included
+            mask = seen[None, :]
+        else:
+            ctx = seen.size - t
+            mask = np.empty((t, ctx + t), dtype=bool)
+            mask[:, :ctx] = seen[None, :ctx]
+            # causal within the new block; invisible new keys stay self-visible
+            mask[:, ctx:] = np.tril(np.ones((t, t), dtype=bool)) & (
+                seen[None, ctx:] | np.eye(t, dtype=bool)
+            )
 
-        layer_cache.append(k32, v32, positions, visible)
         out, weights = attention(q, layer_cache.keys, layer_cache.values, mask, meter=meter,
                                  collect_map=collect_map)
         hidden = hidden + self._merge_heads(out) @ w[p + "wo"]
@@ -470,7 +486,9 @@ class Model:
         """Run tokens through every layer, extending the cache in place.
 
         positions default to the next sequential positions after the highest
-        one already cached. Returns final hidden states (tokens, hidden_dim).
+        one already cached. The positions are checked and their rotation
+        computed once, for every layer. Returns final hidden states (tokens,
+        hidden_dim).
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
@@ -478,10 +496,13 @@ class Model:
         if positions is None:
             start = cache.next_position()
             positions = np.arange(start, start + ids.size, dtype=np.int64)
+        rotation = Rotation.at(self.config.rope, positions)
+        if visible is not None:
+            visible = np.asarray(visible, dtype=bool)
         hidden = self.embed(ids)
         for layer_index in range(self.config.num_layers):
             hidden, _, _, _ = self.forward_layer(
-                layer_index, hidden, cache.layers[layer_index], positions,
+                layer_index, hidden, cache.layers[layer_index], rotation,
                 visible=visible, meter=meter)
         return hidden
 
@@ -552,10 +573,12 @@ class Model:
         cache.reserve(max_tokens)
         out: list[int] = []
         token = int(prev_token)
+        position = cache.next_position()
         for _ in range(max_tokens):
-            hidden = self.forward(cache, [token], meter=meter)
+            hidden = self.forward(cache, [token], positions=[position], meter=meter)
             token = int(np.argmax(self.logits(hidden[-1:])[0]))
             out.append(token)
+            position += 1
         return out
 
 

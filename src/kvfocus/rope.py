@@ -94,22 +94,44 @@ def _check_positions(config: RopeConfig, positions: np.ndarray) -> None:
             sink.append(message)
 
 
-def rotate(config: RopeConfig, vectors: np.ndarray, positions) -> np.ndarray:
-    """Rotate vectors (..., tokens, head_dim) at per-token positions (tokens,).
+@dataclass(frozen=True)
+class Rotation:
+    """The rotation to one set of per-token positions, built once by `at`
+    and applied to any number of (..., tokens, head_dim) arrays.
 
-    Zero-token inputs pass through unchanged. Output dtype matches input.
+    `at` checks the positions (1-D, non-negative) and issues
+    PositionOverflowWarning once, then computes the cos/sin of every angle,
+    so a forward pass builds one Rotation and all its layers share it.
     """
-    vec = np.asarray(vectors)
-    if vec.ndim < 2 or vec.shape[-1] != config.head_dim:
-        raise ValueError(f"expected trailing dimension {config.head_dim}, got shape {vec.shape}")
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.ndim != 1 or pos.shape[0] != vec.shape[-2]:
-        raise ValueError(f"positions shape {pos.shape} does not match token count {vec.shape[-2]}")
-    if pos.size == 0:
-        return vec
-    _check_positions(config, pos)
-    angles = pos[:, None].astype(np.float64) * config.pair_frequencies()[None, :]
-    return _rotate_by(vec, angles)
+
+    head_dim: int
+    positions: np.ndarray  # (tokens,) int64
+    cos: np.ndarray  # (tokens, head_dim // 2) float64
+    sin: np.ndarray
+
+    @classmethod
+    def at(cls, config: RopeConfig, positions) -> "Rotation":
+        pos = np.asarray(positions, dtype=np.int64)
+        if pos.ndim != 1:
+            raise ValueError(f"positions must be 1-D, got shape {pos.shape}")
+        _check_positions(config, pos)
+        angles = pos[:, None].astype(np.float64) * config.pair_frequencies()[None, :]
+        return cls(config.head_dim, pos, np.cos(angles), np.sin(angles))
+
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """Rotate vectors (..., tokens, head_dim), one token per position.
+
+        Zero-token inputs pass through unchanged. Output dtype matches input.
+        """
+        vec = np.asarray(vectors)
+        if vec.ndim < 2 or vec.shape[-1] != self.head_dim:
+            raise ValueError(f"expected trailing dimension {self.head_dim}, got shape {vec.shape}")
+        if vec.shape[-2] != self.positions.size:
+            raise ValueError(f"positions shape {self.positions.shape} does not match token "
+                             f"count {vec.shape[-2]}")
+        if not self.positions.size:
+            return vec
+        return _rotate_by(vec, self.cos, self.sin)
 
 
 def reposition_array(config: RopeConfig, vectors: np.ndarray, old_positions, new_positions) -> np.ndarray:
@@ -140,14 +162,12 @@ def reposition_array(config: RopeConfig, vectors: np.ndarray, old_positions, new
             return vec
         delta = delta[:1]
     angles = delta[:, None].astype(np.float64) * config.pair_frequencies()[None, :]
-    return _rotate_by(vec, angles)
+    return _rotate_by(vec, np.cos(angles), np.sin(angles))
 
 
-def _rotate_by(vec: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _rotate_by(vec: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """(even, odd) -> (even cos - odd sin, even sin + odd cos) in float64,
     each half written in place into the output."""
-    cos = np.cos(angles)
-    sin = np.sin(angles)
     x = vec.astype(np.float64, copy=False)
     even = x[..., 0::2]
     odd = x[..., 1::2]

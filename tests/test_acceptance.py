@@ -32,7 +32,7 @@ from kvfocus.focus import (
 )
 from kvfocus.model import KVCache, LayerCache, Model, make_config
 from kvfocus.retrieval import B, K1, index_corpus, tokenize_text, search
-from kvfocus.rope import PositionOverflowWarning, RopeConfig, reposition_array, rotate
+from kvfocus.rope import PositionOverflowWarning, RopeConfig, Rotation, reposition_array
 from kvfocus.tokenizer import ByteTokenizer
 
 
@@ -55,20 +55,20 @@ def test_criterion_01_rope_oracle_suite():
     j = rng.integers(0, 512, size=n)
     delta = rng.integers(0, 128, size=n)
 
-    at_i = rotate(cfg, k0, i)
+    at_i = Rotation.at(cfg, i).apply(k0)
     moved = reposition_array(cfg, at_i, i, j)
-    fresh = rotate(cfg, k0, j)
+    fresh = Rotation.at(cfg, j).apply(k0)
     assert np.abs(moved - fresh).max() < 1e-5
 
     back = reposition_array(cfg, moved.copy(), j, i)
     assert np.abs(back - at_i).max() < 1e-5
 
-    q_j = rotate(cfg, q0, j)
+    q_j = Rotation.at(cfg, j).apply(q0)
     dots = np.einsum("nd,nd->n", q_j, at_i)
     with pytest.warns(Warning):
         # shifted positions may pass max_position; extrapolation is flagged
-        q_shift = rotate(cfg, q0, j + delta)
-        k_shift = rotate(cfg, k0, i + delta)
+        q_shift = Rotation.at(cfg, j + delta).apply(q0)
+        k_shift = Rotation.at(cfg, i + delta).apply(k0)
     dots_shifted = np.einsum("nd,nd->n", q_shift, k_shift)
     assert np.abs(dots - dots_shifted).max() < 1e-5
 

@@ -18,7 +18,7 @@ from kvfocus.focus import (
     prefill_with_pruning,
 )
 from kvfocus.model import KVCache, LayerCache, Model, make_config
-from kvfocus.rope import RopeConfig, reposition_array
+from kvfocus.rope import RopeConfig, Rotation, reposition_array
 
 FIELDS = ("keys", "values", "position_ids", "visible")
 
@@ -52,6 +52,7 @@ def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
     by_id = {e.doc_id: e for e in entries}
     start = plan.end if entries else plan.prefix_len
     query_positions = np.arange(start, start + query_tokens.size, dtype=np.int64)
+    query_rotation = Rotation.at(cfg.rope, query_positions)
     hidden = model.embed(query_tokens)
     query_keys, query_values, per_layer_scores = [], [], []
     for layer_index in range(cfg.num_layers):
@@ -65,7 +66,7 @@ def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
                           plan.positions(cache_id), np.arange(e.token_count) < e.valid_len))
             spans[cache_id] = (start, start + e.token_count)
         hidden, k32, v32, weights = model.forward_layer(
-            layer_index, hidden, concatenated(parts), query_positions, collect_map=True)
+            layer_index, hidden, concatenated(parts), query_rotation, collect_map=True)
         query_keys.append(k32)
         query_values.append(v32)
         weights = weights.astype(np.float64)
@@ -269,6 +270,28 @@ def test_prefill_does_not_copy_the_caches():
             tracemalloc.stop()
     assert decode_buffer_bytes(result) > entry_bytes  # every layer was laid out for decode
     assert max(peaks) < entry_bytes, (peaks, entry_bytes)
+
+
+def test_query_rotation_is_built_once_per_query(monkeypatch):
+    """Pre-fill checks the query's positions and builds their rotation once,
+    for every layer, whatever pruning does."""
+    model = small_model(seed=13)
+    prefix = build_prefix_cache(model, [1, 2])
+    docs = padded_documents(model, prefix, 5)
+    plan = plan_positions([d.doc_id for d in docs], 2, 6, prefix.token_count)
+    built = []
+    original = Rotation.at
+
+    def counted(config, positions):
+        built.append(np.array(positions))
+        return original(config, positions)
+
+    monkeypatch.setattr(Rotation, "at", counted)
+    result = prefill_with_pruning(model, prefix, list(docs), [50, 51, 52],
+                                  PruningSchedule(interval=1, k_finish=2), plan,
+                                  strategy="sort", gen_tokens=4)
+    assert len(built) == 1
+    np.testing.assert_array_equal(built[0], result.query[0].position_ids)
 
 
 def test_each_cache_layer_is_rotated_once_without_pruning(monkeypatch):

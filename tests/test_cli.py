@@ -407,6 +407,25 @@ class TestHelp:
         assert flags == {"--help"} | self.MODEL_FLAGS | self.QUERY_FLAGS | self.OWN_FLAGS[command]
         assert "{" + ",".join(STRATEGIES) + "}" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["build-cache", "--corpus", "x", "--store", "y", "--prefix", "p",
+          "--query-reserve", "-9"], "unrecognized arguments: --query-reserve -9"),
+        (["index", "--corpus", "x"], "the following arguments are required: --index"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_exits_1_with_the_usage(self, capsys, argv, message):
+        """A bad command line is a user error (1), not an internal one (2)."""
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: kvfocus")
+        assert f"error: {message}" in err
+
+    def test_top_level_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kvfocus")
+
     def test_build_cache_takes_no_query_flags(self, capsys):
         _, flags = self.help_text(capsys, "build-cache")
         assert flags == {"--help", "--corpus", "--store", "--prefix", "--passage-len",

@@ -9,9 +9,10 @@ import pytest
 from kvfocus import bench, focus
 from kvfocus.cache_store import CacheStore
 from kvfocus.focus import Pipeline, PruningSchedule
-from kvfocus.model import Model, _rms_norm, _silu, attention, make_config
+from kvfocus import model as model_module
+from kvfocus.model import CostMeter, Model, _rms_norm, _silu, attention, make_config
 from kvfocus.retrieval import index_corpus
-from kvfocus.rope import rotate
+from kvfocus.rope import Rotation
 from kvfocus.tokenizer import ByteTokenizer
 
 FIELDS = ("keys", "values", "position_ids", "visible")
@@ -57,8 +58,9 @@ def reference_decode(model, layers, token, steps):
         for i, layer in enumerate(layers):
             p = f"layers.{i}."
             x = _rms_norm(hidden, w[p + "attn_norm"])
-            q = rotate(cfg.rope, heads(x @ w[p + "wq"]), position)
-            k32 = rotate(cfg.rope, heads(x @ w[p + "wk"]), position).astype(np.float32)
+            rotation = Rotation.at(cfg.rope, position)
+            q = rotation.apply(heads(x @ w[p + "wq"]))
+            k32 = rotation.apply(heads(x @ w[p + "wk"])).astype(np.float32)
             v32 = heads(x @ w[p + "wv"]).astype(np.float32)
             layer["keys"] = np.concatenate([layer["keys"], k32], axis=1)
             layer["values"] = np.concatenate([layer["values"], v32], axis=1)
@@ -82,6 +84,72 @@ def assert_matches_reference(cache, layers):
             got = getattr(layer, name)
             assert got.shape == ref[name].shape, name
             assert np.array_equal(got, ref[name]), name
+
+
+def general_mask_layer(model, layer_index, hidden, layer_cache, rotation, visible):
+    """One block as forward_layer runs it for several tokens: the mask is
+    built from the cached keys' visibility and a causal block in which every
+    new key sees itself. Returns (hidden, keys, values, weights, mults)."""
+    w = model._w64
+    p = f"layers.{layer_index}."
+    t = hidden.shape[0]
+    x = _rms_norm(hidden, w[p + "attn_norm"])
+    q = rotation.apply(model._split_heads(x @ w[p + "wq"]))
+    k32 = rotation.apply(model._split_heads(x @ w[p + "wk"])).astype(np.float32)
+    v32 = model._split_heads(x @ w[p + "wv"]).astype(np.float32)
+    ctx = layer_cache.token_count
+    mask = np.empty((t, ctx + t), dtype=bool)
+    mask[:, :ctx] = layer_cache.visible[None, :]
+    mask[:, ctx:] = np.tril(np.ones((t, t), dtype=bool)) & (
+        visible[None, :] | np.eye(t, dtype=bool))
+    layer_cache.append(k32, v32, rotation.positions, visible)
+    meter = CostMeter()
+    out, weights = attention(q, layer_cache.keys, layer_cache.values, mask, meter=meter)
+    hidden = hidden + model._merge_heads(out) @ w[p + "wo"]
+    x2 = _rms_norm(hidden, w[p + "ffn_norm"])
+    hidden = hidden + _silu(x2 @ w[p + "w1"]) @ w[p + "w2"]
+    return hidden, k32, v32, weights, meter.prefill_mults
+
+
+class TestSingleTokenMask:
+    """One visible new token attends with the cache's own visibility flags
+    as its mask, a view; an invisible one still gets the general mask, in
+    which it sees itself. Either way the block equals the general one bit
+    for bit."""
+
+    @pytest.mark.parametrize("new_visible", [None, True, False])
+    def test_matches_the_general_mask(self, monkeypatch, new_visible):
+        model = tiny_model(seed=5)
+        _, context = float32_context(model)  # a position gap and padding keys
+        assert not context.layers[0].visible.all()
+        fast, general = (context.slice(0, context.token_count) for _ in range(2))
+        fast.reserve(1)
+        general.reserve(1)
+        rotation = Rotation.at(model.config.rope, [fast.next_position()])
+        visible = None if new_visible is None else np.array([new_visible])
+        masks = []
+
+        def spy(queries, keys, values, causal_mask, **kwargs):
+            masks.append(causal_mask)
+            return attention(queries, keys, values, causal_mask, **kwargs)
+
+        monkeypatch.setattr(model_module, "attention", spy)
+        hidden = model.embed([17])
+        for i, (layer, reference) in enumerate(zip(fast.layers, general.layers)):
+            meter = CostMeter()
+            got = model.forward_layer(i, hidden, layer, rotation, visible=visible, meter=meter,
+                                      collect_map=True)
+            want = general_mask_layer(model, i, hidden, reference, rotation,
+                                      np.array([new_visible is not False]))
+            for name, a, b in zip(("hidden", "keys", "values", "weights"), got, want):
+                assert np.array_equal(a, b), name
+            assert meter.prefill_mults == want[4]
+            for name in FIELDS:
+                assert np.array_equal(getattr(layer, name), getattr(reference, name)), name
+            assert bool(layer.visible[-1]) is (new_visible is not False)
+            assert (got[3][:, 0, -1] > 0).all(), "the new token attends to itself"
+            assert np.shares_memory(masks[-1], layer.visible) is (new_visible is not False)
+            hidden = got[0]
 
 
 class TestBufferedDecode:

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -35,7 +36,7 @@ from kvfocus.focus import (
 )
 from kvfocus.model import KVCache, LayerCache, Model, make_config
 from kvfocus.retrieval import index_corpus
-from kvfocus.rope import PositionOverflowWarning, reposition_array, rotate
+from kvfocus.rope import PositionOverflowWarning, Rotation, reposition_array
 from kvfocus.tokenizer import ByteTokenizer
 
 
@@ -329,7 +330,7 @@ class TestPruningBehavior:
         moved = reposition_array(model.config.rope, layer.keys, old, target)
         unrotated = reposition_array(model.config.rope, layer.keys, old,
                                      np.zeros_like(old))
-        fresh = rotate(model.config.rope, unrotated, target)
+        fresh = Rotation.at(model.config.rope, target).apply(unrotated)
         rng = np.random.default_rng(0)
         q = rng.standard_normal((2, 3, 8))
         logits_moved = np.matmul(q, moved.astype(np.float64).transpose(0, 2, 1))
@@ -671,6 +672,24 @@ class TestPipeline:
         assert "reserved budget of 4" in over[0]
         assert over[1] == ("positions beyond the encoding range [0, 64); "
                            "angles extrapolate")
+
+    def test_decode_overflow_is_recorded_once(self, tmp_path):
+        """Pre-fill inside the encoding range, decode past it: the warning is
+        issued once per decoded token past the range, not once per layer, and
+        the trace keeps its message once."""
+        model = small_model(seed=15, max_position=64)
+        store, index, _ = build_fixture(tmp_path, model, self.corpus)
+        pipeline = Pipeline(model, store, index, query_reserve=16)
+        assert pipeline.run("the capital", k=3, gen_tokens=1).trace.warnings == []
+        with warnings.catch_warnings(record=True) as issued:
+            warnings.simplefilter("always")
+            result = pipeline.run("the capital", k=3, gen_tokens=40)
+        overflow = "positions beyond the encoding range [0, 64); angles extrapolate"
+        assert result.trace.warnings.count(overflow) == 1
+        # the context fills positions 0..n-1, and decode feeds 39 tokens from n
+        last = result.trace.decode_context_length + 40 - 2
+        overflows = [w for w in issued if issubclass(w.category, PositionOverflowWarning)]
+        assert len(overflows) == last - 64 + 1
 
     def test_multi_group_run_stays_within_range(self, tmp_path):
         model = small_model(seed=15, max_position=64)

@@ -1,6 +1,7 @@
 """Transformer core: attention oracle, cache equivalence, weight persistence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from kvfocus.model import (
     CostMeter,
     KVCache,
     Model,
+    PREFILL_CHUNK,
     WeightFormatError,
+    _rms_norm,
     attention,
     fingerprint,
     load_weights,
     make_config,
     save_weights,
 )
+from kvfocus.rope import PositionOverflowWarning, Rotation
 
 
 def tiny_model(seed=0, **overrides):
@@ -123,7 +127,8 @@ class TestForward:
         cache = model.new_cache()
         model.forward(cache, [1, 2, 3, 4])
         hidden = model.embed([5, 6])
-        _, _, _, weights = model.forward_layer(0, hidden, cache.layers[0], [4, 5],
+        _, _, _, weights = model.forward_layer(0, hidden, cache.layers[0],
+                                               Rotation.at(model.config.rope, [4, 5]),
                                                collect_map=True)
         assert weights.shape == (2, 2, 6)
         # the first query row cannot see the second query token
@@ -153,6 +158,73 @@ class TestForward:
         model.forward(without, [4, 5], positions=np.arange(2))
         h_clean = model.forward(without, [7], positions=[4])
         np.testing.assert_allclose(h_pad, h_clean, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 300])
+def test_rms_norm_matches_the_mean_form_bit_for_bit(rows):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, 96)) * 3.0  # a width whose inverse is inexact
+    gain = rng.standard_normal(96)
+    expected = x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True)
+                           + model_module.NORM_EPS) * gain
+    assert np.array_equal(_rms_norm(x, gain), expected)
+
+
+class TestPerCallWork:
+    """A forward call checks its positions and builds their rotation once,
+    for every layer; every check still holds."""
+
+    @staticmethod
+    def count_rotations(monkeypatch):
+        sizes = []
+        original = Rotation.at
+
+        def counted(config, positions):
+            sizes.append(len(positions))
+            return original(config, positions)
+
+        monkeypatch.setattr(Rotation, "at", counted)
+        return sizes
+
+    def test_rotation_is_built_once_per_forward_call(self, monkeypatch):
+        model = tiny_model(num_layers=3, max_position=512)
+        sizes = self.count_rotations(monkeypatch)
+        cache = model.new_cache()
+        model.forward(cache, [1, 2, 3])
+        assert sizes == [3]
+        model.decode(cache, 4, 5)
+        assert sizes == [3] + [1] * 5
+        sizes.clear()
+        model.prefill(model.new_cache(), np.arange(PREFILL_CHUNK + 5) % 61)
+        assert sizes == [PREFILL_CHUNK, 5]
+
+    @pytest.mark.parametrize("tokens", [[5], [5, 6]])
+    def test_positions_of_the_wrong_length_are_rejected(self, tokens):
+        model = tiny_model()
+        cache = model.new_cache()
+        model.forward(cache, [1, 2, 3])
+        hidden = model.embed(tokens)
+        t = len(tokens)
+        for positions in (np.arange(3, 3 + t - 1), np.arange(3, 3 + t + 1)):
+            with pytest.raises(ValueError, match="does not match token count"):
+                model.forward_layer(0, hidden, cache.layers[0],
+                                    Rotation.at(model.config.rope, positions))
+            with pytest.raises(ValueError, match="does not match token count"):
+                model.forward(cache, tokens, positions=positions)
+        with pytest.raises(ValueError, match="visible shape"):
+            model.forward(cache, tokens, visible=[True] * (t + 1))
+        assert cache.token_count == 3
+
+    def test_decode_past_the_range_warns_once_per_token(self):
+        model = tiny_model(max_position=64)
+        cache = model.new_cache()
+        first, _ = model.prefill(cache, np.arange(60) % 61)
+        with warnings.catch_warnings(record=True) as issued:
+            warnings.simplefilter("always")
+            model.decode(cache, first, 10)  # positions 60..69
+        overflows = [w for w in issued if issubclass(w.category, PositionOverflowWarning)]
+        assert len(overflows) == 6
+        np.testing.assert_array_equal(cache.layers[-1].position_ids[-10:], np.arange(60, 70))
 
 
 class TestPrefillDecode:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from kvfocus.rope import (
     PositionOverflowWarning,
     RopeConfig,
+    Rotation,
     reposition_array,
-    rotate,
 )
 
 
@@ -29,7 +29,7 @@ def _manual_rotate(config, vector, position):
 
 def rotate_one(config, vector, position, dtype=np.float32):
     """One head-dim vector rotated to a position."""
-    return rotate(config, np.asarray(vector, dtype=dtype)[np.newaxis, :], [position])[0]
+    return Rotation.at(config, [position]).apply(np.asarray(vector, dtype=dtype)[np.newaxis, :])[0]
 
 
 def move_one(config, vector, old, new):
@@ -165,7 +165,7 @@ class TestArrayForms:
         rng = np.random.default_rng(21)
         vecs = rng.standard_normal((2, 5, 6)).astype(np.float32)
         positions = rng.integers(0, 100, size=5)
-        out = rotate(cfg, vecs, positions)
+        out = Rotation.at(cfg, positions).apply(vecs)
         for h in range(2):
             for t in range(5):
                 expected = _manual_rotate(cfg, vecs[h, t], int(positions[t]))
@@ -183,9 +183,9 @@ class TestArrayForms:
         raw = rng.standard_normal((2, 4, 4)).astype(np.float32)
         old = np.arange(10, 14)
         new = np.arange(50, 54)
-        stored = rotate(cfg, raw, old)
+        stored = Rotation.at(cfg, old).apply(raw)
         moved = reposition_array(cfg, stored, old, new)
-        np.testing.assert_allclose(moved, rotate(cfg, raw, new), atol=1e-5)
+        np.testing.assert_allclose(moved, Rotation.at(cfg, new).apply(raw), atol=1e-5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
