@@ -48,7 +48,8 @@ MANIFEST_LOCK_NAME = "manifest.lock"
 
 
 class StaleCacheError(RuntimeError):
-    """A cache entry was built against a different model or prefix."""
+    """A cache entry does not fit its store: it was built against a different
+    model or prefix, or holds another passage length."""
 
 
 class CacheFormatError(RuntimeError):
@@ -311,8 +312,7 @@ class CacheStore:
 
     # -- building ---------------------------------------------------------
 
-    def build(self, prefix_tokens, passages, *, passage_len: int = 64, force: bool = False,
-              meter: CostMeter | None = None) -> dict:
+    def build(self, prefix_tokens, passages, *, passage_len: int = 64, force: bool = False) -> dict:
         """Build the prefix cache plus one entry per (doc_id, title, text).
 
         Refuses to overwrite a store built for a different model or prefix
@@ -321,7 +321,7 @@ class CacheStore:
         if passage_len < 1:
             raise ValueError(f"passage length must be >= 1, got {passage_len}")
         prefix_tokens = [int(t) for t in prefix_tokens]
-        prefix_entry = build_prefix_cache(self.model, prefix_tokens, meter=meter)
+        prefix_entry = build_prefix_cache(self.model, prefix_tokens)
         if self.manifest_path.exists() and not force:
             if self.read_manifest()["prefix_hash"] != prefix_entry.prefix_hash:
                 raise StaleCacheError(
@@ -335,9 +335,8 @@ class CacheStore:
             if doc_id in docs:
                 raise ValueError(f"duplicate document id {doc_id!r}")
             tokens, valid = passage_tokens(tokenizer, title, text, passage_len)
-            entry = build_document_cache(
-                self.model, prefix_entry, tokens, doc_id=doc_id, valid_len=valid, meter=meter
-            )
+            entry = build_document_cache(self.model, prefix_entry, tokens, doc_id=doc_id,
+                                         valid_len=valid)
             total_bytes += self._write(entry, self.root / "docs" / _entry_filename(doc_id))
             docs[doc_id] = {"file": _entry_filename(doc_id), "valid_len": valid}
         manifest = {
@@ -359,10 +358,19 @@ class CacheStore:
 
     def save_entry(self, entry: CacheStoreEntry) -> int:
         """Write one entry's cache file and add it to the manifest; returns
-        the file's size in bytes. Nothing is written when the manifest is refused."""
+        the file's size in bytes. Nothing is written when the manifest is
+        refused, or when the entry was built on another prefix or holds
+        another passage length than the store's (StaleCacheError): such an
+        entry could never be served."""
         name = _entry_filename(entry.doc_id)
         with self._manifest_lock():
             manifest = self.read_manifest()
+            if entry.prefix_hash != manifest["prefix_hash"]:
+                raise StaleCacheError(f"entry {entry.doc_id!r} was built on another prefix "
+                                      f"than the store at {self.root}")
+            if entry.token_count != manifest["passage_len"]:
+                raise StaleCacheError(f"entry {entry.doc_id!r} holds {entry.token_count} tokens; "
+                                      f"the store's passages hold {manifest['passage_len']}")
             size = self._write(entry, self.root / "docs" / name)
             manifest["docs"][entry.doc_id] = {"file": name, "valid_len": entry.valid_len}
             self._write_manifest(manifest)
@@ -380,7 +388,7 @@ class CacheStore:
         """Load the prefix cache; pass a manifest already read to skip reading it."""
         manifest = manifest or self.read_manifest()
         return self._load(self.root / "prefix.cfkv", manifest, doc_id="", prefix_len=0,
-                          valid_len=manifest["prefix_len"])
+                          valid_len=manifest["prefix_len"], token_count=manifest["prefix_len"])
 
     def load_entry(self, doc_id: str, *, manifest: dict | None = None) -> CacheStoreEntry:
         """Load one document's entry; pass a manifest already read to skip reading it."""
@@ -396,12 +404,13 @@ class CacheStore:
         if type(valid) is not int or not 1 <= valid <= manifest["passage_len"]:
             raise self._bad_manifest(f"valid_len of {doc_id!r} is not an int in [1, passage_len]")
         return self._load(self.root / "docs" / name, manifest, doc_id=doc_id,
-                          prefix_len=manifest["prefix_len"], valid_len=valid)
+                          prefix_len=manifest["prefix_len"], valid_len=valid,
+                          token_count=manifest["passage_len"])
 
     def _load(self, path: Path, manifest: dict, *, doc_id: str, prefix_len: int,
-              valid_len: int) -> CacheStoreEntry:
+              valid_len: int, token_count: int) -> CacheStoreEntry:
         """Read one cache file, refusing one built for another model, prefix
-        or config."""
+        or config, or one that does not hold the manifest's `token_count`."""
         fingerprint, prefix_hash, kv = _read_kv_file(path, start=prefix_len, valid=valid_len,
                                                      verified=self._verified)
         if fingerprint != self.model.fingerprint:
@@ -413,9 +422,10 @@ class CacheStore:
             raise StaleCacheError(f"cache file {path} prefix hash does not match the store manifest")
         cfg = self.model.config
         # keys are (heads, tokens, head_dim); a model has at least one layer
-        if (len(kv.layers) != cfg.num_layers
-                or kv.layers[0].keys.shape[::2] != (cfg.num_heads, cfg.head_dim)):
-            raise StaleCacheError(f"cache file {path} dimensions do not match the model config")
+        expected = (cfg.num_heads, token_count, cfg.head_dim)
+        if len(kv.layers) != cfg.num_layers or kv.layers[0].keys.shape != expected:
+            raise StaleCacheError(f"cache file {path} dimensions do not match the model config "
+                                  f"and the store manifest")
         return CacheStoreEntry(
             doc_id=doc_id,
             model_fingerprint=fingerprint,

@@ -23,7 +23,6 @@ from .tokenizer import ByteTokenizer
 
 USER_ERRORS = (
     ValueError,
-    KeyError,
     FileNotFoundError,
     NotADirectoryError,
     CorpusError,
@@ -224,10 +223,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except USER_ERRORS as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        # a KeyError's str() quotes its message
+        message = exc.args[0] if isinstance(exc, MissingEntryError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
-    except Exception:  # pragma: no cover - defensive
+    except Exception:
         traceback.print_exc()
         return 2
 

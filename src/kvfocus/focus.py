@@ -621,8 +621,9 @@ def run_full_context(model: Model, prefix_tokens, passages, query_tokens, *,
     visible += [True] * len(query)
 
     cache = model.new_cache()
-    first, cache = model.prefill(cache, tokens, positions=np.arange(len(tokens)),
-                                 visible=np.asarray(visible, dtype=bool), meter=meter)
+    hidden = model.forward(cache, tokens, positions=np.arange(len(tokens)), visible=visible,
+                           meter=meter)
+    first = int(np.argmax(model.logits(hidden[-1:])[0]))
     t1 = time.perf_counter()
     meter.phase = "decode"
     out = [first] + model.decode(cache, first, gen_tokens - 1, meter=meter)

@@ -2,12 +2,12 @@
 
 Blocks are pre-norm with RMS normalization, rotary embeddings on queries and
 keys, and a two-layer feed-forward (4x expansion, SiLU), no biases. Weights
-are float32: that is the on-disk format and the form the model fingerprint
-hashes. All activations and matrix products run in float64, and keys/values
-are rounded to float32 at the moment they enter a cache. Rounding at the
-cache boundary makes monolithic, split, and store-loaded forward paths agree
-bit-for-bit on cached tensors, so greedy decoding is reproducible no matter
-how the context was assembled.
+are float32 on disk and in the fingerprint; a Model keeps one copy, widened
+exactly to float64. All activations and matrix products run in float64, and
+keys/values are rounded to float32 at the moment they enter a cache.
+Rounding at the cache boundary makes monolithic, split, and store-loaded
+forward paths agree bit-for-bit on cached tensors, so greedy decoding is
+reproducible no matter how the context was assembled.
 
 Caches carry explicit per-token position ids and a visibility flag so
 padding keys can be masked out of attention. They do not record which
@@ -20,12 +20,13 @@ sized up front or grow geometrically, so each decoded token writes only its
 own rows and attention reads the cache in place, with no concatenate and no
 cast.
 
-Work that is the same in every layer runs once per forward call: the
-positions are checked, and the cos/sin of their rotation computed
-(`rope.Rotation`), before the first layer, and every layer applies that
-rotation. A single visible new token, the decode case, is appended first and
-attends with the cache's own visibility flags as its mask, a view of the
-buffer, so decoding a token builds no mask.
+Model.forward is the one way to run tokens through a KVCache, for pre-fill
+and decoding alike. Work that is the same in every layer runs once per
+forward chunk: the positions are checked, and the cos/sin of their rotation
+computed (`rope.Rotation`), before the first layer, and every layer applies
+that rotation. A single visible new token, the decode case, is appended
+first and attends with the cache's own visibility flags as its mask, a view
+of the buffer, so decoding a token builds no mask.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -43,8 +45,8 @@ from .tokenizer import VOCAB_SIZE
 
 FFN_MULT = 4
 NORM_EPS = 1e-5
-PREFILL_CHUNK = 256  # tokens per forward pass in Model.prefill
-MAX_CACHE_TOKENS = 16384  # hard limit on the tokens Model.prefill may leave cached
+PREFILL_CHUNK = 256  # tokens per chunk of one Model.forward call
+MAX_CACHE_TOKENS = 16384  # hard limit on the tokens Model.forward may leave cached
 
 
 class CapacityError(RuntimeError):
@@ -307,17 +309,15 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x * (0.5 * (1.0 + np.tanh(0.5 * x)))
 
 
-def weight_names(config: ModelConfig) -> list[str]:
-    """Canonical tensor order: the file layout and the fingerprint order."""
-    return list(_weight_shapes(config))
-
-
 def _layer_shapes(h: int) -> dict[str, tuple[int, ...]]:
+    # Model.forward_layer unpacks a block's tensors in this order
     return {"attn_norm": (h,), "wq": (h, h), "wk": (h, h), "wv": (h, h), "wo": (h, h),
             "ffn_norm": (h,), "w1": (h, FFN_MULT * h), "w2": (FFN_MULT * h, h)}
 
 
 def _weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape, in canonical order: the file layout and the
+    fingerprint order."""
     h = config.hidden_dim
     shapes: dict[str, tuple[int, ...]] = {"embedding": (config.vocab_size, h)}
     for i in range(config.num_layers):
@@ -337,7 +337,7 @@ def _weight_count(config: ModelConfig) -> int:
 def fingerprint(config: ModelConfig, weights: dict[str, np.ndarray]) -> str:
     digest = hashlib.sha256()
     digest.update(config.packed())
-    for name in weight_names(config):
+    for name in _weight_shapes(config):
         digest.update(np.ascontiguousarray(weights[name]).tobytes())
     return digest.hexdigest()[:16]
 
@@ -351,18 +351,24 @@ class Model:
 
     def __init__(self, config: ModelConfig, weights: dict[str, np.ndarray]):
         shapes = _weight_shapes(config)
-        for name in weight_names(config):
+        for name, shape in shapes.items():
             if name not in weights:
                 raise ValueError(f"missing weight tensor {name}")
             arr = weights[name]
-            if arr.shape != shapes[name]:
-                raise ValueError(f"{name}: expected shape {shapes[name]}, got {arr.shape}")
+            if arr.shape != shape:
+                raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
             if arr.dtype != np.float32:
                 raise ValueError(f"{name}: weights must be float32, got {arr.dtype}")
         self.config = config
-        self.weights = weights
-        self._w64 = {name: weights[name].astype(np.float64) for name in weight_names(config)}
         self._fingerprint = fingerprint(config, weights)
+        # the only copy kept: float64, widened exactly from the float32 input
+        wide = {name: weights[name].astype(np.float64) for name in shapes}
+        self._embedding = wide["embedding"]
+        names = _layer_shapes(config.hidden_dim)
+        self._blocks = [tuple(wide[f"layers.{i}.{name}"] for name in names)
+                        for i in range(config.num_layers)]
+        self._final_norm = wide["final_norm"]
+        self._lm_head = wide["lm_head"]
 
     @property
     def fingerprint(self) -> str:
@@ -411,7 +417,7 @@ class Model:
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
             raise ValueError("token id out of vocabulary range")
-        return self._w64["embedding"][ids]
+        return self._embedding[ids]
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         t = x.shape[0]
@@ -445,13 +451,12 @@ class Model:
         t = hidden.shape[0]
         if visible is not None and np.shape(visible) != (t,):
             raise ValueError(f"visible shape {np.shape(visible)} does not match token count {t}")
-        w = self._w64
-        p = f"layers.{layer_index}."
+        attn_norm, wq, wk, wv, wo, ffn_norm, w1, w2 = self._blocks[layer_index]
 
-        x = _rms_norm(hidden, w[p + "attn_norm"])
-        q = rotation.apply(self._split_heads(x @ w[p + "wq"]))
-        k32 = rotation.apply(self._split_heads(x @ w[p + "wk"])).astype(np.float32)
-        v32 = self._split_heads(x @ w[p + "wv"]).astype(np.float32)
+        x = _rms_norm(hidden, attn_norm)
+        q = rotation.apply(self._split_heads(x @ wq))
+        k32 = rotation.apply(self._split_heads(x @ wk)).astype(np.float32)
+        v32 = self._split_heads(x @ wv).astype(np.float32)
 
         layer_cache.append(k32, v32, rotation.positions, True if visible is None else visible)
         seen = layer_cache.visible
@@ -469,9 +474,9 @@ class Model:
 
         out, weights = attention(q, layer_cache.keys, layer_cache.values, mask, meter=meter,
                                  collect_map=collect_map)
-        hidden = hidden + self._merge_heads(out) @ w[p + "wo"]
-        x2 = _rms_norm(hidden, w[p + "ffn_norm"])
-        hidden = hidden + _silu(x2 @ w[p + "w1"]) @ w[p + "w2"]
+        hidden = hidden + self._merge_heads(out) @ wo
+        x2 = _rms_norm(hidden, ffn_norm)
+        hidden = hidden + _silu(x2 @ w1) @ w2
         return hidden, k32, v32, weights
 
     def forward(
@@ -486,48 +491,16 @@ class Model:
         """Run tokens through every layer, extending the cache in place.
 
         positions default to the next sequential positions after the highest
-        one already cached. The positions are checked and their rotation
-        computed once, for every layer. Returns final hidden states (tokens,
-        hidden_dim).
+        one already cached; visible holds a flag per token, None for all
+        visible. A cache that would hold more than MAX_CACHE_TOKENS is refused
+        (CapacityError). Inputs longer than PREFILL_CHUNK tokens run in chunks,
+        with room for all of them reserved once; that is exactly equivalent to
+        one pass because cached keys/values round to float32 either way.
+        Returns the last chunk's final hidden states (tokens, hidden_dim).
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError("tokens must be a non-empty 1-D sequence")
-        if positions is None:
-            start = cache.next_position()
-            positions = np.arange(start, start + ids.size, dtype=np.int64)
-        rotation = Rotation.at(self.config.rope, positions)
-        if visible is not None:
-            visible = np.asarray(visible, dtype=bool)
-        hidden = self.embed(ids)
-        for layer_index in range(self.config.num_layers):
-            hidden, _, _, _ = self.forward_layer(
-                layer_index, hidden, cache.layers[layer_index], rotation,
-                visible=visible, meter=meter)
-        return hidden
-
-    def logits(self, hidden: np.ndarray) -> np.ndarray:
-        """Project hidden rows (n, hidden_dim) to vocabulary logits."""
-        return _rms_norm(hidden, self._w64["final_norm"]) @ self._w64["lm_head"]
-
-    def prefill(
-        self,
-        cache: KVCache,
-        tokens,
-        *,
-        positions=None,
-        visible=None,
-        meter: CostMeter | None = None,
-    ):
-        """Process a full input sequence, then emit the first greedy token.
-
-        Inputs longer than PREFILL_CHUNK tokens are run in chunks, which is
-        exactly equivalent to one pass because cached keys/values round to
-        float32 either way.
-        """
-        ids = np.asarray(tokens, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValueError("prefill requires a non-empty token sequence")
         total = cache.token_count + ids.size
         if total > MAX_CACHE_TOKENS:
             raise CapacityError(
@@ -536,23 +509,29 @@ class Model:
         if positions is None:
             start = cache.next_position()
             positions = np.arange(start, start + ids.size, dtype=np.int64)
-        else:
-            positions = np.asarray(positions, dtype=np.int64)
-        visible = np.ones(ids.size, dtype=bool) if visible is None else np.asarray(visible, bool)
+        positions = np.asarray(positions, dtype=np.int64)
+        visible = None if visible is None else np.asarray(visible, dtype=bool)
+        for name, array in (("positions", positions), ("visible", visible)):
+            if array is not None and array.shape != ids.shape:
+                raise ValueError(f"{name} shape {array.shape} does not match token "
+                                 f"count {ids.size}")
 
-        cache.reserve(ids.size)
-        hidden = None
+        if ids.size > PREFILL_CHUNK:
+            cache.reserve(ids.size)
         for lo in range(0, ids.size, PREFILL_CHUNK):
-            hi = min(lo + PREFILL_CHUNK, ids.size)
-            hidden = self.forward(
-                cache,
-                ids[lo:hi],
-                positions=positions[lo:hi],
-                visible=visible[lo:hi],
-                meter=meter,
-            )
-        first_token = int(np.argmax(self.logits(hidden[-1:])[0]))
-        return first_token, cache
+            chunk = slice(lo, lo + PREFILL_CHUNK)
+            rotation = Rotation.at(self.config.rope, positions[chunk])
+            flags = None if visible is None else visible[chunk]
+            hidden = self.embed(ids[chunk])
+            for layer_index in range(self.config.num_layers):
+                hidden, _, _, _ = self.forward_layer(
+                    layer_index, hidden, cache.layers[layer_index], rotation,
+                    visible=flags, meter=meter)
+        return hidden
+
+    def logits(self, hidden: np.ndarray) -> np.ndarray:
+        """Project hidden rows (n, hidden_dim) to vocabulary logits."""
+        return _rms_norm(hidden, self._final_norm) @ self._lm_head
 
     def decode(
         self,
@@ -582,13 +561,14 @@ class Model:
         return out
 
 
-def save_weights(config: ModelConfig, weights: dict[str, np.ndarray], path) -> None:
+def save_weights(model: Model, path) -> None:
     """Write the weight file: the packed config as the frame header, then
-    float32 tensors in canonical order (see `framing`)."""
+    float32 tensors in canonical order (see `framing`). The model's float64
+    tensors were widened from float32, so rounding them back is exact."""
     body = bytearray()
-    for name in weight_names(config):
-        body += np.ascontiguousarray(weights[name]).tobytes()
-    write_framed(path, WEIGHT_FRAME, config.packed(), body)
+    for tensor in chain([model._embedding], *model._blocks, [model._final_norm, model._lm_head]):
+        body += tensor.astype(np.float32).tobytes()
+    write_framed(path, WEIGHT_FRAME, model.config.packed(), body)
 
 
 def load_weights(path):

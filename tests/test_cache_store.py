@@ -193,6 +193,23 @@ class TestStore:
         assert sorted(CacheStore(root, model).read_manifest()["docs"]) == ["doc1", "doc2"]
         assert sorted(p.name for p in (root / "docs").iterdir()) == docs  # no orphan file
 
+    @pytest.mark.parametrize("mismatch", ["prefix", "passage-length"])
+    def test_save_entry_refuses_an_entry_the_store_cannot_serve(self, model, tmp_path,
+                                                                 mismatch):
+        """An entry built on another prefix would fail every load, and one of
+        another passage length every query that retrieves it with others."""
+        store = CacheStore(tmp_path / "store", model)
+        store.build([1, 2], self.corpus(), passage_len=10)
+        prefix = build_prefix_cache(model, [3, 4] if mismatch == "prefix" else [1, 2])
+        length = 10 if mismatch == "prefix" else 12
+        entry = build_document_cache(model, prefix, [5] * length, doc_id="new", valid_len=1)
+        manifest = store.manifest_path.read_bytes()
+        docs = sorted(p.name for p in (store.root / "docs").iterdir())
+        with pytest.raises(StaleCacheError, match="prefix" if mismatch == "prefix" else "12"):
+            store.save_entry(entry)
+        assert store.manifest_path.read_bytes() == manifest
+        assert sorted(p.name for p in (store.root / "docs").iterdir()) == docs
+
     def test_force_rebuilds_over_a_malformed_manifest(self, model, tmp_path):
         store = CacheStore(tmp_path / "store", model)
         store.build([1, 2], self.corpus(), passage_len=10)
@@ -220,7 +237,7 @@ class TestStore:
         store = CacheStore(root, model)
         store.build([4, 5], self.corpus(), passage_len=10)
         before = store.load_entry("doc2")
-        model.prefill(model.new_cache(), [33, 44, 55])  # unrelated query traffic
+        model.forward(model.new_cache(), [33, 44, 55])  # unrelated query traffic
         store.build([4, 5], self.corpus(), passage_len=10)
         after = store.load_entry("doc2")
         for la, lb in zip(before.kv.layers, after.kv.layers):
@@ -272,8 +289,8 @@ class TestConcurrentWriters:
         is in the manifest afterwards."""
         store = CacheStore(tmp_path / "store", model)
         store.build([1, 2], [("doc0", "alpha", "first passage")], passage_len=8)
-        entry = build_document_cache(model, store.load_prefix(), [5, 6, 7, 8], doc_id="new",
-                                     valid_len=4)
+        entry = build_document_cache(model, store.load_prefix(), [5, 6, 7, 8] + [PAD_ID] * 4,
+                                     doc_id="new", valid_len=4)
         rounds, writers = 30, 4
         saved = ["doc0"]
         interval = sys.getswitchinterval()
@@ -323,7 +340,7 @@ class TestLoaderChecks:
     file alike, a file from a store built on another prefix, a file from
     another model's store, and a header with num_heads and head_dim swapped
     (the body length is unchanged, so the frame accepts it) are each a
-    StaleCacheError."""
+    StaleCacheError, and so is a document file of another passage length."""
 
     corpus = [("doc1", "alpha", "first passage")]
 
@@ -358,6 +375,13 @@ class TestLoaderChecks:
         shutil.copyfile(self.path_of(other, which), self.path_of(store, which))
         with pytest.raises(StaleCacheError, match="fingerprint"):
             self.load(store, which)
+
+    def test_document_file_of_another_passage_length(self, model, store, tmp_path):
+        other = CacheStore(tmp_path / "other", model)
+        other.build([1, 2], self.corpus, passage_len=16)
+        shutil.copyfile(self.path_of(other, "doc"), self.path_of(store, "doc"))
+        with pytest.raises(StaleCacheError, match="dimensions"):
+            store.load_entry("doc1")
 
     @pytest.mark.parametrize("which", ["prefix", "doc"])
     def test_heads_and_head_dim_swapped(self, store, which):

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from kvfocus import cli
 from kvfocus.bench import MODES
 from kvfocus.cache_store import CacheStore
 from kvfocus.cli import main, score_answer
@@ -168,7 +169,7 @@ class TestRunCommand:
     def test_malformed_weight_file_is_user_error(self, workspace, capsys, damage):
         path = workspace["tmp"] / "m.cfwt"
         model = Model.from_seed(make_config(num_layers=2, num_heads=2, head_dim=8), 7)
-        save_weights(model.config, model.weights, path)
+        save_weights(model, path)
         raw = path.read_bytes()
         path.write_bytes({"short-header": b"CFWT",
                           "short-config": b"CFWT\x01\x00\x00\x00\x08",
@@ -217,6 +218,28 @@ class TestRunCommand:
                      "--k", "4", *RUN_FLAGS])
         assert code == 1
         assert f"error: manifest {path}: {problem}" in capsys.readouterr().err
+
+    def test_missing_entry_is_user_error_with_its_message_unquoted(self, workspace, capsys):
+        path = workspace["store"] / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["docs"]["d-rome"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     "--k", "4", *RUN_FLAGS])
+        assert code == 1
+        assert "error: no cache entry for document 'd-rome'\n" in capsys.readouterr().err
+
+    def test_internal_key_error_exits_2(self, workspace, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "answer", broken)
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     *RUN_FLAGS])
+        assert code == 2
+        assert "KeyError: 'internal'" in capsys.readouterr().err
 
     def test_negative_query_reserve_is_user_error(self, workspace, capsys):
         for mode in MODES:

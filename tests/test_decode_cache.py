@@ -31,7 +31,8 @@ def float32_context(model, length=20):
     tokens = (np.arange(length) * 5 + 3) % model.config.vocab_size
     positions = np.concatenate([np.arange(length // 2), np.arange(length // 2) + 40])
     visible = np.arange(length) % 7 != 6
-    first, _ = model.prefill(cache, tokens, positions=positions, visible=visible)
+    hidden = model.forward(cache, tokens, positions=positions, visible=visible)
+    first = int(np.argmax(model.logits(hidden[-1:])[0]))
     return first, cache.slice(0, cache.token_count)
 
 
@@ -46,7 +47,6 @@ def reference_decode(model, layers, token, steps):
     """Greedy decode as the cache used to work: each step concatenates the
     float32 cache with the new rows, casts keys/values to float64 and attends."""
     cfg = model.config
-    w = model._w64
 
     def heads(m):
         return m.reshape(1, cfg.num_heads, cfg.head_dim).transpose(1, 0, 2)
@@ -55,13 +55,12 @@ def reference_decode(model, layers, token, steps):
     for _ in range(steps):
         position = np.array([int(layers[0]["position_ids"].max()) + 1])
         hidden = model.embed([token])
-        for i, layer in enumerate(layers):
-            p = f"layers.{i}."
-            x = _rms_norm(hidden, w[p + "attn_norm"])
+        for (attn_norm, wq, wk, wv, wo, ffn_norm, w1, w2), layer in zip(model._blocks, layers):
+            x = _rms_norm(hidden, attn_norm)
             rotation = Rotation.at(cfg.rope, position)
-            q = rotation.apply(heads(x @ w[p + "wq"]))
-            k32 = rotation.apply(heads(x @ w[p + "wk"])).astype(np.float32)
-            v32 = heads(x @ w[p + "wv"]).astype(np.float32)
+            q = rotation.apply(heads(x @ wq))
+            k32 = rotation.apply(heads(x @ wk)).astype(np.float32)
+            v32 = heads(x @ wv).astype(np.float32)
             layer["keys"] = np.concatenate([layer["keys"], k32], axis=1)
             layer["values"] = np.concatenate([layer["values"], v32], axis=1)
             layer["position_ids"] = np.concatenate([layer["position_ids"], position])
@@ -70,9 +69,9 @@ def reference_decode(model, layers, token, steps):
             mask[0, -1] = True
             o, _ = attention(q, layer["keys"].astype(np.float64),
                              layer["values"].astype(np.float64), mask, collect_map=False)
-            hidden = hidden + o.transpose(1, 0, 2).reshape(1, -1) @ w[p + "wo"]
-            x2 = _rms_norm(hidden, w[p + "ffn_norm"])
-            hidden = hidden + _silu(x2 @ w[p + "w1"]) @ w[p + "w2"]
+            hidden = hidden + o.transpose(1, 0, 2).reshape(1, -1) @ wo
+            x2 = _rms_norm(hidden, ffn_norm)
+            hidden = hidden + _silu(x2 @ w1) @ w2
         token = int(np.argmax(model.logits(hidden)[0]))
         out.append(token)
     return out
@@ -90,13 +89,12 @@ def general_mask_layer(model, layer_index, hidden, layer_cache, rotation, visibl
     """One block as forward_layer runs it for several tokens: the mask is
     built from the cached keys' visibility and a causal block in which every
     new key sees itself. Returns (hidden, keys, values, weights, mults)."""
-    w = model._w64
-    p = f"layers.{layer_index}."
+    attn_norm, wq, wk, wv, wo, ffn_norm, w1, w2 = model._blocks[layer_index]
     t = hidden.shape[0]
-    x = _rms_norm(hidden, w[p + "attn_norm"])
-    q = rotation.apply(model._split_heads(x @ w[p + "wq"]))
-    k32 = rotation.apply(model._split_heads(x @ w[p + "wk"])).astype(np.float32)
-    v32 = model._split_heads(x @ w[p + "wv"]).astype(np.float32)
+    x = _rms_norm(hidden, attn_norm)
+    q = rotation.apply(model._split_heads(x @ wq))
+    k32 = rotation.apply(model._split_heads(x @ wk)).astype(np.float32)
+    v32 = model._split_heads(x @ wv).astype(np.float32)
     ctx = layer_cache.token_count
     mask = np.empty((t, ctx + t), dtype=bool)
     mask[:, :ctx] = layer_cache.visible[None, :]
@@ -105,9 +103,9 @@ def general_mask_layer(model, layer_index, hidden, layer_cache, rotation, visibl
     layer_cache.append(k32, v32, rotation.positions, visible)
     meter = CostMeter()
     out, weights = attention(q, layer_cache.keys, layer_cache.values, mask, meter=meter)
-    hidden = hidden + model._merge_heads(out) @ w[p + "wo"]
-    x2 = _rms_norm(hidden, w[p + "ffn_norm"])
-    hidden = hidden + _silu(x2 @ w[p + "w1"]) @ w[p + "w2"]
+    hidden = hidden + model._merge_heads(out) @ wo
+    x2 = _rms_norm(hidden, ffn_norm)
+    hidden = hidden + _silu(x2 @ w1) @ w2
     return hidden, k32, v32, weights, meter.prefill_mults
 
 
@@ -399,7 +397,8 @@ def test_decode_step_allocates_less_than_one_layer():
     model = Model.from_seed(make_config(max_position=4096), 0)
     cache = model.new_cache()
     context = 2000
-    first, _ = model.prefill(cache, (np.arange(context) * 31 + 7) % model.config.vocab_size)
+    hidden = model.forward(cache, (np.arange(context) * 31 + 7) % model.config.vocab_size)
+    first = int(np.argmax(model.logits(hidden[-1:])[0]))
     cfg = model.config
     one_layer_keys = cfg.num_heads * context * cfg.head_dim * np.dtype(np.float32).itemsize
     steps = 4

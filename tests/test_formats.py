@@ -57,7 +57,7 @@ def write_index(path, seed=0):
 
 def write_weights(path, seed=0):
     model = tiny_model(seed)
-    save_weights(model.config, model.weights, path)
+    save_weights(model, path)
 
 
 # name -> (writer, loader, framing, sha256 of the seed-0 file)

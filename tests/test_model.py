@@ -1,5 +1,6 @@
 """Transformer core: attention oracle, cache equivalence, weight persistence."""
 
+import hashlib
 import math
 import warnings
 
@@ -28,6 +29,11 @@ def tiny_model(seed=0, **overrides):
     defaults = dict(num_layers=2, num_heads=2, head_dim=8, max_position=64, vocab_size=61)
     defaults.update(overrides)
     return Model.from_seed(make_config(**defaults), seed)
+
+
+def greedy(model, hidden):
+    """The greedy next token after the last hidden row."""
+    return int(np.argmax(model.logits(hidden[-1:])[0]))
 
 
 def reference_attention(queries, keys, values, mask):
@@ -195,7 +201,7 @@ class TestPerCallWork:
         model.decode(cache, 4, 5)
         assert sizes == [3] + [1] * 5
         sizes.clear()
-        model.prefill(model.new_cache(), np.arange(PREFILL_CHUNK + 5) % 61)
+        model.forward(model.new_cache(), np.arange(PREFILL_CHUNK + 5) % 61)
         assert sizes == [PREFILL_CHUNK, 5]
 
     @pytest.mark.parametrize("tokens", [[5], [5, 6]])
@@ -218,7 +224,7 @@ class TestPerCallWork:
     def test_decode_past_the_range_warns_once_per_token(self):
         model = tiny_model(max_position=64)
         cache = model.new_cache()
-        first, _ = model.prefill(cache, np.arange(60) % 61)
+        first = greedy(model, model.forward(cache, np.arange(60) % 61))
         with warnings.catch_warnings(record=True) as issued:
             warnings.simplefilter("always")
             model.decode(cache, first, 10)  # positions 60..69
@@ -230,7 +236,8 @@ class TestPerCallWork:
 class TestPrefillDecode:
     def test_prefill_emits_one_token(self):
         model = tiny_model()
-        first, cache = model.prefill(model.new_cache(), [1, 2, 3])
+        cache = model.new_cache()
+        first = greedy(model, model.forward(cache, [1, 2, 3]))
         assert isinstance(first, int)
         assert cache.token_count == 3
         assert model.decode(cache, first, 0) == []
@@ -238,10 +245,11 @@ class TestPrefillDecode:
     def test_split_prefill_equals_single_call(self):
         model = tiny_model(seed=5)
         tokens = (np.arange(40) * 7 + 1) % 61
-        f_one, cache_one = model.prefill(model.new_cache(), tokens)
+        cache_one = model.new_cache()
+        f_one = greedy(model, model.forward(cache_one, tokens))
         cache_two = model.new_cache()
-        model.prefill(cache_two, tokens[:13])
-        f_two, _ = model.prefill(cache_two, tokens[13:])
+        model.forward(cache_two, tokens[:13])
+        f_two = greedy(model, model.forward(cache_two, tokens[13:]))
         assert f_one == f_two
         for la, lb in zip(cache_one.layers, cache_two.layers):
             np.testing.assert_array_equal(la.keys, lb.keys)
@@ -250,7 +258,8 @@ class TestPrefillDecode:
         """Oracle: the two-phase loop run by hand, one token at a time."""
         model = tiny_model(seed=11)
         tokens = [3, 1, 4, 1, 5]
-        first, cache = model.prefill(model.new_cache(), tokens)
+        cache = model.new_cache()
+        first = greedy(model, model.forward(cache, tokens))
         generated = [first] + model.decode(cache, first, 4)
 
         by_hand_cache = model.new_cache()
@@ -265,35 +274,81 @@ class TestPrefillDecode:
         model = tiny_model(seed=2)
         runs = []
         for _ in range(2):
-            first, cache = model.prefill(model.new_cache(), [9, 8, 7])
+            cache = model.new_cache()
+            first = greedy(model, model.forward(cache, [9, 8, 7]))
             runs.append(model.decode(cache, first, 10))
         assert runs[0] == runs[1]
 
     def test_capacity_limit_enforced(self, monkeypatch):
         model = tiny_model()
         monkeypatch.setattr(model_module, "MAX_CACHE_TOKENS", 8)
+        cache = model.new_cache()
         with pytest.raises(CapacityError):
-            model.prefill(model.new_cache(), np.ones(9, dtype=int))
+            model.forward(cache, np.ones(9, dtype=int))
+        assert cache.token_count == 0
+        first = greedy(model, model.forward(cache, np.ones(7, dtype=int)))
+        assert len(model.decode(cache, first, 1)) == 1
+        for run in (lambda: model.forward(cache, [1]), lambda: model.decode(cache, first, 1)):
+            with pytest.raises(CapacityError):
+                run()
+            assert cache.token_count == 8
 
     def test_chunked_prefill_matches_unchunked(self, monkeypatch):
         model = tiny_model(seed=6)
         tokens = (np.arange(30) + 2) % 61
         monkeypatch.setattr(model_module, "PREFILL_CHUNK", 7)
-        f_a, cache_a = model.prefill(model.new_cache(), tokens)
+        cache_a = model.new_cache()
+        hidden_a = model.forward(cache_a, tokens)
         monkeypatch.setattr(model_module, "PREFILL_CHUNK", 1000)
-        f_b, cache_b = model.prefill(model.new_cache(), tokens)
-        assert f_a == f_b
+        cache_b = model.new_cache()
+        hidden_b = model.forward(cache_b, tokens)
+        # a chunked call returns its last chunk's rows: 30 = 4 * 7 + 2
+        assert hidden_a.shape == (2, model.config.hidden_dim)
+        np.testing.assert_allclose(hidden_a, hidden_b[-2:], rtol=1e-5, atol=1e-7)
+        assert greedy(model, hidden_a) == greedy(model, hidden_b)
         for la, lb in zip(cache_a.layers, cache_b.layers):
+            np.testing.assert_array_equal(la.keys, lb.keys)
             np.testing.assert_array_equal(la.values, lb.values)
+            np.testing.assert_array_equal(la.position_ids, lb.position_ids)
+            # room for every chunk is reserved once, not grown chunk by chunk
+            assert la.capacity == len(tokens)
 
 
 class TestWeights:
-    def test_seeded_weights_reproducible(self):
+    def test_seeded_weights_reproducible(self, tmp_path):
         a = tiny_model(seed=42)
         b = tiny_model(seed=42)
         assert a.fingerprint == b.fingerprint
-        for name, arr in a.weights.items():
-            np.testing.assert_array_equal(arr, b.weights[name])
+        save_weights(a, tmp_path / "a.cfwt")
+        save_weights(b, tmp_path / "b.cfwt")
+        assert (tmp_path / "a.cfwt").read_bytes() == (tmp_path / "b.cfwt").read_bytes()
+
+    def test_model_holds_one_float64_copy_of_the_weights(self):
+        model = tiny_model()
+        arrays = []
+
+        def collect(value):
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    collect(item)
+
+        for value in vars(model).values():
+            collect(value)
+        assert not hasattr(model, "weights")
+        assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+        assert sum(a.size for a in arrays) == model_module._weight_count(model.config)
+
+    def test_default_seed_model_file_is_pinned(self, tmp_path):
+        """The float64 copies rounded back give the float32 file bytes."""
+        model = Model.from_seed(make_config(), 0)
+        path = tmp_path / "m.cfwt"
+        save_weights(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b889923d993f8d35c72996b1e6920df53e07d284104c2cc907a758a396a76791")
+        assert model.fingerprint == "d484ad8737b50633"
+        assert Model.from_file(path).fingerprint == model.fingerprint
 
     def test_different_seed_changes_fingerprint(self):
         assert tiny_model(seed=1).fingerprint != tiny_model(seed=2).fingerprint
@@ -301,19 +356,19 @@ class TestWeights:
     def test_weight_file_round_trip(self, tmp_path):
         model = tiny_model(seed=13)
         path = tmp_path / "m.cfwt"
-        save_weights(model.config, model.weights, path)
+        save_weights(model, path)
         config, weights = load_weights(path)
         assert config.num_layers == model.config.num_layers
         assert fingerprint(config, weights) == model.fingerprint
         loaded = Model.from_file(path)
-        first_a, _ = model.prefill(model.new_cache(), [1, 2, 3])
-        first_b, _ = loaded.prefill(loaded.new_cache(), [1, 2, 3])
+        first_a = greedy(model, model.forward(model.new_cache(), [1, 2, 3]))
+        first_b = greedy(loaded, loaded.forward(loaded.new_cache(), [1, 2, 3]))
         assert first_a == first_b
 
     def test_corrupt_file_rejected(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "m.cfwt"
-        save_weights(model.config, model.weights, path)
+        save_weights(model, path)
         raw = bytearray(path.read_bytes())
         raw[50] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -324,7 +379,7 @@ class TestWeights:
     def test_truncated_file_rejected(self, tmp_path, damage):
         path = tmp_path / "m.cfwt"
         model = tiny_model()
-        save_weights(model.config, model.weights, path)
+        save_weights(model, path)
         raw = path.read_bytes()
         path.write_bytes({"short-header": b"CFWT",
                           "short-config": b"CFWT\x01\x00\x00\x00\x08",
