@@ -27,6 +27,13 @@ computed (`rope.Rotation`), before the first layer, and every layer applies
 that rotation. A single visible new token, the decode case, is appended
 first and attends with the cache's own visibility flags as its mask, a view
 of the buffer, so decoding a token builds no mask.
+
+On one-row arrays a numpy call costs about as much as a small product, so a
+layer makes few: one product with a block's fused [wq | wk | wv] matrix, one
+rotation of q and k together, a direct write of the new rows into the cache
+buffers, and the attention core (_attend) without public attention()'s
+casts and checks, which hold by construction since every new token sees
+itself. The bits are those of separate products and rotations.
 """
 
 from __future__ import annotations
@@ -158,14 +165,18 @@ class LayerCache:
             self._reallocate(end)
 
     def append(self, keys, values, position_ids, visible) -> None:
-        keys = np.asarray(keys, np.float32)
-        start = self.token_count
-        end = start + keys.shape[1]
+        self._write(np.asarray(keys, np.float32), np.asarray(values, np.float32),
+                    position_ids, visible)
+
+    def _write(self, keys32: np.ndarray, values32: np.ndarray, position_ids, visible) -> None:
+        """append() for keys/values that are float32 arrays already."""
+        start = self.keys.shape[1]
+        end = start + keys32.shape[1]
         if end > self.capacity:
             self._reallocate(max(end, 2 * self.capacity))
         k, v, pos, vis = self._buffers
-        k[:, start:end] = keys
-        v[:, start:end] = np.asarray(values, np.float32)
+        k[:, start:end] = keys32
+        v[:, start:end] = values32
         pos[start:end] = position_ids
         vis[start:end] = visible
         self._expose(end)
@@ -281,24 +292,32 @@ def attention(queries, keys, values, causal_mask, *, meter=None, collect_map=Tru
         raise ValueError(f"mask shape {mask.shape} != (rows, cols) {(q.shape[1], k.shape[1])}")
     if not mask.any(axis=1).all():
         raise ValueError("every query row must attend to at least one key")
+    return _attend(q, k, v, mask, np.count_nonzero(mask), meter, collect_map)
 
-    heads, rows, dim = q.shape
+
+def _attend(q, k, v, mask, attended, meter, collect_map):
+    """attention() without its casts and checks, for callers whose float64
+    inputs and mask are right by construction. `attended` is the count of
+    True entries in mask; when it is every entry, no -inf fill runs."""
+    heads, _, dim = q.shape
     # one (heads, rows, cols) array, updated in place from scores to weights
     weights = np.matmul(q, k.transpose(0, 2, 1))
-    weights /= np.sqrt(float(dim))
-    np.copyto(weights, -np.inf, where=~mask)
-    weights -= weights.max(axis=-1, keepdims=True)
+    weights /= math.sqrt(dim)
+    if attended < mask.size:
+        np.copyto(weights, -np.inf, where=~mask)
+    # the reductions behind .max()/.sum(), without their Python wrappers
+    weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
     if meter is not None:
-        meter.add(2 * heads * dim * int(mask.sum()))
+        meter.add(2 * heads * dim * attended)
     outputs = np.matmul(weights, v)
     return outputs, weights.astype(np.float32) if collect_map else None
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    # np.mean's own reduce-then-divide, without its Python wrapper
-    scale = np.square(x).sum(axis=-1, keepdims=True)
+    # np.mean's own reduce-then-divide, without its Python wrappers
+    scale = np.add.reduce(np.square(x), axis=-1, keepdims=True)
     scale /= x.shape[-1]
     scale += NORM_EPS
     np.sqrt(scale, out=scale)
@@ -310,7 +329,7 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 
 def _layer_shapes(h: int) -> dict[str, tuple[int, ...]]:
-    # Model.forward_layer unpacks a block's tensors in this order
+    # a block's tensors in file order; a Model fuses wq, wk and wv (see _fuse_block)
     return {"attn_norm": (h,), "wq": (h, h), "wk": (h, h), "wv": (h, h), "wo": (h, h),
             "ffn_norm": (h,), "w1": (h, FFN_MULT * h), "w2": (FFN_MULT * h, h)}
 
@@ -334,12 +353,70 @@ def _weight_count(config: ModelConfig) -> int:
     return 2 * config.vocab_size * h + h + config.num_layers * per_layer
 
 
+def _fuse_block(attn_norm, wq, wk, wv, wo, ffn_norm, w1, w2) -> tuple:
+    """A block's float32 tensors, widened to float64, as Model.forward_layer
+    unpacks them: one (h, 3h) [wq | wk | wv] matrix in place of three. Each
+    column of x @ wqkv is the same dot product, with the same BLAS kernel, as
+    in the separate products, so the fused product equals them bit for bit
+    (pinned by a test)."""
+    # widened straight into the fused matrix: float64 copies of wq, wk and wv
+    # freed at once moved glibc's malloc thresholds so that every query
+    # page-faulted its ~17 MB of loaded entries again
+    def wide(w):
+        return w.astype(np.float64)
+
+    return (wide(attn_norm), np.concatenate([wq, wk, wv], axis=1, dtype=np.float64),
+            wide(wo), wide(ffn_norm), wide(w1), wide(w2))
+
+
+def _split_block(block: tuple) -> tuple:
+    """The inverse of _fuse_block: a block's tensors in file order."""
+    attn_norm, wqkv, wo, ffn_norm, w1, w2 = block
+    wq, wk, wv = np.split(wqkv, 3, axis=1)
+    return attn_norm, wq, wk, wv, wo, ffn_norm, w1, w2
+
+
+def _seed_weights(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
+    """Deterministic random float32 weights; norm gains are ones and not drawn.
+
+    Draw order (embedding, per-layer projections, lm_head) is fixed so a
+    seed is a complete, portable weight specification.
+    """
+    rng = np.random.default_rng(seed)
+    h = config.hidden_dim
+
+    def draw(shape):
+        scale = np.float32(shape[0] ** -0.5)
+        return rng.standard_normal(shape, dtype=np.float32) * scale
+
+    w: dict[str, np.ndarray] = {}
+    w["embedding"] = rng.standard_normal((config.vocab_size, h), dtype=np.float32)
+    for i in range(config.num_layers):
+        p = f"layers.{i}."
+        w[p + "attn_norm"] = np.ones(h, dtype=np.float32)
+        w[p + "wq"] = draw((h, h))
+        w[p + "wk"] = draw((h, h))
+        w[p + "wv"] = draw((h, h))
+        w[p + "wo"] = draw((h, h))
+        w[p + "ffn_norm"] = np.ones(h, dtype=np.float32)
+        w[p + "w1"] = draw((h, FFN_MULT * h))
+        w[p + "w2"] = draw((FFN_MULT * h, h))
+    w["final_norm"] = np.ones(h, dtype=np.float32)
+    w["lm_head"] = draw((h, config.vocab_size))
+    return w
+
+
 def fingerprint(config: ModelConfig, weights: dict[str, np.ndarray]) -> str:
     digest = hashlib.sha256()
     digest.update(config.packed())
     for name in _weight_shapes(config):
         digest.update(np.ascontiguousarray(weights[name]).tobytes())
     return digest.hexdigest()[:16]
+
+
+def _check_capacity(total: int) -> None:
+    if total > MAX_CACHE_TOKENS:
+        raise CapacityError(f"cache would hold {total} tokens, over the limit of {MAX_CACHE_TOKENS}")
 
 
 class Model:
@@ -362,13 +439,12 @@ class Model:
         self.config = config
         self._fingerprint = fingerprint(config, weights)
         # the only copy kept: float64, widened exactly from the float32 input
-        wide = {name: weights[name].astype(np.float64) for name in shapes}
-        self._embedding = wide["embedding"]
+        self._embedding = weights["embedding"].astype(np.float64)
         names = _layer_shapes(config.hidden_dim)
-        self._blocks = [tuple(wide[f"layers.{i}.{name}"] for name in names)
+        self._blocks = [_fuse_block(*(weights[f"layers.{i}.{name}"] for name in names))
                         for i in range(config.num_layers)]
-        self._final_norm = wide["final_norm"]
-        self._lm_head = wide["lm_head"]
+        self._final_norm = weights["final_norm"].astype(np.float64)
+        self._lm_head = weights["lm_head"].astype(np.float64)
 
     @property
     def fingerprint(self) -> str:
@@ -376,33 +452,7 @@ class Model:
 
     @classmethod
     def from_seed(cls, config: ModelConfig, seed: int) -> "Model":
-        """Deterministic random weights; norm gains are ones and not drawn.
-
-        Draw order (embedding, per-layer projections, lm_head) is fixed so a
-        seed is a complete, portable weight specification.
-        """
-        rng = np.random.default_rng(seed)
-        h = config.hidden_dim
-
-        def draw(shape):
-            scale = np.float32(shape[0] ** -0.5)
-            return rng.standard_normal(shape, dtype=np.float32) * scale
-
-        w: dict[str, np.ndarray] = {}
-        w["embedding"] = rng.standard_normal((config.vocab_size, h), dtype=np.float32)
-        for i in range(config.num_layers):
-            p = f"layers.{i}."
-            w[p + "attn_norm"] = np.ones(h, dtype=np.float32)
-            w[p + "wq"] = draw((h, h))
-            w[p + "wk"] = draw((h, h))
-            w[p + "wv"] = draw((h, h))
-            w[p + "wo"] = draw((h, h))
-            w[p + "ffn_norm"] = np.ones(h, dtype=np.float32)
-            w[p + "w1"] = draw((h, FFN_MULT * h))
-            w[p + "w2"] = draw((FFN_MULT * h, h))
-        w["final_norm"] = np.ones(h, dtype=np.float32)
-        w["lm_head"] = draw((h, config.vocab_size))
-        return cls(config, w)
+        return cls(config, _seed_weights(config, seed))
 
     @classmethod
     def from_file(cls, path) -> "Model":
@@ -420,8 +470,8 @@ class Model:
         return self._embedding[ids]
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
-        t = x.shape[0]
-        return x.reshape(t, self.config.num_heads, self.config.head_dim).transpose(1, 0, 2)
+        # (t, n * head_dim) -> (n, t, head_dim), a view
+        return x.reshape(x.shape[0], -1, self.config.head_dim).transpose(1, 0, 2)
 
     def _merge_heads(self, x: np.ndarray) -> np.ndarray:
         heads, t, dim = x.shape
@@ -451,18 +501,22 @@ class Model:
         t = hidden.shape[0]
         if visible is not None and np.shape(visible) != (t,):
             raise ValueError(f"visible shape {np.shape(visible)} does not match token count {t}")
-        attn_norm, wq, wk, wv, wo, ffn_norm, w1, w2 = self._blocks[layer_index]
+        attn_norm, wqkv, wo, ffn_norm, w1, w2 = self._blocks[layer_index]
+        heads = self.config.num_heads
 
         x = _rms_norm(hidden, attn_norm)
-        q = rotation.apply(self._split_heads(x @ wq))
-        k32 = rotation.apply(self._split_heads(x @ wk)).astype(np.float32)
-        v32 = self._split_heads(x @ wv).astype(np.float32)
+        qkv = self._split_heads(x @ wqkv)  # q, k and v heads stacked: (3 * heads, t, dim)
+        qk = rotation.apply(qkv[:2 * heads])  # elementwise, so stacking keeps the bits
+        q = qk[:heads]
+        k32 = qk[heads:].astype(np.float32)
+        v32 = qkv[2 * heads:].astype(np.float32)
 
-        layer_cache.append(k32, v32, rotation.positions, True if visible is None else visible)
+        layer_cache._write(k32, v32, rotation.positions, True if visible is None else visible)
         seen = layer_cache.visible
         if t == 1 and seen[-1]:
             # one visible new token sees exactly the visible keys, itself included
             mask = seen[None, :]
+            attended = np.count_nonzero(seen)
         else:
             ctx = seen.size - t
             mask = np.empty((t, ctx + t), dtype=bool)
@@ -471,9 +525,11 @@ class Model:
             mask[:, ctx:] = np.tril(np.ones((t, t), dtype=bool)) & (
                 seen[None, ctx:] | np.eye(t, dtype=bool)
             )
+            attended = np.count_nonzero(mask)
 
-        out, weights = attention(q, layer_cache.keys, layer_cache.values, mask, meter=meter,
-                                 collect_map=collect_map)
+        # every row sees its own token, so attention()'s checks hold by construction
+        out, weights = _attend(q, layer_cache.keys, layer_cache.values, mask, attended, meter,
+                               collect_map)
         hidden = hidden + self._merge_heads(out) @ wo
         x2 = _rms_norm(hidden, ffn_norm)
         hidden = hidden + _silu(x2 @ w1) @ w2
@@ -501,11 +557,7 @@ class Model:
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError("tokens must be a non-empty 1-D sequence")
-        total = cache.token_count + ids.size
-        if total > MAX_CACHE_TOKENS:
-            raise CapacityError(
-                f"cache would hold {total} tokens, over the limit of {MAX_CACHE_TOKENS}"
-            )
+        _check_capacity(cache.token_count + ids.size)
         if positions is None:
             start = cache.next_position()
             positions = np.arange(start, start + ids.size, dtype=np.int64)
@@ -547,8 +599,10 @@ class Model:
         Returns max_tokens generated tokens (prev_token not included). Room
         for them is reserved up front, so the loop itself does not
         reallocate the cache; a cache that already has the room, as the
-        pipeline's decode cache does, is not reallocated at all.
+        pipeline's decode cache does, is not reallocated at all. A decode
+        that would pass MAX_CACHE_TOKENS is refused before anything grows.
         """
+        _check_capacity(cache.token_count + max_tokens)
         cache.reserve(max_tokens)
         out: list[int] = []
         token = int(prev_token)
@@ -565,8 +619,9 @@ def save_weights(model: Model, path) -> None:
     """Write the weight file: the packed config as the frame header, then
     float32 tensors in canonical order (see `framing`). The model's float64
     tensors were widened from float32, so rounding them back is exact."""
+    blocks = (_split_block(block) for block in model._blocks)
     body = bytearray()
-    for tensor in chain([model._embedding], *model._blocks, [model._final_norm, model._lm_head]):
+    for tensor in chain([model._embedding], *blocks, [model._final_norm, model._lm_head]):
         body += tensor.astype(np.float32).tobytes()
     write_framed(path, WEIGHT_FRAME, model.config.packed(), body)
 

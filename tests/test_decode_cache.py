@@ -10,7 +10,8 @@ from kvfocus import bench, focus
 from kvfocus.cache_store import CacheStore
 from kvfocus.focus import Pipeline, PruningSchedule
 from kvfocus import model as model_module
-from kvfocus.model import CostMeter, Model, _rms_norm, _silu, attention, make_config
+from kvfocus.model import (CostMeter, Model, _rms_norm, _seed_weights, _silu, attention,
+                           make_config)
 from kvfocus.retrieval import index_corpus
 from kvfocus.rope import Rotation
 from kvfocus.tokenizer import ByteTokenizer
@@ -19,9 +20,29 @@ FIELDS = ("keys", "values", "position_ids", "visible")
 
 
 def tiny_model(seed=0, **overrides):
+    return tiny_model_and_weights(seed, **overrides)[0]
+
+
+def tiny_model_and_weights(seed=0, **overrides):
+    """A tiny model and the float32 weight dict it was built from, so a
+    reference can run the separate wq/wk/wv products the model fuses."""
     defaults = dict(num_layers=3, num_heads=2, head_dim=8, max_position=128, vocab_size=61)
     defaults.update(overrides)
-    return Model.from_seed(make_config(**defaults), seed)
+    config = make_config(**defaults)
+    weights = _seed_weights(config, seed)
+    return Model(config, weights), weights
+
+
+BLOCK = ("attn_norm", "wq", "wk", "wv", "wo", "ffn_norm", "w1", "w2")
+
+
+def block_weights(weights, layer_index):
+    """One layer's eight tensors from the weight dict, widened to float64."""
+    return [weights[f"layers.{layer_index}.{name}"].astype(np.float64) for name in BLOCK]
+
+
+def split_heads(model, x):
+    return x.reshape(x.shape[0], model.config.num_heads, -1).transpose(1, 0, 2)
 
 
 def float32_context(model, length=20):
@@ -43,24 +64,22 @@ def reference_layers(cache):
             for layer in cache.layers]
 
 
-def reference_decode(model, layers, token, steps):
+def reference_decode(model, weights, layers, token, steps):
     """Greedy decode as the cache used to work: each step concatenates the
-    float32 cache with the new rows, casts keys/values to float64 and attends."""
+    float32 cache with the new rows, casts keys/values to float64 and attends.
+    q, k and v are three products with the weight dict's wq, wk and wv."""
     cfg = model.config
-
-    def heads(m):
-        return m.reshape(1, cfg.num_heads, cfg.head_dim).transpose(1, 0, 2)
-
     out = []
     for _ in range(steps):
         position = np.array([int(layers[0]["position_ids"].max()) + 1])
         hidden = model.embed([token])
-        for (attn_norm, wq, wk, wv, wo, ffn_norm, w1, w2), layer in zip(model._blocks, layers):
+        for i, layer in enumerate(layers):
+            attn_norm, wq, wk, wv, wo, ffn_norm, w1, w2 = block_weights(weights, i)
             x = _rms_norm(hidden, attn_norm)
             rotation = Rotation.at(cfg.rope, position)
-            q = rotation.apply(heads(x @ wq))
-            k32 = rotation.apply(heads(x @ wk)).astype(np.float32)
-            v32 = heads(x @ wv).astype(np.float32)
+            q = rotation.apply(split_heads(model, x @ wq))
+            k32 = rotation.apply(split_heads(model, x @ wk)).astype(np.float32)
+            v32 = split_heads(model, x @ wv).astype(np.float32)
             layer["keys"] = np.concatenate([layer["keys"], k32], axis=1)
             layer["values"] = np.concatenate([layer["values"], v32], axis=1)
             layer["position_ids"] = np.concatenate([layer["position_ids"], position])
@@ -85,16 +104,17 @@ def assert_matches_reference(cache, layers):
             assert np.array_equal(got, ref[name]), name
 
 
-def general_mask_layer(model, layer_index, hidden, layer_cache, rotation, visible):
-    """One block as forward_layer runs it for several tokens: the mask is
-    built from the cached keys' visibility and a causal block in which every
-    new key sees itself. Returns (hidden, keys, values, weights, mults)."""
-    attn_norm, wq, wk, wv, wo, ffn_norm, w1, w2 = model._blocks[layer_index]
+def general_mask_layer(model, weights, layer_index, hidden, layer_cache, rotation, visible):
+    """One block as forward_layer runs it for several tokens, with separate
+    wq, wk and wv products and public attention: the mask is built from the
+    cached keys' visibility and a causal block in which every new key sees
+    itself. Returns (hidden, keys, values, weights, mults)."""
+    attn_norm, wq, wk, wv, wo, ffn_norm, w1, w2 = block_weights(weights, layer_index)
     t = hidden.shape[0]
     x = _rms_norm(hidden, attn_norm)
-    q = rotation.apply(model._split_heads(x @ wq))
-    k32 = rotation.apply(model._split_heads(x @ wk)).astype(np.float32)
-    v32 = model._split_heads(x @ wv).astype(np.float32)
+    q = rotation.apply(split_heads(model, x @ wq))
+    k32 = rotation.apply(split_heads(model, x @ wk)).astype(np.float32)
+    v32 = split_heads(model, x @ wv).astype(np.float32)
     ctx = layer_cache.token_count
     mask = np.empty((t, ctx + t), dtype=bool)
     mask[:, :ctx] = layer_cache.visible[None, :]
@@ -103,7 +123,7 @@ def general_mask_layer(model, layer_index, hidden, layer_cache, rotation, visibl
     layer_cache.append(k32, v32, rotation.positions, visible)
     meter = CostMeter()
     out, weights = attention(q, layer_cache.keys, layer_cache.values, mask, meter=meter)
-    hidden = hidden + model._merge_heads(out) @ wo
+    hidden = hidden + out.transpose(1, 0, 2).reshape(t, -1) @ wo
     x2 = _rms_norm(hidden, ffn_norm)
     hidden = hidden + _silu(x2 @ w1) @ w2
     return hidden, k32, v32, weights, meter.prefill_mults
@@ -111,13 +131,13 @@ def general_mask_layer(model, layer_index, hidden, layer_cache, rotation, visibl
 
 class TestSingleTokenMask:
     """One visible new token attends with the cache's own visibility flags
-    as its mask, a view; an invisible one still gets the general mask, in
-    which it sees itself. Either way the block equals the general one bit
-    for bit."""
+    as its mask, a view, in the unchecked attention core; an invisible one
+    still gets the general mask, in which it sees itself. Either way the
+    block equals the general one, run with public attention, bit for bit."""
 
     @pytest.mark.parametrize("new_visible", [None, True, False])
     def test_matches_the_general_mask(self, monkeypatch, new_visible):
-        model = tiny_model(seed=5)
+        model, weights = tiny_model_and_weights(seed=5)
         _, context = float32_context(model)  # a position gap and padding keys
         assert not context.layers[0].visible.all()
         fast, general = (context.slice(0, context.token_count) for _ in range(2))
@@ -127,17 +147,21 @@ class TestSingleTokenMask:
         visible = None if new_visible is None else np.array([new_visible])
         masks = []
 
-        def spy(queries, keys, values, causal_mask, **kwargs):
-            masks.append(causal_mask)
-            return attention(queries, keys, values, causal_mask, **kwargs)
+        attend = model_module._attend
 
-        monkeypatch.setattr(model_module, "attention", spy)
+        def spy(queries, keys, values, causal_mask, *args):
+            masks.append(causal_mask)
+            return attend(queries, keys, values, causal_mask, *args)
+
+        monkeypatch.setattr(model_module, "_attend", spy)
         hidden = model.embed([17])
         for i, (layer, reference) in enumerate(zip(fast.layers, general.layers)):
             meter = CostMeter()
+            masks.clear()
             got = model.forward_layer(i, hidden, layer, rotation, visible=visible, meter=meter,
                                       collect_map=True)
-            want = general_mask_layer(model, i, hidden, reference, rotation,
+            (mask,) = masks  # the reference's attention() below calls the core too
+            want = general_mask_layer(model, weights, i, hidden, reference, rotation,
                                       np.array([new_visible is not False]))
             for name, a, b in zip(("hidden", "keys", "values", "weights"), got, want):
                 assert np.array_equal(a, b), name
@@ -146,16 +170,16 @@ class TestSingleTokenMask:
                 assert np.array_equal(getattr(layer, name), getattr(reference, name)), name
             assert bool(layer.visible[-1]) is (new_visible is not False)
             assert (got[3][:, 0, -1] > 0).all(), "the new token attends to itself"
-            assert np.shares_memory(masks[-1], layer.visible) is (new_visible is not False)
+            assert np.shares_memory(mask, layer.visible) is (new_visible is not False)
             hidden = got[0]
 
 
 class TestBufferedDecode:
     def test_growth_mid_decode_matches_reference(self):
-        model = tiny_model(seed=3)
+        model, weights = tiny_model_and_weights(seed=3)
         first, cache = float32_context(model)
         layers = reference_layers(cache)
-        expected = reference_decode(model, layers, first, 14)
+        expected = reference_decode(model, weights, layers, first, 14)
 
         cache.reserve(3)
         start = cache.token_count
@@ -172,17 +196,17 @@ class TestBufferedDecode:
         assert_matches_reference(cache, layers)
 
     def test_model_decode_matches_reference_and_allocates_once(self):
-        model = tiny_model(seed=4)
+        model, weights = tiny_model_and_weights(seed=4)
         first, cache = float32_context(model, length=24)
         layers = reference_layers(cache)
-        expected = reference_decode(model, layers, first, 9)
+        expected = reference_decode(model, weights, layers, first, 9)
         start = cache.token_count
         tokens = model.decode(cache, first, 9)
         assert tokens == expected
         assert_matches_reference(cache, layers)
         assert all(layer.capacity == start + 9 for layer in cache.layers)
         # a second decode, past the first reservation, grows the buffers again
-        more = reference_decode(model, layers, tokens[-1], 5)
+        more = reference_decode(model, weights, layers, tokens[-1], 5)
         assert model.decode(cache, tokens[-1], 5) == more
         assert_matches_reference(cache, layers)
         assert all(layer.capacity == start + 14 for layer in cache.layers)

@@ -15,7 +15,9 @@ from kvfocus.model import (
     Model,
     PREFILL_CHUNK,
     WeightFormatError,
+    _attend,
     _rms_norm,
+    _seed_weights,
     attention,
     fingerprint,
     load_weights,
@@ -114,6 +116,61 @@ class TestAttention:
         kv = np.ones((2, 5, 4))
         attention(q, kv, kv, np.ones((3, 5), dtype=bool), meter=meter)
         assert meter.prefill_mults == 2 * 2 * 3 * 5 * 4
+
+
+class TestAttentionCore:
+    """forward_layer calls the core without attention()'s casts and checks;
+    on inputs that pass those checks the two agree bit for bit."""
+
+    @staticmethod
+    def assert_core_matches(q, k, v, mask, collect_map):
+        meters = CostMeter(), CostMeter()
+        want = attention(q, k, v, mask, meter=meters[0], collect_map=collect_map)
+        got = _attend(q, k, v, mask, np.count_nonzero(mask), meters[1], collect_map)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert meters[0].prefill_mults == meters[1].prefill_mults > 0
+
+    @pytest.mark.parametrize("hidden_keys", [False, True])
+    @pytest.mark.parametrize("collect_map", [False, True])
+    def test_decode_shaped(self, hidden_keys, collect_map):
+        rng = np.random.default_rng(3)
+        q = rng.standard_normal((4, 1, 8))
+        k, v = rng.standard_normal((2, 4, 37, 8))
+        visible = rng.random(37) < 0.7 if hidden_keys else np.ones(37, dtype=bool)
+        visible[-1] = True  # the new token sees itself
+        assert bool(visible.all()) is not hidden_keys
+        self.assert_core_matches(q, k, v, visible[None, :], collect_map)
+
+    def test_prefill_shaped_causal_block(self):
+        rng = np.random.default_rng(4)
+        ctx, t = 20, 6
+        q = rng.standard_normal((2, t, 8))
+        k, v = rng.standard_normal((2, 2, ctx + t, 8))
+        mask = np.zeros((t, ctx + t), dtype=bool)
+        mask[:, :ctx] = rng.random(ctx) < 0.8
+        mask[:, ctx:] = np.tril(np.ones((t, t), dtype=bool))
+        self.assert_core_matches(q, k, v, mask, collect_map=True)
+
+
+@pytest.mark.parametrize("config", [make_config(), make_config(num_heads=2, head_dim=8)],
+                         ids=["default", "tiny"])
+def test_fused_qkv_product_equals_separate_products(config):
+    """Model fuses wq, wk and wv into one (h, 3h) matrix. That keeps tokens
+    and caches bit-identical only while this BLAS computes each column of
+    x @ wqkv exactly as in x @ wq, x @ wk and x @ wv, for every row count a
+    forward chunk can have."""
+    weights = _seed_weights(config, 0)
+    wq, wk, wv = (weights[f"layers.0.{name}"].astype(np.float64) for name in ("wq", "wk", "wv"))
+    wqkv = Model(config, weights)._blocks[0][1]
+    assert np.array_equal(wqkv, np.concatenate([wq, wk, wv], axis=1))
+    h = config.hidden_dim
+    x_all = _rms_norm(np.random.default_rng(5).standard_normal((PREFILL_CHUNK, h)), np.ones(h))
+    for rows in range(1, PREFILL_CHUNK + 1):
+        x = x_all[:rows]
+        fused = x @ wqkv
+        for i, w in enumerate((wq, wk, wv)):
+            assert np.array_equal(fused[:, i * h:(i + 1) * h], x @ w), (rows, i)
 
 
 class TestForward:
@@ -292,6 +349,17 @@ class TestPrefillDecode:
             with pytest.raises(CapacityError):
                 run()
             assert cache.token_count == 8
+
+    def test_refused_decode_grows_nothing(self, monkeypatch):
+        model = tiny_model()
+        monkeypatch.setattr(model_module, "MAX_CACHE_TOKENS", 8)
+        cache = model.new_cache()
+        model.forward(cache, np.ones(8, dtype=int))
+        capacities = [layer.capacity for layer in cache.layers]
+        with pytest.raises(CapacityError):
+            model.decode(cache, 1, 100)
+        assert cache.token_count == 8
+        assert [layer.capacity for layer in cache.layers] == capacities
 
     def test_chunked_prefill_matches_unchunked(self, monkeypatch):
         model = tiny_model(seed=6)
