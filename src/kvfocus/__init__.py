@@ -32,7 +32,6 @@ from .model import (
     LayerCache,
     Model,
     ModelConfig,
-    attention,
     make_config,
 )
 from .retrieval import InvertedIndex, index_corpus, load_index, save_index, search
@@ -58,7 +57,6 @@ __all__ = [
     "PruningState",
     "RopeConfig",
     "StaleCacheError",
-    "attention",
     "build_document_cache",
     "build_prefix_cache",
     "compute_n_reuse",

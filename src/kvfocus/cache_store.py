@@ -16,7 +16,12 @@ num_heads u32 | head_dim u32 | token_count u32 | rope_base f64 | pairing u8.
 Body: per layer, keys then values, row-major float32 (heads, tokens,
 head_dim).
 
-Loading reads each layer straight into an array of its own. A CacheStore
+An entry is stored data, read and re-positioned but never appended to, so
+it keeps its file's form: per layer one float32 (2, heads, tokens,
+head_dim) array, keys then values, as in the body; its positions and
+visibility follow from its prefix_len and valid_len. Loading checks a
+file's dimensions against the model and the manifest before it reads the
+body, and reads each layer straight into an array of its own. A CacheStore
 checks a file's crc once: it records each file that passed by path, inode,
 size and mtime (ns) and skips the crc while those stay the same. Files are
 only ever replaced by rename, so a rewritten entry gets a new inode and is
@@ -39,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .framing import Framing, VerifiedFiles, open_framed, write_atomic, write_framed
-from .model import CostMeter, KVCache, LayerCache, Model
+from .model import CostMeter, KVCache, Model
 from .rope import PAIRING_INTERLEAVED
 from .tokenizer import PAD_ID, ByteTokenizer
 
@@ -71,7 +76,9 @@ class CacheStoreEntry:
     The prefix has doc_id "", prefix_len 0, positions [0, its length) and
     its own hash as prefix_hash. A document sits at [prefix_len, prefix_len
     + passage_len); valid_len counts its real tokens before padding starts
-    (padding keys are never attended). The prefix has no padding.
+    (padding keys are never attended). The prefix has no padding. layers
+    holds, per model layer, one float32 (2, heads, tokens, head_dim) array:
+    the keys, then the values.
     """
 
     doc_id: str
@@ -79,11 +86,21 @@ class CacheStoreEntry:
     prefix_hash: str
     prefix_len: int
     valid_len: int
-    kv: KVCache
+    layers: list[np.ndarray]
 
     @property
     def token_count(self) -> int:
-        return self.kv.token_count
+        return self.layers[0].shape[2]
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The canonical position of each token, the one its keys are rotated at."""
+        return np.arange(self.prefix_len, self.prefix_len + self.token_count, dtype=np.int64)
+
+    @property
+    def visible(self) -> np.ndarray:
+        """False for each padding token."""
+        return np.arange(self.token_count) < self.valid_len
 
 
 def hash_tokens(tokens) -> str:
@@ -121,7 +138,7 @@ def build_prefix_cache(model: Model, prefix_tokens, *, meter: CostMeter | None =
         prefix_hash=hash_tokens(tokens),
         prefix_len=0,
         valid_len=len(tokens),
-        kv=cache,
+        layers=_stored_layers(cache, 0),
     )
 
 
@@ -137,8 +154,8 @@ def build_document_cache(
     """Forward one fixed-length passage on top of the prefix cache.
 
     The first valid_len tokens are real and the rest padding, as
-    passage_tokens returns them. The stored slice covers only the document
-    tokens, rotated at canonical positions [prefix_len, prefix_len +
+    passage_tokens returns them. The entry holds only the document tokens,
+    rotated at canonical positions [prefix_len, prefix_len +
     len(doc_tokens)). Independent of any query and of every other document,
     so builds can run in any order.
     """
@@ -151,8 +168,8 @@ def build_document_cache(
     p = prefix.token_count
     cache = model.new_cache()
     cache.reserve(p + len(tokens))
-    for layer, cached in zip(cache.layers, prefix.kv.layers):
-        layer.append(cached.keys, cached.values, cached.position_ids, cached.visible)
+    for layer, (keys, values) in zip(cache.layers, prefix.layers):
+        layer.append(keys, values, prefix.positions, prefix.visible)
     visible = np.arange(len(tokens)) < valid_len
     model.forward(
         cache,
@@ -167,17 +184,22 @@ def build_document_cache(
         prefix_hash=prefix.prefix_hash,
         prefix_len=p,
         valid_len=valid_len,
-        kv=cache.slice(p, p + len(tokens)),
+        layers=_stored_layers(cache, p),
     )
 
 
+def _stored_layers(cache: KVCache, start: int) -> list[np.ndarray]:
+    """The cache's tokens from `start` on, in an entry's float32 form."""
+    return [np.array((layer.keys[:, start:], layer.values[:, start:]), dtype=np.float32)
+            for layer in cache.layers]
+
+
 def _write_kv_file(path: Path, entry: CacheStoreEntry, rope_base: float) -> int:
-    layers = entry.kv.layers
-    num_heads, token_count, head_dim = layers[0].keys.shape
+    layers = entry.layers
+    _, num_heads, token_count, head_dim = layers[0].shape
     body = bytearray()
     for layer in layers:
-        body += np.ascontiguousarray(layer.keys, dtype=np.float32).tobytes()
-        body += np.ascontiguousarray(layer.values, dtype=np.float32).tobytes()
+        body += np.ascontiguousarray(layer, dtype=np.float32).tobytes()
     header = CACHE_FRAME.header.pack(
         entry.model_fingerprint.encode("ascii"),
         entry.prefix_hash.encode("ascii"),
@@ -191,15 +213,16 @@ def _write_kv_file(path: Path, entry: CacheStoreEntry, rope_base: float) -> int:
     return write_framed(path, CACHE_FRAME, header, body)
 
 
-def _read_kv_file(path: Path, *, start: int, valid: int | None = None,
+def _read_kv_file(path: Path, shape: tuple[int, int, int, int], *,
                   verified: VerifiedFiles | None = None):
-    """Read a cache file into (model fingerprint, prefix hash, KVCache).
+    """Read a cache file into (model fingerprint, prefix hash, layers).
 
-    Token i sits at position start + i; tokens from `valid` on (default:
-    none) are padding and not visible. Each layer is read straight into an
-    array of its own, keys then values, so one layer can be freed while the
-    others live on. The crc is checked unless `verified` shows this file
-    already passed it.
+    shape is the (layers, heads, tokens, head_dim) the file must hold; a
+    header that gives another is refused before the body is read. Each layer
+    is read straight into a float32 (2, heads, tokens, head_dim) array of its
+    own, keys then values, so one layer can be freed while the others live
+    on. The crc is checked unless `verified` shows this file already passed
+    it.
     """
     with open_framed(path, CACHE_FRAME, verified=verified) as frame:
         (fp, ph, num_layers, num_heads, head_dim, token_count, _rope_base, pairing
@@ -213,21 +236,16 @@ def _read_kv_file(path: Path, *, start: int, valid: int | None = None,
             fingerprint, prefix_hash = fp.decode("ascii"), ph.decode("ascii")
         except UnicodeDecodeError as exc:
             raise CACHE_FRAME.fail(path, "header ids are not ascii") from exc
-        tensors = []
+        found = (num_layers, num_heads, token_count, head_dim)
+        if found != shape:
+            raise StaleCacheError(f"cache file {path} dimensions {found} (layers, heads, tokens, "
+                                  f"head_dim) do not match {shape} of the model config and the "
+                                  f"store manifest")
+        layers = []
         for _ in range(num_layers):
-            tensors.append(np.empty((2, num_heads, token_count, head_dim), dtype="<f4"))
-            frame.readinto(tensors[-1])
-    visible = np.arange(token_count) < (token_count if valid is None else valid)
-    kv = KVCache([
-        LayerCache(
-            keys=keys,
-            values=values,
-            position_ids=np.arange(start, start + token_count, dtype=np.int64),
-            visible=visible.copy(),
-        )
-        for keys, values in tensors
-    ])
-    return fingerprint, prefix_hash, kv
+            layers.append(np.empty((2, num_heads, token_count, head_dim), dtype="<f4"))
+            frame.readinto(layers[-1])
+    return fingerprint, prefix_hash, layers
 
 
 def _entry_filename(doc_id: str) -> str:
@@ -243,10 +261,11 @@ class CacheStore:
     another model, and every load checks the file's fingerprint, prefix hash
     and dimensions rather than serving stale tensors. Writes go through a
     temp file and an atomic rename, so concurrent readers see whole files.
-    save_entry's manifest update holds an exclusive lock on manifest.lock,
-    so concurrent writers, in one process or several, lose no entry. Each
-    store checks the crc of a cache file once (see the module docstring);
-    its record of checked files is safe to share between threads.
+    Every manifest update (save_entry's, and build's final write) holds an
+    exclusive lock on manifest.lock, so concurrent writers, in one process or
+    several, lose no entry. Each store checks the crc of a cache file once
+    (see the module docstring); its record of checked files is safe to share
+    between threads.
     """
 
     def __init__(self, root, model: Model):
@@ -316,7 +335,10 @@ class CacheStore:
         """Build the prefix cache plus one entry per (doc_id, title, text).
 
         Refuses to overwrite a store built for a different model or prefix
-        unless force is set. Returns {"documents": n, "bytes": total}.
+        unless force is set. The manifest is written last, under the
+        manifest lock, which is held until the document files it does not
+        list, such as those a forced rebuild leaves, are removed. Returns
+        {"documents": n, "bytes": total}.
         """
         if passage_len < 1:
             raise ValueError(f"passage length must be >= 1, got {passage_len}")
@@ -348,7 +370,12 @@ class CacheStore:
             "passage_len": passage_len,
             "docs": docs,
         }
-        self._write_manifest(manifest)
+        with self._manifest_lock():
+            self._write_manifest(manifest)
+            listed = {info["file"] for info in docs.values()}
+            for path in (self.root / "docs").glob("*.cfkv"):
+                if path.name not in listed:
+                    path.unlink(missing_ok=True)
         return {"documents": len(docs), "bytes": total_bytes}
 
     # -- persistence ------------------------------------------------------
@@ -411,8 +438,9 @@ class CacheStore:
               valid_len: int, token_count: int) -> CacheStoreEntry:
         """Read one cache file, refusing one built for another model, prefix
         or config, or one that does not hold the manifest's `token_count`."""
-        fingerprint, prefix_hash, kv = _read_kv_file(path, start=prefix_len, valid=valid_len,
-                                                     verified=self._verified)
+        cfg = self.model.config
+        shape = (cfg.num_layers, cfg.num_heads, token_count, cfg.head_dim)
+        fingerprint, prefix_hash, layers = _read_kv_file(path, shape, verified=self._verified)
         if fingerprint != self.model.fingerprint:
             raise StaleCacheError(
                 f"cache file {path} fingerprint {fingerprint} does not match "
@@ -420,17 +448,11 @@ class CacheStore:
             )
         if prefix_hash != manifest["prefix_hash"]:
             raise StaleCacheError(f"cache file {path} prefix hash does not match the store manifest")
-        cfg = self.model.config
-        # keys are (heads, tokens, head_dim); a model has at least one layer
-        expected = (cfg.num_heads, token_count, cfg.head_dim)
-        if len(kv.layers) != cfg.num_layers or kv.layers[0].keys.shape != expected:
-            raise StaleCacheError(f"cache file {path} dimensions do not match the model config "
-                                  f"and the store manifest")
         return CacheStoreEntry(
             doc_id=doc_id,
             model_fingerprint=fingerprint,
             prefix_hash=prefix_hash,
             prefix_len=prefix_len,
             valid_len=valid_len,
-            kv=kv,
+            layers=layers,
         )

@@ -19,13 +19,15 @@ and the final event keeps exactly k_finish caches. The whole schedule is one
 table, fixed when the query starts, of the caches kept after each event.
 
 Context assembly: one helper lays out a layer's context as the prefix, then
-each cache with its keys rotated to its target positions, then the query,
-and returns the column block it gave each cache. This module alone decides
-that layout, always in float64 buffers that hold float32-rounded values. At
-every layer pre-fill lays out the prefix and the caches still alive there,
-so a pruned cache is never rotated again; the model appends the query's rows
-to the same buffer and attends over it in place, and a document's attention
-mass is a sum of the float32 map over the block the layout placed it in.
+each cache with its keys rotated from its stored positions to its target
+ones, then the query, and returns the column block it gave each cache. The
+entries and the query's rows arrive as float32 (keys, values) per layer;
+this module alone decides the layout, always in float64 buffers that hold
+the same float32-rounded values. At every layer pre-fill lays out the
+prefix and the caches still alive there, so a pruned cache is never rotated
+again; the model appends the query's rows to the same buffer and attends
+over it in place, and a document's attention mass is a sum of the float32
+map over the block the layout placed it in.
 A layer whose pre-fill layout is already its decode layout (strategy none,
 no prune event after it, and tokens left to decode) is laid out straight
 into its own decode buffer, with room for the tokens still to come; the
@@ -233,24 +235,24 @@ def accumulate_scores(weights: np.ndarray, blocks: dict[str, slice],
 
 
 def _assemble_layer(ctx: LayerCache, rope: RopeConfig, layer_index: int,
-                    prefix_layers: list[LayerCache], caches) -> list[slice]:
+                    prefix: CacheStoreEntry, caches) -> list[slice]:
     """Lay out one layer's context in `ctx`, replacing what it held.
 
     The prefix's layer comes first, then each cache of `caches`, given as
-    (per-layer LayerCaches, target positions, visible), with its layer's keys
-    moved from their positions to the target ones. The query is one more
-    such cache where its rows are already known. Returns the column block
-    of each cache, in the order given.
+    (per-layer (keys, values), source positions, target positions,
+    visible), with its layer's keys moved from the source positions to the
+    target ones. The query is one more such cache where its rows are
+    already known. Returns the column block of each cache, in the order
+    given.
     """
     ctx.clear()
-    prefix = prefix_layers[layer_index]
-    ctx.append(prefix.keys, prefix.values, prefix.position_ids, prefix.visible)
+    keys, values = prefix.layers[layer_index]
+    ctx.append(keys, values, prefix.positions, prefix.visible)
     blocks = []
-    for layers, target, visible in caches:
-        source = layers[layer_index]
+    for layers, source, target, visible in caches:
+        keys, values = layers[layer_index]
         start = ctx.token_count
-        ctx.append(reposition_array(rope, source.keys, source.position_ids, target),
-                   source.values, target, visible)
+        ctx.append(reposition_array(rope, keys, source, target), values, target, visible)
         blocks.append(slice(start, ctx.token_count))
     return blocks
 
@@ -260,7 +262,8 @@ class PrefillResult:
     """What the pruning prefill hands to final repositioning and decoding;
     the survivors and their scores are those of `state`."""
 
-    query: list[LayerCache]           # per layer, the query's float32 rows at pre-fill positions
+    query: list[tuple[np.ndarray, np.ndarray]]  # per layer, the query's float32 (keys, values)
+    query_positions: np.ndarray       # the query's pre-fill positions
     logits: np.ndarray                # (q, vocab) from the final layer
     state: PruningState
     per_layer_scores: list[dict[str, float]]
@@ -270,8 +273,8 @@ class PrefillResult:
     # per layer: its decode cache when pre-fill laid it out, else None
     decode_layers: list[LayerCache | None]
     # per survivor: (its layers, None once placed for the last time,
-    # pre-fill positions, visibility)
-    survivors: dict[str, tuple[list[LayerCache | None], np.ndarray, np.ndarray]]
+    # stored positions, pre-fill positions, visibility)
+    survivors: dict[str, tuple[list[np.ndarray | None], np.ndarray, np.ndarray, np.ndarray]]
 
     @property
     def first_token(self) -> int:
@@ -331,27 +334,23 @@ def prefill_with_pruning(
 
     ids = [e.doc_id for e in entries]
     state = PruningState.start(ids, schedule, cfg.num_layers)
-    placement = {
-        e.doc_id: (list(e.kv.layers), plan.positions(e.doc_id),
-                   np.arange(e.token_count) < e.valid_len)
-        for e in entries
-    }
+    placement = {e.doc_id: (list(e.layers), e.positions, plan.positions(e.doc_id), e.visible)
+                 for e in entries}
     entries.clear()
 
     def context_length(caches) -> int:  # the prefix, the caches and the query
-        return (prefix.kv.layers[0].token_count + sum(visible.size for *_, visible in caches)
+        return (prefix.token_count + sum(visible.size for *_, visible in caches)
                 + query_tokens.size)
 
     query_start = plan.end if ids else plan.prefix_len
     query_positions = np.arange(query_start, query_start + query_tokens.size, dtype=np.int64)
     query_rotation = Rotation.at(cfg.rope, query_positions)
-    query_visible = np.ones(query_tokens.size, dtype=bool)
     decoding = gen_tokens > 1
     first_decode_layer = (state.settled_from if decoding and strategy == "none"
                           else cfg.num_layers)
 
     hidden = model.embed(query_tokens)
-    query: list[LayerCache] = []
+    query: list[tuple[np.ndarray, np.ndarray]] = []
     per_layer_scores: list[dict[str, float]] = []
     decode_layers: list[LayerCache | None] = [None] * cfg.num_layers
     shared = None
@@ -366,13 +365,13 @@ def prefill_with_pruning(
                 shared = LayerCache.with_capacity(cfg.num_heads, cfg.head_dim,
                                                   context_length(placement.values()))
             ctx = shared
-        blocks = _assemble_layer(ctx, cfg.rope, layer_index, prefix.kv.layers, alive)
+        blocks = _assemble_layer(ctx, cfg.rope, layer_index, prefix, alive)
         if layer_index >= first_decode_layer or not decoding:
-            for layers, _, _ in alive:  # placed for the last time
+            for layers, *_ in alive:  # placed for the last time
                 layers[layer_index] = None
         hidden, k32, v32, weights = model.forward_layer(
             layer_index, hidden, ctx, query_rotation, meter=meter, collect_map=True)
-        query.append(LayerCache(k32, v32, query_positions, query_visible))
+        query.append((k32, v32))
         accumulate_scores(weights, dict(zip(state.surviving_ids, blocks)), state)
         # free the map before the next layer's decode buffer is allocated, so
         # that buffer can take its place (about 4 MB less peak RSS at k=40
@@ -385,6 +384,7 @@ def prefill_with_pruning(
     survivors = {cache_id: placement[cache_id] for cache_id in state.surviving_ids}
     return PrefillResult(
         query=query,
+        query_positions=query_positions,
         logits=model.logits(hidden),
         state=state,
         per_layer_scores=per_layer_scores,
@@ -418,9 +418,9 @@ def final_reposition(
     if prefill.gen_tokens < 2:
         raise ValueError("pre-fill ran for one token, which needs no decode cache")
     survivors = prefill.survivors
-    query_positions = prefill.query[0].position_ids
+    query_target = prefill.query_positions
     if prefill.strategy == "none":
-        targets = {cache_id: positions for cache_id, (_, positions, _) in survivors.items()}
+        targets = {cache_id: target for cache_id, (_, _, target, _) in survivors.items()}
     else:
         placed = list(survivors)
         if prefill.strategy == "sort":
@@ -429,22 +429,23 @@ def final_reposition(
         targets = {}
         cursor = prefix.token_count
         for cache_id in placed:
-            count = survivors[cache_id][2].size
+            count = survivors[cache_id][3].size
             targets[cache_id] = np.arange(cursor, cursor + count, dtype=np.int64)
             cursor += count
-        query_positions = np.arange(cursor, cursor + query_positions.size, dtype=np.int64)
+        query_target = np.arange(cursor, cursor + query_target.size, dtype=np.int64)
 
-    caches = [(layers, targets[cache_id], visible)
-              for cache_id, (layers, _, visible) in survivors.items()]
-    caches.append((list(prefill.query), query_positions, True))  # drops below spare prefill.query
-    heads, _, dim = prefix.kv.layers[0].keys.shape
+    caches = [(layers, source, targets[cache_id], visible)
+              for cache_id, (layers, source, _, visible) in survivors.items()]
+    # drops below spare prefill.query
+    caches.append((list(prefill.query), prefill.query_positions, query_target, True))
+    _, heads, _, dim = prefix.layers[0].shape
     capacity = prefill.decode_context_length + prefill.gen_tokens - 1
     layers = []
     for layer_index, layer in enumerate(prefill.decode_layers):
         if layer is None:
             layer = LayerCache.with_capacity(heads, dim, capacity)
-            _assemble_layer(layer, rope, layer_index, prefix.kv.layers, caches)
-            for cache_layers, _, _ in caches:  # placed for the last time
+            _assemble_layer(layer, rope, layer_index, prefix, caches)
+            for cache_layers, *_ in caches:  # placed for the last time
                 cache_layers[layer_index] = None
         layers.append(layer)
     return KVCache(layers)

@@ -12,13 +12,12 @@ reproducible no matter how the context was assembled.
 Caches carry explicit per-token position ids and a visibility flag so
 padding keys can be masked out of attention. They do not record which
 source each token came from: the code that lays out a context knows where
-each part starts and ends (see `focus`). Caches loaded from disk or sliced
-hold float32 arrays. Every cache the model writes, from new_cache() or laid
-out for pre-fill, final allocation and decoding, keeps the same
+each part starts and ends (see `focus`). A cache has one form: the
 float32-rounded values in float64 buffers (the widening is exact) that are
 sized up front or grow geometrically, so each decoded token writes only its
 own rows and attention reads the cache in place, with no concatenate and no
-cast.
+cast. Stored caches are not caches of this kind but float32 arrays (see
+`cache_store`), appended into such buffers when a context is laid out.
 
 Model.forward is the one way to run tokens through a KVCache, for pre-fill
 and decoding alike. Work that is the same in every layer runs once per
@@ -31,9 +30,9 @@ of the buffer, so decoding a token builds no mask.
 On one-row arrays a numpy call costs about as much as a small product, so a
 layer makes few: one product with a block's fused [wq | wk | wv] matrix, one
 rotation of q and k together, a direct write of the new rows into the cache
-buffers, and the attention core (_attend) without public attention()'s
-casts and checks, which hold by construction since every new token sees
-itself. The bits are those of separate products and rotations.
+buffers, and the attention core (_attend), which casts and checks nothing:
+its inputs are right by construction, since every new token sees itself.
+The bits are those of separate products and rotations.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -117,37 +116,29 @@ def make_config(
     return ModelConfig(num_layers, num_heads, head_dim, rope, vocab_size)
 
 
-@dataclass
 class LayerCache:
     """Cached keys/values for one layer, with per-token bookkeeping.
 
-    keys/values: (num_heads, tokens, head_dim), float32-rounded; keys are
-    rotated at position_ids. visible=False marks padding keys that attention
-    must skip. A cache is built from float32 arrays, or empty with float64
-    buffers from with_capacity(). An append that does not fit moves it into
-    float64 buffers with room to grow (the widening is exact); from then on
-    the four fields are views of the buffers' first token_count rows, and
-    appends write new rows in place, so a view taken earlier keeps its
-    values. Replace a cache rather than its fields. slice() returns an
-    independent float32 cache.
+    keys/values: (num_heads, tokens, head_dim), float32-rounded values in
+    float64 buffers (the widening is exact); keys are rotated at
+    position_ids. visible=False marks padding keys that attention must skip.
+    The four fields are views of the buffers' first token_count rows.
+    Appends write new rows in place, so a view taken earlier keeps its
+    values; an append that does not fit moves the cache into buffers with
+    room to grow. Replace a cache rather than its fields. Build one with
+    with_capacity() or Model.new_cache().
     """
 
-    keys: np.ndarray
-    values: np.ndarray
-    position_ids: np.ndarray
-    visible: np.ndarray
-    # (keys, values, position_ids, visible) with spare rows
-    _buffers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, buffers: tuple):
+        # (keys, values, position_ids, visible), with spare rows
+        self._buffers = buffers
+        self._expose(0)
 
     @classmethod
     def with_capacity(cls, num_heads: int, head_dim: int, capacity: int) -> "LayerCache":
-        """An empty cache whose float64 buffers hold `capacity` tokens;
-        appends that fit allocate nothing."""
-        buffers = _new_buffers(num_heads, capacity, head_dim)
-        k, v, pos, vis = buffers
-        cache = cls(keys=k[:, :0], values=v[:, :0], position_ids=pos[:0], visible=vis[:0])
-        cache._buffers = buffers
-        return cache
+        """An empty cache whose buffers hold `capacity` tokens; appends that
+        fit allocate nothing."""
+        return cls(_new_buffers(num_heads, capacity, head_dim))
 
     @property
     def token_count(self) -> int:
@@ -156,7 +147,7 @@ class LayerCache:
     @property
     def capacity(self) -> int:
         """Tokens the buffers hold before the next append must reallocate."""
-        return 0 if self._buffers is None else self._buffers[2].size
+        return self._buffers[2].size
 
     def reserve(self, extra: int) -> None:
         """Make room for `extra` more tokens, so appending them allocates nothing."""
@@ -165,36 +156,32 @@ class LayerCache:
             self._reallocate(end)
 
     def append(self, keys, values, position_ids, visible) -> None:
-        self._write(np.asarray(keys, np.float32), np.asarray(values, np.float32),
-                    position_ids, visible)
-
-    def _write(self, keys32: np.ndarray, values32: np.ndarray, position_ids, visible) -> None:
-        """append() for keys/values that are float32 arrays already."""
+        """Write new rows after the cached ones; keys/values are rounded to float32."""
+        keys, values = np.asarray(keys, np.float32), np.asarray(values, np.float32)
         start = self.keys.shape[1]
-        end = start + keys32.shape[1]
+        end = start + keys.shape[1]
         if end > self.capacity:
             self._reallocate(max(end, 2 * self.capacity))
         k, v, pos, vis = self._buffers
-        k[:, start:end] = keys32
-        v[:, start:end] = values32
+        k[:, start:end] = keys
+        v[:, start:end] = values
         pos[start:end] = position_ids
         vis[start:end] = visible
         self._expose(end)
 
     def clear(self) -> None:
-        """Drop every token of a buffered cache, keeping the buffers to refill
-        (so, unlike appends, refilling overwrites what earlier views show)."""
+        """Drop every token, keeping the buffers to refill (so, unlike
+        appends, refilling overwrites what earlier views show)."""
         self._expose(0)
 
     def _reallocate(self, capacity: int) -> None:
         n = self.token_count
         heads, _, dim = self.keys.shape
-        k, v, pos, vis = _new_buffers(heads, capacity, dim)
+        k, v, pos, vis = self._buffers = _new_buffers(heads, capacity, dim)
         k[:, :n] = self.keys
         v[:, :n] = self.values
         pos[:n] = self.position_ids
         vis[:n] = self.visible
-        self._buffers = (k, v, pos, vis)
         self._expose(n)
 
     def _expose(self, n: int) -> None:
@@ -203,14 +190,6 @@ class LayerCache:
         self.values = v[:, :n]
         self.position_ids = pos[:n]
         self.visible = vis[:n]
-
-    def slice(self, start: int, stop: int) -> "LayerCache":
-        return LayerCache(
-            keys=self.keys[:, start:stop].astype(np.float32),
-            values=self.values[:, start:stop].astype(np.float32),
-            position_ids=self.position_ids[start:stop].copy(),
-            visible=self.visible[start:stop].copy(),
-        )
 
 
 def _new_buffers(heads: int, capacity: int, dim: int) -> tuple:
@@ -243,9 +222,6 @@ class KVCache:
         for layer in self.layers:
             layer.reserve(extra)
 
-    def slice(self, start: int, stop: int) -> "KVCache":
-        return KVCache([layer.slice(start, stop) for layer in self.layers])
-
 
 class CostMeter:
     """Deterministic multiply-accumulate counters for attention products.
@@ -271,34 +247,16 @@ class CostMeter:
             self.prefill_mults += int(count)
 
 
-def attention(queries, keys, values, causal_mask, *, meter=None, collect_map=True):
-    """Scaled dot-product attention over explicit key/value arrays.
-
-    queries: (heads, rows, head_dim), already rotated at their positions.
-    keys/values: (heads, cols, head_dim). causal_mask: (rows, cols) bool,
-    True where a row may attend. Masked weights are exactly zero. Returns
-    (outputs, weights or None): outputs are float64, and weights, when
-    collect_map is set, the (heads, rows, cols) softmax map in float32.
-    """
-    q = np.asarray(queries, dtype=np.float64)
-    k = np.asarray(keys, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if k.shape != v.shape:
-        raise ValueError(f"key shape {k.shape} != value shape {v.shape}")
-    if q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
-        raise ValueError(f"query shape {q.shape} incompatible with key shape {k.shape}")
-    mask = np.asarray(causal_mask, dtype=bool)
-    if mask.shape != (q.shape[1], k.shape[1]):
-        raise ValueError(f"mask shape {mask.shape} != (rows, cols) {(q.shape[1], k.shape[1])}")
-    if not mask.any(axis=1).all():
-        raise ValueError("every query row must attend to at least one key")
-    return _attend(q, k, v, mask, np.count_nonzero(mask), meter, collect_map)
-
-
 def _attend(q, k, v, mask, attended, meter, collect_map):
-    """attention() without its casts and checks, for callers whose float64
-    inputs and mask are right by construction. `attended` is the count of
-    True entries in mask; when it is every entry, no -inf fill runs."""
+    """Scaled dot-product attention over float64 arrays, unchecked: callers
+    build inputs that are right by construction.
+
+    q: (heads, rows, head_dim), already rotated at their positions; k/v:
+    (heads, cols, head_dim). mask: (rows, cols) bool, True where a row may
+    attend, with at least one True per row; masked weights are exactly zero.
+    `attended` is the count of True entries in mask; when it is every entry,
+    no -inf fill runs. Returns (float64 outputs, the float32 (heads, rows,
+    cols) softmax map when collect_map is set, else None)."""
     heads, _, dim = q.shape
     # one (heads, rows, cols) array, updated in place from scores to weights
     weights = np.matmul(q, k.transpose(0, 2, 1))
@@ -511,7 +469,7 @@ class Model:
         k32 = qk[heads:].astype(np.float32)
         v32 = qkv[2 * heads:].astype(np.float32)
 
-        layer_cache._write(k32, v32, rotation.positions, True if visible is None else visible)
+        layer_cache.append(k32, v32, rotation.positions, True if visible is None else visible)
         seen = layer_cache.visible
         if t == 1 and seen[-1]:
             # one visible new token sees exactly the visible keys, itself included
@@ -527,7 +485,7 @@ class Model:
             )
             attended = np.count_nonzero(mask)
 
-        # every row sees its own token, so attention()'s checks hold by construction
+        # every row sees its own token, so no row of the mask is empty
         out, weights = _attend(q, layer_cache.keys, layer_cache.values, mask, attended, meter,
                                collect_map)
         hidden = hidden + self._merge_heads(out) @ wo

@@ -30,7 +30,7 @@ from kvfocus.focus import (
     removals_per_event,
     run_full_context,
 )
-from kvfocus.model import KVCache, LayerCache, Model, make_config
+from kvfocus.model import Model, make_config
 from kvfocus.retrieval import B, K1, index_corpus, tokenize_text, search
 from kvfocus.rope import PositionOverflowWarning, RopeConfig, Rotation, reposition_array
 from kvfocus.tokenizer import ByteTokenizer
@@ -103,9 +103,9 @@ def test_criterion_02_cache_equivalence():
             prefix_tokens + doc_tokens,
             positions=np.arange(p + len(doc_tokens)),
         )
-        for built, full in zip(entry.kv.layers, mono.layers):
-            assert np.abs(built.keys - full.keys[:, p:]).max() < 1e-5
-            assert np.abs(built.values - full.values[:, p:]).max() < 1e-5
+        for (keys, values), full in zip(entry.layers, mono.layers):
+            assert np.abs(keys - full.keys[:, p:]).max() < 1e-5
+            assert np.abs(values - full.values[:, p:]).max() < 1e-5
 
         seq = list(outer.integers(1, 97, size=12))
         single = model.new_cache()
@@ -210,18 +210,10 @@ def _spike_keys(num_heads, token_count, head_dim, magnitude):
 
 
 def _synthetic_entry(model, prefix, doc_id, keys, token_count):
-    layers = []
-    p = prefix.token_count
-    for _ in range(model.config.num_layers):
-        layers.append(LayerCache(
-            keys=keys.copy(),
-            values=np.zeros_like(keys),
-            position_ids=np.arange(p, p + token_count, dtype=np.int64),
-            visible=np.ones(token_count, dtype=bool),
-        ))
+    layers = [np.stack([keys, np.zeros_like(keys)]) for _ in range(model.config.num_layers)]
     return CacheStoreEntry(doc_id=doc_id, model_fingerprint=model.fingerprint,
-                           prefix_hash=prefix.prefix_hash, prefix_len=p,
-                           valid_len=token_count, kv=KVCache(layers))
+                           prefix_hash=prefix.prefix_hash, prefix_len=prefix.token_count,
+                           valid_len=token_count, layers=layers)
 
 
 def test_criterion_06_pruning_behavior():
@@ -322,12 +314,12 @@ def test_criterion_07_allocation_strategies():
             starts = {}
             for e in entries:
                 starts[e.doc_id] = int(layer.position_ids[
-                    _rows_holding(layer, e.kv.layers[-1].values)].min())
+                    _rows_holding(layer, e.layers[-1][1])].min())
             ordered = sorted(ids, key=lambda d: starts[d])
             # contiguous block from the prefix to the query, no gaps
             assert min(starts.values()) == 3
             q_min = int(layer.position_ids[
-                _rows_holding(layer, prefill.query[-1].values)].min())
+                _rows_holding(layer, prefill.query[-1][1])].min())
             assert max(starts.values()) + cache_len == q_min
             assert sorted(starts.values()) == [3 + i * cache_len for i in range(count)]
             if strategy == "align":
@@ -462,9 +454,9 @@ def test_criterion_10_persistence(tmp_path):
         rebuilt = build_document_cache(model, prefix, tokens, doc_id=doc_id,
                                        valid_len=valid)
         loaded = store.load_entry(doc_id)
-        for la, lb in zip(loaded.kv.layers, rebuilt.kv.layers):
-            assert np.array_equal(la.keys, lb.keys)
-            assert np.array_equal(la.values, lb.values)
+        for la, lb in zip(loaded.layers, rebuilt.layers):
+            assert np.array_equal(la[0], lb[0])
+            assert np.array_equal(la[1], lb[1])
 
     with pytest.raises(StaleCacheError):
         CacheStore(root, Model.from_seed(model.config, 6)).load_entry("a")

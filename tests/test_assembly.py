@@ -17,8 +17,10 @@ from kvfocus.focus import (
     plan_positions,
     prefill_with_pruning,
 )
-from kvfocus.model import KVCache, LayerCache, Model, make_config
+from kvfocus.model import Model, make_config
 from kvfocus.rope import RopeConfig, Rotation, reposition_array
+
+from reference import Layer, copy_cache, layer_cache
 
 FIELDS = ("keys", "values", "position_ids", "visible")
 
@@ -30,15 +32,15 @@ def small_model(seed=0, **overrides):
 
 
 def concatenated(parts):
-    """A float32 LayerCache from (keys, values, positions, visible) parts."""
-    return LayerCache(*(np.concatenate([p[i] for p in parts], axis=1 if i < 2 else 0)
-                        for i in range(4)))
+    """A float32 Layer from (keys, values, positions, visible) parts."""
+    return Layer(*(np.concatenate([p[i] for p in parts], axis=1 if i < 2 else 0)
+                   for i in range(4)))
 
 
 def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
     """Pre-fill as it used to run: every layer of every cache rotated up front,
-    each layer's context concatenated in float32 into a fresh cache that the
-    query's rows are appended to; each cache's score columns are the range
+    each layer's context concatenated in float32 and copied into a fresh
+    cache that the query's rows are appended to; each cache's score columns are the range
     its own part filled in the concatenation, and scores cast the whole map
     to float64 and mask it once per cache.
     Returns (first token, query keys, query values, query positions, state,
@@ -46,9 +48,8 @@ def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
     cfg = model.config
     query_tokens = np.asarray(query_tokens, dtype=np.int64)
     state = PruningState.start([e.doc_id for e in entries], schedule, cfg.num_layers)
-    rotated = {e.doc_id: [reposition_array(cfg.rope, layer.keys, layer.position_ids,
-                                           plan.positions(e.doc_id))
-                          for layer in e.kv.layers] for e in entries}
+    rotated = {e.doc_id: [reposition_array(cfg.rope, keys, e.positions, plan.positions(e.doc_id))
+                          for keys, _ in e.layers] for e in entries}
     by_id = {e.doc_id: e for e in entries}
     start = plan.end if entries else plan.prefix_len
     query_positions = np.arange(start, start + query_tokens.size, dtype=np.int64)
@@ -56,17 +57,17 @@ def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
     hidden = model.embed(query_tokens)
     query_keys, query_values, per_layer_scores = [], [], []
     for layer_index in range(cfg.num_layers):
-        p = prefix.kv.layers[layer_index]
-        parts = [(p.keys, p.values, p.position_ids, p.visible)]
+        parts = [(*prefix.layers[layer_index], prefix.positions, prefix.visible)]
         spans = {}
         for cache_id in state.surviving_ids:
             e = by_id[cache_id]
             start = sum(part[0].shape[1] for part in parts)
-            parts.append((rotated[cache_id][layer_index], e.kv.layers[layer_index].values,
-                          plan.positions(cache_id), np.arange(e.token_count) < e.valid_len))
+            parts.append((rotated[cache_id][layer_index], e.layers[layer_index][1],
+                          plan.positions(cache_id), e.visible))
             spans[cache_id] = (start, start + e.token_count)
         hidden, k32, v32, weights = model.forward_layer(
-            layer_index, hidden, concatenated(parts), query_rotation, collect_map=True)
+            layer_index, hidden, layer_cache(concatenated(parts)), query_rotation,
+            collect_map=True)
         query_keys.append(k32)
         query_values.append(v32)
         weights = weights.astype(np.float64)
@@ -82,7 +83,8 @@ def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
 
 def reference_final(rope, prefix, entries, query_keys, query_values, query_positions,
                     state, strategy, plan):
-    """The decode cache as it used to be built: five hand-made lists per layer."""
+    """The decode cache as it used to be built: five hand-made lists per
+    layer, concatenated in float32 into a list of Layers."""
     entries = sorted((e for e in entries if e.doc_id in state.surviving_ids),
                      key=lambda e: state.surviving_ids.index(e.doc_id))
     if strategy == "none":
@@ -98,18 +100,18 @@ def reference_final(rope, prefix, entries, query_keys, query_values, query_posit
         new_query = np.arange(cursor, cursor + query_positions.size, dtype=np.int64)
     layers = []
     q_len = query_positions.size
-    for layer_index, p in enumerate(prefix.kv.layers):
-        parts = [(p.keys, p.values, p.position_ids, p.visible)]
+    for layer_index, (keys, values) in enumerate(prefix.layers):
+        parts = [(keys, values, prefix.positions, prefix.visible)]
         for e in entries:
-            layer = e.kv.layers[layer_index]
+            keys, values = e.layers[layer_index]
             target = targets[e.doc_id]
-            parts.append((reposition_array(rope, layer.keys, layer.position_ids, target),
-                          layer.values, target, np.arange(e.token_count) < e.valid_len))
+            parts.append((reposition_array(rope, keys, e.positions, target),
+                          values, target, e.visible))
         parts.append((reposition_array(rope, query_keys[layer_index], query_positions,
                                        new_query),
                       query_values[layer_index], new_query, np.ones(q_len, bool)))
         layers.append(concatenated(parts))
-    return KVCache(layers)
+    return layers
 
 
 def padded_documents(model, prefix, count, length=6):
@@ -135,7 +137,6 @@ def check_against_reference(strategy, schedule, n_reuse):
     the pre-fill result."""
     model = small_model(seed=11)
     prefix = build_prefix_cache(model, [1, 2, 3])
-    prefix.kv = prefix.kv.slice(0, prefix.token_count)  # float32, as loaded from a store
     docs = padded_documents(model, prefix, 6)
     plan = plan_positions([d.doc_id for d in docs], n_reuse, 6, prefix.token_count)
     query = [40, 41, 42, 43]
@@ -152,7 +153,7 @@ def check_against_reference(strategy, schedule, n_reuse):
     assert result.per_layer_scores == scores
     assert result.state.pruned_at_layer == state.pruned_at_layer
     assert result.state.surviving_ids == state.surviving_ids
-    for got, ref in zip(cache.layers, expected.layers):
+    for got, ref in zip(cache.layers, expected):
         for name in FIELDS:
             a, b = getattr(got, name), getattr(ref, name)
             if name in ("keys", "values"):
@@ -161,7 +162,7 @@ def check_against_reference(strategy, schedule, n_reuse):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert np.array_equal(a, b), name
     tokens = model.decode(cache, first, 6)
-    assert tokens == model.decode(expected, first, 6)
+    assert tokens == model.decode(copy_cache(expected), first, 6)
     return result
 
 
@@ -190,13 +191,12 @@ class TestLazyRotation:
         prefix = build_prefix_cache(model, [1, 2])
         docs = padded_documents(model, prefix, 6)
         plan = plan_positions([d.doc_id for d in docs], 2, 6, prefix.token_count)
-        owner = {id(layer.keys): (d.doc_id, i)
-                 for d in docs for i, layer in enumerate(d.kv.layers)}
+        owner = {id(layer): (d.doc_id, i) for d in docs for i, layer in enumerate(d.layers)}
         calls = []
         original = focus.reposition_array
 
-        def counted(config, vectors, old, new):
-            calls.append(owner.get(id(vectors)))
+        def counted(config, vectors, old, new):  # a cache's keys are a view of its layer
+            calls.append(owner.get(id(vectors.base)))
             return original(config, vectors, old, new)
 
         monkeypatch.setattr(focus, "reposition_array", counted)
@@ -251,8 +251,7 @@ def test_prefill_does_not_copy_the_caches():
     prefix = build_prefix_cache(model, [1, 99, 100, 101])
     docs = [build_document_cache(model, prefix, [(7 * i + t) % 250 + 4 for t in range(64)],
                                  doc_id=f"d{i}", valid_len=64) for i in range(40)]
-    entry_bytes = sum(layer.keys.nbytes + layer.values.nbytes
-                      for d in docs for layer in d.kv.layers)
+    entry_bytes = sum(layer.nbytes for d in docs for layer in d.layers)
     cfg = model.config
     n_reuse = compute_n_reuse(40, cfg.rope.max_position, 64, prefix_len=prefix.token_count,
                               reserve=128)
@@ -291,7 +290,7 @@ def test_query_rotation_is_built_once_per_query(monkeypatch):
                                   PruningSchedule(interval=1, k_finish=2), plan,
                                   strategy="sort", gen_tokens=4)
     assert len(built) == 1
-    np.testing.assert_array_equal(built[0], result.query[0].position_ids)
+    np.testing.assert_array_equal(built[0], result.query_positions)
 
 
 def test_each_cache_layer_is_rotated_once_without_pruning(monkeypatch):
@@ -302,13 +301,12 @@ def test_each_cache_layer_is_rotated_once_without_pruning(monkeypatch):
     prefix = build_prefix_cache(model, [1, 2])
     docs = padded_documents(model, prefix, 5)
     plan = plan_positions([d.doc_id for d in docs], 2, 6, prefix.token_count)
-    owner = {id(layer.keys): (d.doc_id, i)
-             for d in docs for i, layer in enumerate(d.kv.layers)}
+    owner = {id(layer): (d.doc_id, i) for d in docs for i, layer in enumerate(d.layers)}
     calls = []
     original = focus.reposition_array
 
-    def counted(config, vectors, old, new):
-        calls.append(owner.get(id(vectors)))
+    def counted(config, vectors, old, new):  # a cache's keys are a view of its layer
+        calls.append(owner.get(id(vectors.base)))
         return original(config, vectors, old, new)
 
     monkeypatch.setattr(focus, "reposition_array", counted)

@@ -1,4 +1,4 @@
-"""Cache store: slice equivalence against monolithic forwards, persistence."""
+"""Cache store: entries against monolithic forwards, persistence."""
 
 import dataclasses
 import os
@@ -6,6 +6,7 @@ import shutil
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,16 +51,16 @@ class TestBuild:
     def test_single_token_prefix(self, model):
         entry = build_prefix_cache(model, [65])
         assert entry.token_count == 1
-        assert entry.kv.token_count == 1
-        assert entry.kv.layers[0].position_ids[0] == 0
+        assert entry.layers[0].shape[2] == 1
+        assert entry.positions[0] == 0
 
     def test_prefix_rebuild_is_bit_identical(self, model):
         a = build_prefix_cache(model, [1, 2, 3])
         b = build_prefix_cache(model, [1, 2, 3])
         assert a.prefix_hash == b.prefix_hash
-        for la, lb in zip(a.kv.layers, b.kv.layers):
-            np.testing.assert_array_equal(la.keys, lb.keys)
-            np.testing.assert_array_equal(la.values, lb.values)
+        for la, lb in zip(a.layers, b.layers):
+            np.testing.assert_array_equal(la[0], lb[0])
+            np.testing.assert_array_equal(la[1], lb[1])
 
     def test_document_cache_equals_monolithic_slice(self, model):
         prefix_tokens = [10, 20, 30]
@@ -67,10 +68,10 @@ class TestBuild:
         prefix = build_prefix_cache(model, prefix_tokens)
         entry = build_document_cache(model, prefix, doc_tokens, doc_id="d", valid_len=4)
         oracle = monolithic_cache(model, prefix_tokens, doc_tokens, np.arange(6) < 4)
-        for built, full in zip(entry.kv.layers, oracle.layers):
-            np.testing.assert_allclose(built.keys, full.keys[:, 3:], atol=1e-5)
-            np.testing.assert_allclose(built.values, full.values[:, 3:], atol=1e-5)
-        np.testing.assert_array_equal(entry.kv.layers[0].position_ids, [3, 4, 5, 6, 7, 8])
+        for (keys, values), full in zip(entry.layers, oracle.layers):
+            np.testing.assert_allclose(keys, full.keys[:, 3:], atol=1e-5)
+            np.testing.assert_allclose(values, full.values[:, 3:], atol=1e-5)
+        np.testing.assert_array_equal(entry.positions, [3, 4, 5, 6, 7, 8])
         assert entry.token_count == 6
         assert entry.valid_len == 4
 
@@ -83,11 +84,11 @@ class TestBuild:
                                                  valid_len=len(docs[d]))
                          for d in reversed(list(docs))}
         for d in docs:
-            for la, lb in zip(forward_order[d].kv.layers, reverse_order[d].kv.layers):
-                np.testing.assert_array_equal(la.keys, lb.keys)
+            for la, lb in zip(forward_order[d].layers, reverse_order[d].layers):
+                np.testing.assert_array_equal(la[0], lb[0])
         assert forward_order["a"].prefix_hash == forward_order["b"].prefix_hash
         assert not np.array_equal(
-            forward_order["a"].kv.layers[0].keys, forward_order["b"].kv.layers[0].keys
+            forward_order["a"].layers[0][0], forward_order["b"].layers[0][0]
         )
 
     def test_empty_document_rejected(self, model):
@@ -138,9 +139,9 @@ class TestStore:
         prefix = build_prefix_cache(model, [1, 2, 3])
         tokens, valid = passage_tokens(ByteTokenizer(), "alpha", "first passage", 12)
         rebuilt = build_document_cache(model, prefix, tokens, doc_id="doc1", valid_len=valid)
-        for la, lb in zip(entry.kv.layers, rebuilt.kv.layers):
-            np.testing.assert_array_equal(la.keys, lb.keys)
-            np.testing.assert_array_equal(la.values, lb.values)
+        for la, lb in zip(entry.layers, rebuilt.layers):
+            np.testing.assert_array_equal(la[0], lb[0])
+            np.testing.assert_array_equal(la[1], lb[1])
         assert entry.valid_len == valid
         assert entry.prefix_len == 3
 
@@ -148,8 +149,8 @@ class TestStore:
         assert store.read_manifest()["prefix_tokens"] == [1, 2, 3]
         assert (loaded_prefix.doc_id, loaded_prefix.prefix_len, loaded_prefix.valid_len) == ("", 0, 3)
         assert loaded_prefix.prefix_hash == hash_tokens([1, 2, 3]) == prefix.prefix_hash
-        for la, lb in zip(loaded_prefix.kv.layers, prefix.kv.layers):
-            np.testing.assert_array_equal(la.keys, lb.keys)
+        for la, lb in zip(loaded_prefix.layers, prefix.layers):
+            np.testing.assert_array_equal(la[0], lb[0])
 
     def test_rebuild_is_byte_identical(self, model, tmp_path):
         root = tmp_path / "store"
@@ -219,6 +220,64 @@ class TestStore:
         store.build([1, 2], self.corpus(), passage_len=10, force=True)
         assert sorted(store.read_manifest()["docs"]) == ["doc1", "doc2"]
 
+    def test_forced_rebuild_leaves_only_listed_files(self, model, tmp_path, monkeypatch):
+        """A forced rebuild over a smaller corpus writes its manifest under
+        the manifest lock and removes, in the same locked block, the document
+        files the new manifest does not list; every listed entry loads."""
+        store = CacheStore(tmp_path / "store", model)
+        store.build([1, 2], self.corpus() + [("doc3", "gamma", "third passage")],
+                    passage_len=10)
+        assert len(list((store.root / "docs").iterdir())) == 3
+        held, events = [], []
+        lock = CacheStore._manifest_lock
+
+        @contextmanager
+        def tracked(self):
+            with lock(self):
+                held.append(True)
+                yield
+                events.append(sorted(p.name for p in (self.root / "docs").iterdir()))
+                held.pop()
+
+        write_manifest = CacheStore._write_manifest
+
+        def checked(self, manifest):
+            events.append(bool(held))
+            write_manifest(self, manifest)
+
+        monkeypatch.setattr(CacheStore, "_manifest_lock", tracked)
+        monkeypatch.setattr(CacheStore, "_write_manifest", checked)
+        store.build([3, 4], self.corpus()[:1], passage_len=12, force=True)
+        listed = store.read_manifest()["docs"]
+        assert sorted(listed) == ["doc1"]
+        assert events == [True, [listed["doc1"]["file"]]]
+        assert sorted(p.name for p in (store.root / "docs").iterdir()) == [
+            listed["doc1"]["file"]]
+        assert store.load_entry("doc1").token_count == 12
+        assert store.load_prefix().token_count == 2
+
+    def test_built_entries_equal_their_loaded_copies(self, model, tmp_path):
+        """A built prefix and a built document entry hold what loading their
+        files gives back: float32 layers of the same shape and bits, and the
+        same positions and visibility."""
+        store = CacheStore(tmp_path / "store", model)
+        store.build([1, 2, 3], [], passage_len=12)
+        prefix = build_prefix_cache(model, [1, 2, 3])
+        tokens, valid = passage_tokens(ByteTokenizer(), "alpha", "short", 12)
+        assert valid < 12  # padding, so visibility is not all True
+        entry = build_document_cache(model, prefix, tokens, doc_id="doc1", valid_len=valid)
+        store.save_entry(entry)
+        for built, loaded in ((prefix, store.load_prefix()), (entry, store.load_entry("doc1"))):
+            assert len(built.layers) == len(loaded.layers) == model.config.num_layers
+            for a, b in zip(built.layers, loaded.layers):
+                assert a.dtype == b.dtype == np.float32
+                assert a.shape == b.shape
+                assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+            for name in ("positions", "visible"):
+                a, b = getattr(built, name), getattr(loaded, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert not entry.visible.all() and entry.visible.sum() == valid
+
     def test_missing_entry(self, model, tmp_path):
         store = CacheStore(tmp_path / "store", model)
         store.build([1], self.corpus(), passage_len=10)
@@ -240,8 +299,8 @@ class TestStore:
         model.forward(model.new_cache(), [33, 44, 55])  # unrelated query traffic
         store.build([4, 5], self.corpus(), passage_len=10)
         after = store.load_entry("doc2")
-        for la, lb in zip(before.kv.layers, after.kv.layers):
-            np.testing.assert_array_equal(la.keys, lb.keys)
+        for la, lb in zip(before.layers, after.layers):
+            np.testing.assert_array_equal(la[0], lb[0])
 
     def test_hash_tokens_is_stable(self):
         assert hash_tokens([1, 2, 3]) == hash_tokens(np.array([1, 2, 3]))
@@ -442,8 +501,10 @@ class TestVerifiedFiles:
 
     def test_standalone_reads_always_check(self, store, crc_calls):
         path = self.path_of(store, "doc1")
-        _read_kv_file(path, start=0)
-        _read_kv_file(path, start=0)
+        cfg = store.model.config
+        shape = (cfg.num_layers, cfg.num_heads, 12, cfg.head_dim)
+        _read_kv_file(path, shape)
+        _read_kv_file(path, shape)
         assert len(crc_calls) == 2 * store.model.config.num_layers
 
     def test_entry_replaced_by_save_entry_is_checked_again(self, store, crc_calls):
@@ -452,8 +513,8 @@ class TestVerifiedFiles:
         crc_calls.clear()
         again = store.load_entry("doc1")
         assert len(crc_calls) == store.model.config.num_layers
-        for la, lb in zip(entry.kv.layers, again.kv.layers):
-            np.testing.assert_array_equal(la.keys, lb.keys)
+        for la, lb in zip(entry.layers, again.layers):
+            np.testing.assert_array_equal(la[0], lb[0])
 
     def test_corrupted_replacement_raises(self, store):
         path = self.path_of(store, "doc1")
@@ -496,7 +557,8 @@ class TestVerifiedFiles:
     def test_layers_match_the_whole_file_and_own_their_buffers(self, store):
         """Loaded tensors are bit-identical to a whole-file read of the body,
         on the checked first load and the unchecked second one, and each
-        layer's keys and values share one array that no other layer shares."""
+        layer's keys and values are one array of its own that no other layer
+        shares."""
         path = self.path_of(store, "doc1")
         cfg = store.model.config
         raw = path.read_bytes()
@@ -504,17 +566,13 @@ class TestVerifiedFiles:
         expected = np.frombuffer(raw[start:len(raw) - 4], dtype="<f4").reshape(
             cfg.num_layers, 2, cfg.num_heads, 12, cfg.head_dim).copy()
         for _ in range(2):
-            layers = store.load_entry("doc1").kv.layers
-            bases = []
+            layers = store.load_entry("doc1").layers
             for layer, (keys, values) in zip(layers, expected):
-                assert layer.keys.dtype == np.float32 and layer.keys.flags.c_contiguous
-                assert np.array_equal(layer.keys.view(np.uint32), keys.view(np.uint32))
-                assert np.array_equal(layer.values.view(np.uint32), values.view(np.uint32))
-                base = layer.keys.base
-                assert base is layer.values.base and base.flags.owndata
-                assert base.nbytes == layer.keys.nbytes + layer.values.nbytes
-                bases.append(base)
-            assert len({id(base) for base in bases}) == cfg.num_layers
+                assert layer.dtype == np.float32 and layer.flags.c_contiguous
+                assert np.array_equal(layer[0].view(np.uint32), keys.view(np.uint32))
+                assert np.array_equal(layer[1].view(np.uint32), values.view(np.uint32))
+                assert layer.flags.owndata and layer.nbytes == keys.nbytes + values.nbytes
+            assert len({id(layer) for layer in layers}) == cfg.num_layers
 
     def test_threads_loading_an_unchecked_file_get_equal_tensors(self, store, model):
         """Eight threads load the same file at once, switching every 10 us,
@@ -535,9 +593,9 @@ class TestVerifiedFiles:
 
                     futures = [pool.submit(load) for _ in range(threads)]
                     for future in futures:
-                        for la, lb in zip(future.result(timeout=60).kv.layers,
-                                          expected.kv.layers):
-                            np.testing.assert_array_equal(la.keys, lb.keys)
-                            np.testing.assert_array_equal(la.values, lb.values)
+                        for la, lb in zip(future.result(timeout=60).layers,
+                                          expected.layers):
+                            np.testing.assert_array_equal(la[0], lb[0])
+                            np.testing.assert_array_equal(la[1], lb[1])
         finally:
             sys.setswitchinterval(interval)

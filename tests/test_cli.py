@@ -8,7 +8,7 @@ import pytest
 
 from kvfocus import cli
 from kvfocus.bench import MODES
-from kvfocus.cache_store import CacheStore
+from kvfocus.cache_store import CACHE_FRAME, CacheStore
 from kvfocus.cli import main, score_answer
 from kvfocus.focus import STRATEGIES
 from kvfocus.model import Model, make_config, save_weights
@@ -197,6 +197,28 @@ class TestRunCommand:
                      *RUN_FLAGS])
         assert code == 1
         assert f"{kind} file {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["prefix", "doc"])
+    def test_zero_heads_cache_file_is_user_error(self, workspace, capsys, kind):
+        """A 69-byte cache file with num_heads 0 and an empty body passes the
+        frame's body-length check; the loader refuses its dimensions."""
+        store = workspace["store"]
+        if kind == "prefix":
+            path = store / "prefix.cfkv"
+        else:
+            manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
+            path = store / "docs" / manifest["docs"]["d-paris"]["file"]
+        raw = path.read_bytes()
+        fields = list(CACHE_FRAME.header.unpack_from(raw, 8))
+        fields[3] = 0  # num_heads
+        path.write_bytes(raw[:8] + CACHE_FRAME.header.pack(*fields)
+                         + struct.pack("<I", 0))  # the crc32 of an empty body
+        assert path.stat().st_size == 69
+        code = main(["run", "--store", str(store), "--index", str(workspace["index"]),
+                     "--query", "paris capital france", "--k", "4", "--mode", "cache",
+                     *RUN_FLAGS])
+        assert code == 1
+        assert f"error: cache file {path} dimensions" in capsys.readouterr().err
 
     def test_short_index_file_is_user_error(self, workspace, capsys):
         workspace["index"].write_bytes(b"CFIX\x01\x00")

@@ -10,11 +10,12 @@ from kvfocus import bench, focus
 from kvfocus.cache_store import CacheStore
 from kvfocus.focus import Pipeline, PruningSchedule
 from kvfocus import model as model_module
-from kvfocus.model import (CostMeter, Model, _rms_norm, _seed_weights, _silu, attention,
-                           make_config)
+from kvfocus.model import CostMeter, Model, _rms_norm, _seed_weights, _silu, make_config
 from kvfocus.retrieval import index_corpus
 from kvfocus.rope import Rotation
 from kvfocus.tokenizer import ByteTokenizer
+
+from reference import attention, copy_cache
 
 FIELDS = ("keys", "values", "position_ids", "visible")
 
@@ -45,16 +46,16 @@ def split_heads(model, x):
     return x.reshape(x.shape[0], model.config.num_heads, -1).transpose(1, 0, 2)
 
 
-def float32_context(model, length=20):
-    """A float32 cache like the one the pipeline assembles: a position gap
-    and invisible padding keys."""
+def context_cache(model, length=20):
+    """A cache like the one the pipeline assembles, a position gap and
+    invisible padding keys included, with no spare room."""
     cache = model.new_cache()
     tokens = (np.arange(length) * 5 + 3) % model.config.vocab_size
     positions = np.concatenate([np.arange(length // 2), np.arange(length // 2) + 40])
     visible = np.arange(length) % 7 != 6
     hidden = model.forward(cache, tokens, positions=positions, visible=visible)
     first = int(np.argmax(model.logits(hidden[-1:])[0]))
-    return first, cache.slice(0, cache.token_count)
+    return first, copy_cache(cache.layers)
 
 
 def reference_layers(cache):
@@ -138,9 +139,9 @@ class TestSingleTokenMask:
     @pytest.mark.parametrize("new_visible", [None, True, False])
     def test_matches_the_general_mask(self, monkeypatch, new_visible):
         model, weights = tiny_model_and_weights(seed=5)
-        _, context = float32_context(model)  # a position gap and padding keys
+        _, context = context_cache(model)  # a position gap and padding keys
         assert not context.layers[0].visible.all()
-        fast, general = (context.slice(0, context.token_count) for _ in range(2))
+        fast, general = copy_cache(context.layers), copy_cache(context.layers)
         fast.reserve(1)
         general.reserve(1)
         rotation = Rotation.at(model.config.rope, [fast.next_position()])
@@ -177,7 +178,7 @@ class TestSingleTokenMask:
 class TestBufferedDecode:
     def test_growth_mid_decode_matches_reference(self):
         model, weights = tiny_model_and_weights(seed=3)
-        first, cache = float32_context(model)
+        first, cache = context_cache(model)
         layers = reference_layers(cache)
         expected = reference_decode(model, weights, layers, first, 14)
 
@@ -197,7 +198,7 @@ class TestBufferedDecode:
 
     def test_model_decode_matches_reference_and_allocates_once(self):
         model, weights = tiny_model_and_weights(seed=4)
-        first, cache = float32_context(model, length=24)
+        first, cache = context_cache(model, length=24)
         layers = reference_layers(cache)
         expected = reference_decode(model, weights, layers, first, 9)
         start = cache.token_count
@@ -211,20 +212,21 @@ class TestBufferedDecode:
         assert_matches_reference(cache, layers)
         assert all(layer.capacity == start + 14 for layer in cache.layers)
 
-    def test_zero_token_decode_keeps_float32_cache(self):
+    def test_zero_token_decode_keeps_the_cache_buffers(self):
         model = tiny_model()
-        first, cache = float32_context(model)
+        first, cache = context_cache(model)
+        buffers = [layer._buffers for layer in cache.layers]
         assert model.decode(cache, first, 0) == []
-        assert cache.layers[0].keys.dtype == np.float32
-        assert cache.layers[0].capacity == 0
+        assert [layer._buffers for layer in cache.layers] == buffers
+        assert all(layer.capacity == layer.token_count for layer in cache.layers)
 
 
 class TestViewsAndCopies:
     def test_view_taken_before_append_is_unchanged(self):
         model = tiny_model(seed=5)
-        first, cache = float32_context(model)
-        views, capacities = [], set()
-        for step in range(6):  # widening to float64, then in-place writes and growth
+        first, cache = context_cache(model)
+        views, capacities = [], {cache.layers[1].capacity}
+        for step in range(6):  # growth, then in-place writes
             layer = cache.layers[1]
             views.append({name: (getattr(layer, name), getattr(layer, name).copy())
                           for name in FIELDS})
@@ -235,28 +237,6 @@ class TestViewsAndCopies:
             for name, (view, before) in snapshot.items():
                 assert view.shape == before.shape, name
                 assert np.array_equal(view, before), name
-
-    def test_copy_and_slice_independent_of_original(self):
-        model = tiny_model(seed=6)
-        cache = model.new_cache()
-        model.forward(cache, [1, 2, 3, 4, 5])
-        dup = cache.slice(0, cache.token_count)
-        part = cache.slice(1, 4)
-        saved = [[getattr(layer, name).copy() for name in FIELDS]
-                 for kv in (dup, part) for layer in kv.layers]
-        for layer in dup.layers + part.layers:
-            assert layer.keys.dtype == np.float32 and layer.values.dtype == np.float32
-
-        for token in (6, 7, 8, 9):  # appends, including a reallocation
-            model.forward(cache, [token])
-        for layer in cache.layers:
-            for name in FIELDS:
-                getattr(layer, name)[:] = 0
-        now = [[getattr(layer, name) for name in FIELDS]
-               for kv in (dup, part) for layer in kv.layers]
-        for before, after in zip(saved, now):
-            for a, b in zip(before, after):
-                assert np.array_equal(a, b)
 
 
 CORPUS = [(f"d{i}", "t", f"capital city {i}") for i in range(4)]

@@ -34,7 +34,7 @@ from kvfocus.focus import (
     removals_per_event,
     run_full_context,
 )
-from kvfocus.model import KVCache, LayerCache, Model, make_config
+from kvfocus.model import Model, make_config
 from kvfocus.retrieval import index_corpus
 from kvfocus.rope import PositionOverflowWarning, Rotation, reposition_array
 from kvfocus.tokenizer import ByteTokenizer
@@ -223,7 +223,8 @@ class TestAccumulateScores:
         doc = build_document_cache(model, prefix, [7, 8, 9], doc_id="a", valid_len=3)
         twin = CacheStoreEntry(doc_id="b", model_fingerprint=doc.model_fingerprint,
                                prefix_hash=doc.prefix_hash, prefix_len=doc.prefix_len,
-                               valid_len=doc.valid_len, kv=doc.kv.slice(0, doc.token_count))
+                               valid_len=doc.valid_len,
+                               layers=[layer.copy() for layer in doc.layers])
         plan = plan_positions(["a", "b"], 2, cache_len=3, prefix_len=2)  # shared range
         result = prefill_with_pruning(model, prefix, [doc, twin], [5, 6], None, plan)
         assert result.state.scores["a"] == pytest.approx(result.state.scores["b"], abs=1e-5)
@@ -236,15 +237,10 @@ def synthetic_entry(model, prefix, doc_id, keys_fn, token_count=8):
     layers = []
     for _ in range(cfg.num_layers):
         keys = keys_fn().astype(np.float32)
-        layers.append(LayerCache(
-            keys=keys,
-            values=np.zeros_like(keys),
-            position_ids=np.arange(p, p + token_count, dtype=np.int64),
-            visible=np.ones(token_count, dtype=bool),
-        ))
+        layers.append(np.stack([keys, np.zeros_like(keys)]))
     return CacheStoreEntry(doc_id=doc_id, model_fingerprint=model.fingerprint,
                            prefix_hash=prefix.prefix_hash, prefix_len=p,
-                           valid_len=token_count, kv=KVCache(layers))
+                           valid_len=token_count, layers=layers)
 
 
 def basis_spike_keys(num_heads, token_count, head_dim, magnitude):
@@ -324,12 +320,11 @@ class TestPruningBehavior:
         model = small_model(seed=22)
         prefix = build_prefix_cache(model, [1, 2])
         doc = build_document_cache(model, prefix, [9, 10, 11, 12], doc_id="d", valid_len=4)
-        layer = doc.kv.layers[0]
-        old = layer.position_ids
+        keys, _ = doc.layers[0]
+        old = doc.positions
         target = np.arange(40, 44)
-        moved = reposition_array(model.config.rope, layer.keys, old, target)
-        unrotated = reposition_array(model.config.rope, layer.keys, old,
-                                     np.zeros_like(old))
+        moved = reposition_array(model.config.rope, keys, old, target)
+        unrotated = reposition_array(model.config.rope, keys, old, np.zeros_like(old))
         fresh = Rotation.at(model.config.rope, target).apply(unrotated)
         rng = np.random.default_rng(0)
         q = rng.standard_normal((2, 3, 8))
@@ -394,9 +389,9 @@ class TestFinalReposition:
         layer = cache.layers[0]
         pos = layer.position_ids
         # d1 occupies the slot adjacent to the query block
-        d0_max = pos[rows_holding(layer, docs[0].kv.layers[0].values)].max()
-        d1_max = pos[rows_holding(layer, docs[1].kv.layers[0].values)].max()
-        q_min = pos[rows_holding(layer, prefill.query[0].values)].min()
+        d0_max = pos[rows_holding(layer, docs[0].layers[0][1])].max()
+        d1_max = pos[rows_holding(layer, docs[1].layers[0][1])].max()
+        q_min = pos[rows_holding(layer, prefill.query[0][1])].min()
         assert d0_max < d1_max < q_min
         assert d1_max + 1 == q_min
 
@@ -409,7 +404,7 @@ class TestFinalReposition:
         cache = final_reposition(model.config.rope, prefix, prefill)
         pos = cache.layers[0].position_ids
         expected = np.concatenate([
-            np.arange(2), np.arange(2, 8), prefill.query[0].position_ids])
+            np.arange(2), np.arange(2, 8), prefill.query_positions])
         np.testing.assert_array_equal(pos, expected)
 
     def test_align_compacts_after_pruning_gaps(self):
@@ -498,9 +493,8 @@ class TestPipeline:
         entries = [store.load_entry(doc_id) for doc_id, _, _ in self.corpus]
 
         def snapshot():
-            return [(id(layer), [getattr(layer, name).copy() for name in
-                                 ("keys", "values", "position_ids", "visible")])
-                    for e in entries for layer in e.kv.layers]
+            return [(id(layer), [layer.copy(), e.positions, e.visible])
+                    for e in entries for layer in e.layers]
 
         before = snapshot()
         pipeline = Pipeline(model, store, index, query_reserve=64)

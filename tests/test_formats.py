@@ -4,6 +4,7 @@ store manifest: pinned bytes, truncations, byte flips and crash-safe writes."""
 import hashlib
 import io
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -15,13 +16,12 @@ from kvfocus.cache_store import (
     CACHE_FRAME,
     CacheStore,
     CacheStoreEntry,
+    StaleCacheError,
     _read_kv_file,
     _write_kv_file,
 )
 from kvfocus.model import (
     WEIGHT_FRAME,
-    KVCache,
-    LayerCache,
     Model,
     WeightFormatError,
     load_weights,
@@ -36,18 +36,22 @@ def tiny_model(seed=0):
     return Model.from_seed(config, seed)
 
 
+# (layers, heads, tokens, head_dim) of the cache file write_cache writes
+CACHE_SHAPE = (2, 2, 3, 4)
+
+
 def write_cache(path, seed=0):
     """Seeded arrays, not a forward pass, so the bytes do not depend on BLAS."""
     rng = np.random.default_rng(seed)
 
     def layer():
-        return LayerCache(keys=rng.standard_normal((2, 3, 4)).astype(np.float32),
-                          values=rng.standard_normal((2, 3, 4)).astype(np.float32),
-                          position_ids=np.arange(3), visible=np.ones(3, bool))
+        keys = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        values = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        return np.stack([keys, values])
 
     entry = CacheStoreEntry(doc_id="", model_fingerprint="0123456789abcdef",
                             prefix_hash="fedcba9876543210", prefix_len=0, valid_len=3,
-                            kv=KVCache([layer(), layer()]))
+                            layers=[layer(), layer()])
     _write_kv_file(path, entry, rope_base=10000.0)
 
 
@@ -62,7 +66,7 @@ def write_weights(path, seed=0):
 
 # name -> (writer, loader, framing, sha256 of the seed-0 file)
 FORMATS = {
-    "cache": (write_cache, lambda path: _read_kv_file(path, start=0), CACHE_FRAME,
+    "cache": (write_cache, lambda path: _read_kv_file(path, CACHE_SHAPE), CACHE_FRAME,
               "4993c475972a11bb50edfd9d96c360b13f302b509113554daf13c3fd9b198b10"),
     "index": (write_index, load_index, INDEX_FRAME,
               "b0e694a5436b2ba2a532f737f7d0d7936b5ffc2db44fea31fe576c312717d8de"),
@@ -187,6 +191,33 @@ def test_writers_of_one_path_use_their_own_temp_files(tmp_path, monkeypatch):
     assert len(set(renamed)) == 2
     assert path.read_bytes() == b"first"
     assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+class TestCacheDimensions:
+    """The crc does not cover a cache file's dimensions. A header with a
+    zero dimension and an empty body passes the body-length check (0 == 0),
+    so the loader checks the dimensions against the shape it expects before
+    it reads the body."""
+
+    DIMENSIONS = ("num_layers", "num_heads", "head_dim", "token_count")
+
+    @classmethod
+    def write_zero(cls, path, field):
+        """A 69-byte cache file: `field` zeroed in write_cache's header, no body."""
+        write_cache(path)
+        raw = path.read_bytes()
+        fields = list(CACHE_FRAME.header.unpack_from(raw, 8))
+        fields[2 + cls.DIMENSIONS.index(field)] = 0
+        path.write_bytes(raw[:8] + CACHE_FRAME.header.pack(*fields)
+                         + zlib.crc32(b"").to_bytes(4, "little"))
+        assert path.stat().st_size == 69
+
+    @pytest.mark.parametrize("field", DIMENSIONS)
+    def test_zero_dimension_is_refused_before_the_body(self, tmp_path, field):
+        path = tmp_path / "zero.cfkv"
+        self.write_zero(path, field)
+        with pytest.raises(StaleCacheError, match=re.escape(f"cache file {path} dimensions")):
+            _read_kv_file(path, CACHE_SHAPE)
 
 
 class TestWeightConfig:

@@ -11,20 +11,21 @@ from kvfocus import model as model_module
 from kvfocus.model import (
     CapacityError,
     CostMeter,
-    KVCache,
+    LayerCache,
     Model,
     PREFILL_CHUNK,
     WeightFormatError,
     _attend,
     _rms_norm,
     _seed_weights,
-    attention,
     fingerprint,
     load_weights,
     make_config,
     save_weights,
 )
 from kvfocus.rope import PositionOverflowWarning, Rotation
+
+from reference import attention
 
 
 def tiny_model(seed=0, **overrides):
@@ -64,6 +65,9 @@ def reference_attention(queries, keys, values, mask):
 
 
 class TestAttention:
+    """The checked reference attention that the model's core is compared
+    against (tests/reference.py), itself against the double loop."""
+
     def test_single_key_gets_full_weight(self):
         q = np.ones((1, 1, 4))
         k = np.full((1, 1, 4), 0.3)
@@ -119,8 +123,9 @@ class TestAttention:
 
 
 class TestAttentionCore:
-    """forward_layer calls the core without attention()'s casts and checks;
-    on inputs that pass those checks the two agree bit for bit."""
+    """forward_layer calls the core, which makes none of the reference
+    attention()'s casts and checks; on inputs that pass those checks the two
+    agree bit for bit."""
 
     @staticmethod
     def assert_core_matches(q, k, v, mask, collect_map):
@@ -455,18 +460,11 @@ class TestWeights:
         with pytest.raises(WeightFormatError):
             load_weights(path)
 
-    def test_cache_slice_and_copy(self):
-        model = tiny_model()
-        cache = model.new_cache()
-        model.forward(cache, [1, 2, 3, 4])
-        part = cache.slice(1, 3)
-        assert part.token_count == 2
-        np.testing.assert_array_equal(part.layers[0].position_ids, [1, 2])
-
     def test_mismatched_layer_counts_detected(self):
         model = tiny_model()
         cache = model.new_cache()
         model.forward(cache, [1])
-        cache.layers[0] = cache.layers[0].slice(0, 0)
+        cache.layers[0] = LayerCache.with_capacity(model.config.num_heads,
+                                                   model.config.head_dim, 0)
         with pytest.raises(ValueError):
             _ = cache.token_count
