@@ -1,10 +1,11 @@
-"""The four answer modes, defined once in `answer`, and the benchmark
-harness that runs them for every (mode, doc_count) cell.
+"""The four answer modes, defined once in `answer`, the benchmark harness
+that runs them for every (mode, doc_count) cell, and answer scoring.
 
 naive forwards prefix, passages and query as one sequence; no-cache encodes
 the prefix and document caches at query time; cache loads them from the
-store; prune loads, prunes and places them. The clock starts once the
-documents are chosen, so encoding and loading count as pre-fill.
+store; prune loads, prunes and places them. Every mode runs the store's
+model. The clock starts once the documents are chosen, so encoding and
+loading count as pre-fill.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .cache_store import CacheStore, build_document_cache, build_prefix_cache, passage_tokens
 from .focus import Pipeline, PruningSchedule, run_full_context
-from .model import CostMeter, Model
+from .model import CostMeter
 from .retrieval import InvertedIndex, search
 from .rope import collect_position_overflows
 from .tokenizer import ByteTokenizer
@@ -26,10 +27,11 @@ from .tokenizer import ByteTokenizer
 MODES = ("naive", "no-cache", "cache", "prune")
 
 
-def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, texts,
+def answer(store: CacheStore, index: InvertedIndex, mode: str, texts,
            query_text: str, doc_ids: list[str], *, gen_tokens: int,
            schedule: PruningSchedule | None, strategy: str, query_reserve: int):
-    """Answer `query_text` over the documents `doc_ids` in `mode`.
+    """Answer `query_text` over the documents `doc_ids` in `mode`, with the
+    store's model.
 
     texts maps doc_id -> (title, text); only naive and no-cache read it, and
     only prune uses the schedule and strategy. The store's manifest is read
@@ -45,6 +47,7 @@ def answer(model: Model, store: CacheStore, index: InvertedIndex, mode: str, tex
     if query_reserve < 0:
         raise ValueError(f"query_reserve must be >= 0, got {query_reserve}")
     t0 = time.perf_counter()
+    model = store.model
     tokenizer = ByteTokenizer()
     manifest = store.read_manifest()
     prefix_tokens = manifest["prefix_tokens"]
@@ -140,9 +143,9 @@ def select_documents(index, corpus_records, query_text: str, k: int) -> list[str
     return ranked
 
 
-def run_bench(model, store, index, corpus_records, query_text, *, doc_counts,
+def run_bench(store, index, corpus_records, query_text, *, doc_counts,
               gen_tokens=100, modes=MODES, schedule=None, strategy="none",
-              query_reserve=128, seed=None) -> BenchReport:
+              query_reserve=128) -> BenchReport:
     """Run every (mode, doc_count) cell sequentially and derive scaling ratios.
 
     Wall-clock is reported but the multiply-accumulate counters are the
@@ -154,7 +157,7 @@ def run_bench(model, store, index, corpus_records, query_text, *, doc_counts,
     for mode in modes:
         for doc_count in doc_counts:
             ids = select_documents(index, corpus_records, query_text, doc_count)
-            _, trace = answer(model, store, index, mode, texts, query_text, ids,
+            _, trace = answer(store, index, mode, texts, query_text, ids,
                               gen_tokens=gen_tokens, schedule=schedule, strategy=strategy,
                               query_reserve=query_reserve)
             rows.append(BenchRow(mode=mode.replace("-", "_"), doc_count=doc_count,
@@ -176,11 +179,11 @@ def run_bench(model, store, index, corpus_records, query_text, *, doc_counts,
             })
         ratios[mode.replace("-", "_")] = pairs
 
+    model = store.model
     environment = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "seed": seed,
         "gen_tokens": gen_tokens,
         "model": {
             "num_layers": model.config.num_layers,
@@ -218,3 +221,26 @@ def report_to_json(report: BenchReport) -> str:
         "ratios": report.ratios,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# -- scoring ---------------------------------------------------------------
+
+
+def score_answer(model_output: str, gold_answers) -> bool:
+    """Containment accuracy: does any gold answer appear in the output?
+
+    Case-insensitive and whitespace-normalized; plain substring containment,
+    no token-boundary fuzzing. A gold answer that is blank after normalizing
+    would be contained in every output, so it is refused (ValueError).
+    """
+    gold = [_normalize(answer) for answer in gold_answers]
+    if not gold:
+        raise ValueError("gold_answers must be non-empty")
+    if not all(gold):
+        raise ValueError("a gold answer is blank")
+    haystack = _normalize(model_output)
+    return any(answer in haystack for answer in gold)
+
+
+def _normalize(text: str) -> str:
+    return " ".join(text.lower().split())

@@ -1,11 +1,13 @@
 """Offline, query-independent construction and persistence of KV caches.
 
 A store directory holds the cache of one shared prefix plus one file per
-document, all built against one model. The prefix and the documents are the
-same kind of entry (CacheStoreEntry) in the same kind of file. Document
-caches are computed on top of the prefix cache and stored with keys rotated
-at their canonical positions [prefix_len, prefix_len + passage_len); any
-other layout is reached later by re-positioning. Entries are valid only for
+document, all built against one model, and that model's weight file
+(model.cfwt), so `CacheStore.open` needs nothing but the directory. The
+prefix and the documents are the same kind of entry (CacheStoreEntry) in
+the same kind of file. Document caches are computed on top of the prefix
+cache and stored with keys rotated at their canonical positions
+[prefix_len, prefix_len + passage_len); any other layout is reached later
+by re-positioning. Entries are valid only for
 the exact (model fingerprint, prefix hash) pair recorded in the manifest,
 which makes invalidation after a model or prefix change a directory-level
 check.
@@ -44,12 +46,13 @@ from pathlib import Path
 import numpy as np
 
 from .framing import Framing, VerifiedFiles, open_framed, write_atomic, write_framed
-from .model import CostMeter, KVCache, Model
+from .model import CostMeter, KVCache, Model, save_weights
 from .rope import PAIRING_INTERLEAVED
 from .tokenizer import PAD_ID, ByteTokenizer
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_LOCK_NAME = "manifest.lock"
+MODEL_NAME = "model.cfwt"
 
 
 class StaleCacheError(RuntimeError):
@@ -210,7 +213,7 @@ def _write_kv_file(path: Path, entry: CacheStoreEntry, rope_base: float) -> int:
         rope_base,
         PAIRING_INTERLEAVED,
     )
-    return write_framed(path, CACHE_FRAME, header, body)
+    return write_framed(path, CACHE_FRAME, header, [body])
 
 
 def _read_kv_file(path: Path, shape: tuple[int, int, int, int], *,
@@ -257,8 +260,9 @@ def _entry_filename(doc_id: str) -> str:
 class CacheStore:
     """On-disk store of the prefix cache and per-document cache entries.
 
-    Bound to one model: reading the manifest refuses a store built with
-    another model, and every load checks the file's fingerprint, prefix hash
+    Bound to one model, the one `build` writes next to the caches and `open`
+    reads back: reading the manifest refuses a store built with another
+    model, and every load checks the file's fingerprint, prefix hash
     and dimensions rather than serving stale tensors. Writes go through a
     temp file and an atomic rename, so concurrent readers see whole files.
     Every manifest update (save_entry's, and build's final write) holds an
@@ -272,6 +276,14 @@ class CacheStore:
         self.root = Path(root)
         self.model = model
         self._verified = VerifiedFiles()
+
+    @classmethod
+    def open(cls, root) -> "CacheStore":
+        """The store at `root`, bound to the model its build wrote there."""
+        path = Path(root) / MODEL_NAME
+        if not path.exists():
+            raise MissingEntryError(f"no model file {path}; build the store with build-cache")
+        return cls(root, Model.from_file(path))
 
     # -- manifest ---------------------------------------------------------
 
@@ -334,14 +346,23 @@ class CacheStore:
     def build(self, prefix_tokens, passages, *, passage_len: int = 64, force: bool = False) -> dict:
         """Build the prefix cache plus one entry per (doc_id, title, text).
 
-        Refuses to overwrite a store built for a different model or prefix
-        unless force is set. The manifest is written last, under the
-        manifest lock, which is held until the document files it does not
-        list, such as those a forced rebuild leaves, are removed. Returns
-        {"documents": n, "bytes": total}.
+        Every passage is read and tokenized before the first write, so a
+        duplicate id, an empty document or a malformed corpus line leaves the
+        store as it was. Refuses to overwrite a store built for a different
+        model or prefix unless force is set. The model's weight file follows
+        the caches. The manifest is written last, under the manifest lock,
+        which is held until the document files it does not list, such as
+        those a forced rebuild leaves, are removed. Returns {"documents": n,
+        "bytes": total of the cache files}.
         """
         if passage_len < 1:
             raise ValueError(f"passage length must be >= 1, got {passage_len}")
+        tokenizer = ByteTokenizer()
+        staged: dict[str, tuple] = {}  # doc_id -> (tokens, valid_len)
+        for doc_id, title, text in passages:
+            if doc_id in staged:
+                raise ValueError(f"duplicate document id {doc_id!r}")
+            staged[doc_id] = passage_tokens(tokenizer, title, text, passage_len)
         prefix_tokens = [int(t) for t in prefix_tokens]
         prefix_entry = build_prefix_cache(self.model, prefix_tokens)
         if self.manifest_path.exists() and not force:
@@ -350,17 +371,14 @@ class CacheStore:
                     f"store at {self.root} was built on another prefix; pass force to rebuild it"
                 )
 
-        tokenizer = ByteTokenizer()
         total_bytes = self.save_prefix(prefix_entry)
         docs: dict[str, dict] = {}
-        for doc_id, title, text in passages:
-            if doc_id in docs:
-                raise ValueError(f"duplicate document id {doc_id!r}")
-            tokens, valid = passage_tokens(tokenizer, title, text, passage_len)
+        for doc_id, (tokens, valid) in staged.items():
             entry = build_document_cache(self.model, prefix_entry, tokens, doc_id=doc_id,
                                          valid_len=valid)
             total_bytes += self._write(entry, self.root / "docs" / _entry_filename(doc_id))
             docs[doc_id] = {"file": _entry_filename(doc_id), "valid_len": valid}
+        save_weights(self.model, self.root / MODEL_NAME)
         manifest = {
             "format": CACHE_FRAME.version,
             "model_fingerprint": self.model.fingerprint,

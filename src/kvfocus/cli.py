@@ -1,9 +1,12 @@
 """Command-line surface: argument parsing and one function per subcommand.
 
-The answer modes and the benchmark harness live in `kvfocus.bench`.
+The answer modes, the benchmark harness and answer scoring live in
+`kvfocus.bench`. The model flags belong to build-cache, which writes the
+model into the store; run and bench answer with the store's model.
 
 Exit codes: 0 success (and --help), 1 user error (bad arguments, bad input,
-stale store, missing files), 2 internal error. All randomness flows from --seed.
+stale store, missing files), 2 internal error. All randomness flows from
+build-cache --seed.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import sys
 import traceback
 
-from .bench import MODES, answer, report_to_csv, report_to_json, run_bench
+from .bench import MODES, answer, report_to_csv, report_to_json, run_bench, score_answer
 from .cache_store import CacheFormatError, CacheStore, MissingEntryError, StaleCacheError
 from .corpus import CorpusError, read_corpus
 from .focus import STRATEGIES, ConfigurationError, PruningSchedule
@@ -36,37 +39,7 @@ USER_ERRORS = (
 )
 
 
-def score_answer(model_output: str, gold_answers) -> bool:
-    """Containment accuracy: does any gold answer appear in the output?
-
-    Case-insensitive and whitespace-normalized; plain substring containment,
-    no token-boundary fuzzing.
-    """
-    gold = list(gold_answers)
-    if not gold:
-        raise ValueError("gold_answers must be non-empty")
-    haystack = _normalize(model_output)
-    return any(_normalize(answer) in haystack for answer in gold)
-
-
-def _normalize(text: str) -> str:
-    return " ".join(text.lower().split())
-
-
 # -- commands ----------------------------------------------------------------
-
-
-def _model_from_args(args) -> Model:
-    if getattr(args, "weights", None):
-        return Model.from_file(args.weights)
-    config = make_config(
-        num_layers=args.num_layers,
-        num_heads=args.num_heads,
-        head_dim=args.head_dim,
-        max_position=args.max_position,
-        rope_base=args.rope_base,
-    )
-    return Model.from_seed(config, args.seed)
 
 
 def _schedule_from_args(args) -> PruningSchedule:
@@ -82,7 +55,12 @@ def cmd_index(args) -> int:
 
 
 def cmd_build_cache(args) -> int:
-    model = _model_from_args(args)
+    if args.weights:
+        model = Model.from_file(args.weights)
+    else:
+        model = Model.from_seed(make_config(
+            num_layers=args.num_layers, num_heads=args.num_heads, head_dim=args.head_dim,
+            max_position=args.max_position, rope_base=args.rope_base), args.seed)
     tokenizer = ByteTokenizer()
     prefix_tokens = tokenizer.encode(args.prefix, add_bos=True)
     store = CacheStore(args.store, model)
@@ -93,15 +71,14 @@ def cmd_build_cache(args) -> int:
 
 
 def cmd_run(args) -> int:
-    model = _model_from_args(args)
-    store = CacheStore(args.store, model)
+    store = CacheStore.open(args.store)
     index = load_index(args.index)
     texts = ({doc_id: (title, text) for doc_id, title, text in read_corpus(args.corpus)}
              if args.corpus else None)
     if args.k < 0:
         raise ValueError(f"--k must be >= 0, got {args.k}")
     doc_ids = [doc_id for doc_id, _ in search(index, args.query, args.k)] if args.k > 0 else []
-    tokens, trace = answer(model, store, index, args.mode, texts, args.query, doc_ids,
+    tokens, trace = answer(store, index, args.mode, texts, args.query, doc_ids,
                            gen_tokens=args.gen_tokens, schedule=_schedule_from_args(args),
                            strategy=args.strategy, query_reserve=args.query_reserve)
     payload = {"answer": ByteTokenizer().decode(tokens), "mode": args.mode, "trace": trace}
@@ -114,17 +91,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    model = _model_from_args(args)
-    store = CacheStore(args.store, model)
+    store = CacheStore.open(args.store)
     index = load_index(args.index)
     records = list(read_corpus(args.corpus))
     doc_counts = [int(x) for x in args.doc_counts.split(",") if x]
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     report = run_bench(
-        model, store, index, records, args.query,
+        store, index, records, args.query,
         doc_counts=doc_counts, gen_tokens=args.gen_tokens, modes=modes,
         schedule=_schedule_from_args(args), strategy=args.strategy,
-        query_reserve=args.query_reserve, seed=args.seed)
+        query_reserve=args.query_reserve)
     csv_text = report_to_csv(report)
     json_text = report_to_json(report)
     if args.csv_path:
@@ -149,15 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    model_flags = argparse.ArgumentParser(add_help=False)
-    model_flags.add_argument("--seed", type=int, default=0, help="weight seed (default 0)")
-    model_flags.add_argument("--weights", default=None, help="load weights from a file instead")
-    model_flags.add_argument("--num-layers", type=int, default=8)
-    model_flags.add_argument("--num-heads", type=int, default=4)
-    model_flags.add_argument("--head-dim", type=int, default=32)
-    model_flags.add_argument("--max-position", type=int, default=512)
-    model_flags.add_argument("--rope-base", type=float, default=10000.0)
-
     query_flags = argparse.ArgumentParser(add_help=False)
     query_flags.add_argument("--store", required=True)
     query_flags.add_argument("--index", required=True)
@@ -173,8 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("build-cache", parents=[model_flags],
-                       help="build the prefix cache and one entry per document")
+    p = sub.add_parser("build-cache",
+                       help="build the prefix cache, one entry per document and the model file")
+    p.add_argument("--seed", type=int, default=0, help="weight seed (default 0)")
+    p.add_argument("--weights", default=None, help="load weights from a file instead")
+    p.add_argument("--num-layers", type=int, default=8)
+    p.add_argument("--num-heads", type=int, default=4)
+    p.add_argument("--head-dim", type=int, default=32)
+    p.add_argument("--max-position", type=int, default=512)
+    p.add_argument("--rope-base", type=float, default=10000.0)
     p.add_argument("--corpus", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--prefix", required=True, help="shared prefix text")
@@ -183,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rebuild even over a store for another model/prefix")
     p.set_defaults(func=cmd_build_cache)
 
-    p = sub.add_parser("run", parents=[model_flags, query_flags], help="answer one query")
+    p = sub.add_parser("run", parents=[query_flags], help="answer one query")
     p.add_argument("--corpus", default=None, help="document text, needed by the modes that encode documents")
     p.add_argument("--k", type=int, default=5, help="documents to retrieve (0 or more)")
     p.add_argument("--mode", choices=MODES, default="prune")
@@ -191,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="also write the JSON output here")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("bench", parents=[model_flags, query_flags],
+    p = sub.add_parser("bench", parents=[query_flags],
                        help="latency/op-count benchmark across modes and doc counts")
     p.add_argument("--corpus", required=True)
     p.add_argument("--doc-counts", default="10,20,40")

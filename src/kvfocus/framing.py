@@ -44,28 +44,38 @@ class Framing:
 def write_atomic(path, *chunks) -> int:
     """Write the chunks to a temporary file of this call's own, rename it
     over `path`, and return the byte count; a failure removes the file."""
+    return _write_chunks(path, chunks)
+
+
+def write_framed(path, framing: Framing, header_bytes: bytes, body_chunks) -> int:
+    """Frame the body, given as an iterable of bytes-like chunks, behind the
+    packed header and write it atomically; returns the file's size in bytes.
+    The chunks are written (and the crc taken) one at a time, so a body that
+    is produced lazily is never held whole."""
+    def chunks():
+        yield framing.magic + _U32.pack(framing.version) + header_bytes
+        crc = 0
+        for chunk in body_chunks:
+            crc = zlib.crc32(chunk, crc)
+            yield chunk
+        yield _U32.pack(crc)
+
+    return _write_chunks(path, chunks())
+
+
+def _write_chunks(path, chunks) -> int:
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    size = 0
     try:
         with open(tmp, "xb") as fh:
             for chunk in chunks:
-                fh.write(chunk)
+                size += fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-    return sum(len(chunk) for chunk in chunks)
-
-
-def write_framed(path, framing: Framing, header_bytes: bytes, body) -> int:
-    """Frame `body` behind the packed header and write it atomically; returns
-    the file's size in bytes."""
-    return write_atomic(
-        path,
-        framing.magic + _U32.pack(framing.version) + header_bytes,
-        body,
-        _U32.pack(zlib.crc32(body)),
-    )
+    return size
 
 
 class FrameReader:

@@ -576,12 +576,15 @@ class Model:
 def save_weights(model: Model, path) -> None:
     """Write the weight file: the packed config as the frame header, then
     float32 tensors in canonical order (see `framing`). The model's float64
-    tensors were widened from float32, so rounding them back is exact."""
+    tensors were widened from float32, so rounding them back is exact. Each
+    tensor is narrowed as it is written, so the body (~6.5 MB for the
+    default model) never exists whole: freeing a buffer that size would raise
+    glibc's dynamic mmap and trim thresholds and change how every later query
+    reuses the heap."""
     blocks = (_split_block(block) for block in model._blocks)
-    body = bytearray()
-    for tensor in chain([model._embedding], *blocks, [model._final_norm, model._lm_head]):
-        body += tensor.astype(np.float32).tobytes()
-    write_framed(path, WEIGHT_FRAME, model.config.packed(), body)
+    tensors = chain([model._embedding], *blocks, [model._final_norm, model._lm_head])
+    write_framed(path, WEIGHT_FRAME, model.config.packed(),
+                 (np.ascontiguousarray(tensor, dtype=np.float32) for tensor in tensors))
 
 
 def load_weights(path):

@@ -125,7 +125,7 @@ def search(index: InvertedIndex, query_text: str, k: int) -> list[tuple[str, flo
 def save_index(index: InvertedIndex, path) -> None:
     body = json.dumps({"doc_ids": index.doc_ids, "doc_lengths": index.doc_lengths,
                        "postings": index.postings}, separators=(",", ":"))
-    write_framed(path, INDEX_FRAME, b"", body.encode("utf-8"))
+    write_framed(path, INDEX_FRAME, b"", [body.encode("utf-8")])
 
 
 def load_index(path) -> InvertedIndex:

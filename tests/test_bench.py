@@ -34,9 +34,9 @@ def setup(tmp_path_factory):
 
 
 def answer(setup, mode, doc_ids):
-    model, store, index = setup
+    _, store, index = setup
     texts = {doc_id: (title, text) for doc_id, title, text in CORPUS}
-    return bench.answer(model, store, index, mode, texts, QUERY, doc_ids, gen_tokens=3,
+    return bench.answer(store, index, mode, texts, QUERY, doc_ids, gen_tokens=3,
                         schedule=PruningSchedule(interval=1, k_finish=1), strategy="sort",
                         query_reserve=48)
 
@@ -61,16 +61,16 @@ def test_an_answer_reads_the_manifest_once(setup, monkeypatch, mode):
 
 
 def test_bench_reads_the_manifest_once_per_cell(setup, monkeypatch):
-    model, store, index = setup
+    _, store, index = setup
     reads = count_manifest_reads(monkeypatch)
-    bench.run_bench(model, store, index, CORPUS, QUERY, doc_counts=[2, 4], gen_tokens=2,
+    bench.run_bench(store, index, CORPUS, QUERY, doc_counts=[2, 4], gen_tokens=2,
                     query_reserve=48)
     # eight cells, plus one read for the report's environment
     assert len(reads) == len(bench.MODES) * 2 + 1
 
 
 def test_no_cache_prefill_time_includes_encoding(setup, monkeypatch):
-    model, store, index = setup
+    _, store, index = setup
     build = bench.build_document_cache
 
     def slow_build(*args, **kwargs):
@@ -78,7 +78,7 @@ def test_no_cache_prefill_time_includes_encoding(setup, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(bench, "build_document_cache", slow_build)
-    report = bench.run_bench(model, store, index, CORPUS, QUERY, doc_counts=[3],
+    report = bench.run_bench(store, index, CORPUS, QUERY, doc_counts=[3],
                              gen_tokens=2, modes=("no-cache",), query_reserve=48)
     (row,) = report.rows
     assert row.prefill_s >= 0.05 * 3
@@ -100,9 +100,9 @@ def test_trace_reports_the_context_decode_sees(setup, mode):
 
 
 def naive_warnings(setup, doc_ids, gen_tokens):
-    model, store, index = setup
+    _, store, index = setup
     texts = {doc_id: (title, text) for doc_id, title, text in CORPUS}
-    _, trace = bench.answer(model, store, index, "naive", texts, QUERY, doc_ids,
+    _, trace = bench.answer(store, index, "naive", texts, QUERY, doc_ids,
                             gen_tokens=gen_tokens, schedule=None, strategy="none",
                             query_reserve=48)
     return trace["warnings"]
@@ -125,8 +125,8 @@ def test_naive_trace_within_range_records_no_warning(setup):
 def test_ratios_over_zero_decode_mults_are_none(setup):
     """With one generated token no row decodes, so each decode ratio has a
     base of 0 and is reported as None (null in JSON)."""
-    model, store, index = setup
-    report = bench.run_bench(model, store, index, CORPUS, QUERY, doc_counts=[2, 4],
+    _, store, index = setup
+    report = bench.run_bench(store, index, CORPUS, QUERY, doc_counts=[2, 4],
                              gen_tokens=1, query_reserve=48)
     assert all(row.decode_mults == 0 for row in report.rows)
     for pairs in report.ratios.values():

@@ -6,19 +6,21 @@ import struct
 
 import pytest
 
-from kvfocus import cli
-from kvfocus.bench import MODES
+from kvfocus import bench, cli
+from kvfocus.bench import MODES, score_answer
 from kvfocus.cache_store import CACHE_FRAME, CacheStore
-from kvfocus.cli import main, score_answer
-from kvfocus.focus import STRATEGIES
+from kvfocus.cli import main
+from kvfocus.focus import STRATEGIES, PruningSchedule
 from kvfocus.model import Model, make_config, save_weights
+from kvfocus.retrieval import load_index, search
+from kvfocus.tokenizer import ByteTokenizer
 
 SMALL_MODEL_FLAGS = [
     "--num-layers", "2", "--num-heads", "2", "--head-dim", "8",
     "--max-position", "128", "--seed", "7",
 ]
-# run and bench also take the query flags
-RUN_FLAGS = [*SMALL_MODEL_FLAGS, "--query-reserve", "48"]
+# run and bench answer with the model build-cache wrote into the store
+RUN_FLAGS = ["--query-reserve", "48"]
 
 CORPUS = [
     {"id": "d-paris", "title": "paris", "text": "paris is the capital of france"},
@@ -56,6 +58,16 @@ class TestScoreAnswer:
     def test_empty_gold_rejected(self):
         with pytest.raises(ValueError):
             score_answer("x", [])
+
+    @pytest.mark.parametrize("gold", ["", "  "])
+    def test_blank_gold_rejected(self, capsys, gold):
+        """A blank answer is contained in every output, so it proves nothing."""
+        with pytest.raises(ValueError, match="blank"):
+            score_answer("wrong answer", ["Rome", gold])
+        assert main(["score", "--output", "wrong answer", "--answer", gold]) == 1
+        captured = capsys.readouterr()
+        assert "error: a gold answer is blank" in captured.err
+        assert captured.out == ""
 
     def test_cli_prints_boolean(self, capsys):
         assert main(["score", "--output", "it is Rome", "--answer", "Rome"]) == 0
@@ -103,6 +115,46 @@ class TestBuildCacheCommand:
         assert main(stale) == 1
         assert "force" in capsys.readouterr().err
         assert main(stale + ["--force"]) == 0
+
+    def test_weights_flag_builds_the_store_for_that_model(self, workspace, capsys):
+        """The store's model file holds the weights build-cache was given."""
+        weights = workspace["tmp"] / "m.cfwt"
+        model = Model.from_seed(make_config(num_layers=2, num_heads=2, head_dim=8), 5)
+        save_weights(model, weights)
+        store = workspace["tmp"] / "from-weights"
+        assert main(["build-cache", "--corpus", str(workspace["corpus"]),
+                     "--store", str(store), "--prefix", "context:", "--passage-len", "16",
+                     "--weights", str(weights)]) == 0
+        assert (store / "model.cfwt").read_bytes() == weights.read_bytes()
+        assert CacheStore.open(store).model.fingerprint == model.fingerprint
+
+    @pytest.mark.parametrize("damage", ["duplicate-id", "empty-document", "malformed-line"])
+    def test_refused_forced_rebuild_leaves_the_store_as_it_was(self, workspace, capsys,
+                                                                damage):
+        """Every passage is checked before the first write, so a forced
+        rebuild for another model and prefix that is refused writes nothing."""
+        store = workspace["store"]
+        before = {p: p.read_bytes() for p in sorted(store.rglob("*")) if p.is_file()}
+        assert store / "model.cfwt" in before
+        lines = [json.dumps(r) for r in CORPUS]
+        lines.append({"duplicate-id": json.dumps(CORPUS[0]),
+                      "empty-document": json.dumps({"id": "d-empty", "text": ""}),
+                      "malformed-line": "{not json"}[damage])
+        corpus = workspace["tmp"] / "bad.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        flags = [a if a != "7" else "8" for a in SMALL_MODEL_FLAGS]  # another seed
+        assert main(["build-cache", "--corpus", str(corpus), "--store", str(store),
+                     "--prefix", "other prefix:", "--passage-len", "16", "--force",
+                     *flags]) == 1
+        assert {"duplicate-id": "duplicate document id 'd-paris'",
+                "empty-document": "document produced no tokens",
+                "malformed-line": f"{corpus}:5: invalid JSON"}[damage] in capsys.readouterr().err
+        after = {p: p.read_bytes() for p in sorted(store.rglob("*")) if p.is_file()}
+        assert after == before
+        assert main(["run", "--store", str(store), "--index", str(workspace["index"]),
+                     "--query", "capital of france", "--k", "2", "--mode", "cache",
+                     "--gen-tokens", "2", *RUN_FLAGS]) == 0
+        assert json.loads(capsys.readouterr().out)["trace"]["retrieved_ids"]
 
     @pytest.mark.parametrize("passage_len", ["0", "-5"])
     def test_passage_len_below_one_is_user_error(self, workspace, capsys, passage_len):
@@ -167,9 +219,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("damage", ["short-header", "short-config", "short-body",
                                         "base-one"])
     def test_malformed_weight_file_is_user_error(self, workspace, capsys, damage):
-        path = workspace["tmp"] / "m.cfwt"
-        model = Model.from_seed(make_config(num_layers=2, num_heads=2, head_dim=8), 7)
-        save_weights(model, path)
+        """The store's model file is damaged the way a weight file can be."""
+        path = workspace["store"] / "model.cfwt"
         raw = path.read_bytes()
         path.write_bytes({"short-header": b"CFWT",
                           "short-config": b"CFWT\x01\x00\x00\x00\x08",
@@ -177,10 +228,55 @@ class TestRunCommand:
                           # the config's rope base, which the crc does not cover
                           "base-one": raw[:28] + struct.pack("<d", 1.0) + raw[36:]}[damage])
         code = main(["run", "--store", str(workspace["store"]),
-                     "--index", str(workspace["index"]), "--query", "capital",
-                     "--weights", str(path)])
+                     "--index", str(workspace["index"]), "--query", "capital"])
         assert code == 1
-        assert "weight file" in capsys.readouterr().err
+        assert f"weight file {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_store_without_model_file_is_user_error(self, workspace, capsys, command):
+        """A store built before stores kept their model must be rebuilt."""
+        path = workspace["store"] / "model.cfwt"
+        path.unlink()
+        code = main([command, "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--corpus", str(workspace["corpus"]),
+                     "--query", "capital"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"error: no model file {path}; build the store with build-cache\n" == captured.err
+        assert captured.out == ""
+
+    def test_store_answers_with_the_model_it_was_built_with(self, workspace, capsys):
+        """A store built with a non-default shape and seed answers every mode
+        as a store bound to that seeded model does, with no model flag."""
+        config = make_config(num_layers=2, num_heads=2, head_dim=8, max_position=128)
+        seeded = CacheStore(workspace["store"], Model.from_seed(config, 7))
+        index = load_index(workspace["index"])
+        texts = {r["id"]: (r["title"], r["text"]) for r in CORPUS}
+        query = "the capital of italy"
+        doc_ids = [doc_id for doc_id, _ in search(index, query, 3)]
+        schedule = PruningSchedule(interval=1, k_finish=1)
+        for mode in MODES:
+            payload = self.run_json(workspace, capsys, "--query", query, "--k", "3",
+                                    "--mode", mode, "--n", "1", "--k-finish", "1",
+                                    "--strategy", "sort")
+            tokens, _ = bench.answer(seeded, index, mode, texts, query, doc_ids,
+                                     gen_tokens=4, schedule=schedule, strategy="sort",
+                                     query_reserve=48)
+            assert payload["answer"] == ByteTokenizer().decode(tokens), mode
+        assert main(["bench", "--corpus", str(workspace["corpus"]),
+                     "--index", str(workspace["index"]), "--store", str(workspace["store"]),
+                     "--query", query, "--doc-counts", "1,3", "--gen-tokens", "4",
+                     "--n", "1", "--k-finish", "1", *RUN_FLAGS]) == 0
+        report = json.loads(capsys.readouterr().out)
+        records = [(r["id"], r["title"], r["text"]) for r in CORPUS]
+        expected = bench.run_bench(seeded, index, records, query, doc_counts=[1, 3],
+                                   gen_tokens=4, schedule=schedule, query_reserve=48)
+        assert report["environment"]["model"]["fingerprint"] == seeded.model.fingerprint
+        assert "seed" not in report["environment"]
+        assert [(r["mode"], r["doc_count"], r["context_length"], r["prefill_mults"],
+                 r["decode_mults"]) for r in report["rows"]] == [
+            (r.mode, r.doc_count, r.context_length, r.prefill_mults, r.decode_mults)
+            for r in expected.rows]
 
     @pytest.mark.parametrize("damage", ["truncated", "body", "crc"])
     @pytest.mark.parametrize("kind", ["cache", "index"])
@@ -449,8 +545,16 @@ class TestHelp:
     @pytest.mark.parametrize("command", ["run", "bench"])
     def test_help_lists_every_flag(self, capsys, command):
         out, flags = self.help_text(capsys, command)
-        assert flags == {"--help"} | self.MODEL_FLAGS | self.QUERY_FLAGS | self.OWN_FLAGS[command]
+        assert flags == {"--help"} | self.QUERY_FLAGS | self.OWN_FLAGS[command]
         assert "{" + ",".join(STRATEGIES) + "}" in out
+
+    @pytest.mark.parametrize("flag", sorted(MODEL_FLAGS))
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_model_flag_is_a_usage_error(self, capsys, command, flag):
+        """run and bench take the store's model; a model flag is refused."""
+        assert main([command, "--store", "s", "--index", "i", "--corpus", "c",
+                     "--query", "q", flag, "1"]) == 1
+        assert f"error: unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["build-cache", "--corpus", "x", "--store", "y", "--prefix", "p",

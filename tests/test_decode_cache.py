@@ -302,7 +302,7 @@ class TestPipelineReleasesEntries:
 
         monkeypatch.setattr(Model, "decode", checked)
         texts = {doc_id: (title, text) for doc_id, title, text in CORPUS}
-        tokens, _ = bench.answer(model, store, index_corpus(CORPUS), mode, texts,
+        tokens, _ = bench.answer(store, index_corpus(CORPUS), mode, texts,
                                  "capital city", ["d0", "d1", "d2"], gen_tokens=3,
                                  schedule=PruningSchedule(interval=1, k_finish=1),
                                  strategy="sort", query_reserve=64)

@@ -193,6 +193,27 @@ def test_writers_of_one_path_use_their_own_temp_files(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
 
+def test_chunked_body_is_framed_as_one(tmp_path):
+    """A body given in chunks, numpy arrays among them, is written and
+    checksummed as their concatenation; a chunk source that fails part way
+    leaves the previous file and no temporary file."""
+    chunks = [b"ab", np.arange(3, dtype=np.float32), b"", b"cd"]
+    whole, parts = tmp_path / "whole", tmp_path / "parts"
+    size = framing.write_framed(whole, WEIGHT_FRAME, b"", [b"".join(map(bytes, chunks))])
+    assert framing.write_framed(parts, WEIGHT_FRAME, b"", iter(chunks)) == size
+    assert parts.read_bytes() == whole.read_bytes()
+    assert len(whole.read_bytes()) == size
+
+    def failing():
+        yield b"ab"
+        raise OSError("source gone")
+
+    with pytest.raises(OSError, match="source gone"):
+        framing.write_framed(parts, WEIGHT_FRAME, b"", failing())
+    assert parts.read_bytes() == whole.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["parts", "whole"]
+
+
 class TestCacheDimensions:
     """The crc does not cover a cache file's dimensions. A header with a
     zero dimension and an empty body passes the body-length check (0 == 0),
