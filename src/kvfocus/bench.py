@@ -2,10 +2,10 @@
 that runs them for every (mode, doc_count) cell, and answer scoring.
 
 naive forwards prefix, passages and query as one sequence; no-cache encodes
-the prefix and document caches at query time; cache loads them from the
-store; prune loads, prunes and places them. Every mode runs the store's
-model. The clock starts once the documents are chosen, so encoding and
-loading count as pre-fill.
+the prefix and document caches at query time; cache loads them through
+`Pipeline.run_documents`; prune loads, prunes and places them. Every mode
+runs through one `Pipeline` and its store's model, and times load_s (from
+the manifest read to pre-fill), prefill_s, decode_s and total_s, their sum.
 """
 
 from __future__ import annotations
@@ -17,54 +17,52 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cache_store import CacheStore, build_document_cache, build_prefix_cache, passage_tokens
-from .focus import Pipeline, PruningSchedule, run_full_context
+from .cache_store import build_document_cache, build_prefix_cache, passage_tokens
+from .focus import Pipeline, PruningSchedule, prepend_stages, run_full_context
 from .model import CostMeter
-from .retrieval import InvertedIndex, search
+from .retrieval import search
 from .rope import collect_position_overflows
-from .tokenizer import ByteTokenizer
 
 MODES = ("naive", "no-cache", "cache", "prune")
 
 
-def answer(store: CacheStore, index: InvertedIndex, mode: str, texts,
-           query_text: str, doc_ids: list[str], *, gen_tokens: int,
-           schedule: PruningSchedule | None, strategy: str, query_reserve: int):
-    """Answer `query_text` over the documents `doc_ids` in `mode`, with the
-    store's model.
+def answer(pipeline: Pipeline, mode: str, texts, query_text: str, doc_ids: list[str], *,
+           gen_tokens: int, schedule: PruningSchedule | None, strategy: str):
+    """Answer `query_text` over the documents `doc_ids` in `mode`, through
+    `pipeline` and its store's model.
 
     texts maps doc_id -> (title, text); only naive and no-cache read it, and
     only prune uses the schedule and strategy. The store's manifest is read
     once, and only cache and prune load its prefix cache; the pipeline frees
     the loaded or encoded document entries during pre-fill. Returns (tokens,
     trace dict); the trace holds at least `context_length` (the tokens before
-    pruning), `decode_context_length` (the tokens decode sees), `timings`,
-    `op_counts` and `warnings` (the position-overflow and, in the cached
-    modes, query-reserve messages the run issued).
+    pruning), `decode_context_length` (the tokens decode sees), `timings`
+    (load_s, prefill_s, decode_s, total_s), `op_counts` and `warnings` (the
+    position-overflow and, in the cached modes, query-reserve messages the
+    run issued).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if query_reserve < 0:
-        raise ValueError(f"query_reserve must be >= 0, got {query_reserve}")
+    if mode in ("cache", "prune"):
+        if mode == "cache":
+            schedule, strategy = None, "none"
+        result = pipeline.run_documents(query_text, doc_ids, schedule=schedule,
+                                        strategy=strategy, gen_tokens=gen_tokens)
+        return result.tokens, asdict(result.trace)
+    if texts is None:
+        raise ValueError(f"mode {mode} needs the text of the documents (the corpus)")
     t0 = time.perf_counter()
-    model = store.model
-    tokenizer = ByteTokenizer()
-    manifest = store.read_manifest()
+    model, tokenizer, meter = pipeline.model, pipeline.tokenizer, CostMeter()
+    manifest = pipeline.store.read_manifest()
     prefix_tokens = manifest["prefix_tokens"]
-    passage_len = manifest["passage_len"]
-    meter = CostMeter()
-
     passages = []
-    if mode in ("naive", "no-cache"):
-        if texts is None:
-            raise ValueError(f"mode {mode} needs the text of the documents (the corpus)")
-        for doc_id in doc_ids:
-            if doc_id not in texts:
-                raise ValueError(f"retrieved document {doc_id!r} missing from corpus")
-            passages.append(passage_tokens(tokenizer, *texts[doc_id], passage_len))
+    for doc_id in doc_ids:
+        if doc_id not in texts:
+            raise ValueError(f"retrieved document {doc_id!r} missing from corpus")
+        passages.append(passage_tokens(tokenizer, *texts[doc_id], manifest["passage_len"]))
 
     if mode == "naive":
-        prepared = time.perf_counter() - t0
+        t1 = time.perf_counter()
         issued: list[str] = []
         with collect_position_overflows(issued):
             tokens, context_length, timings = run_full_context(
@@ -77,27 +75,16 @@ def answer(store: CacheStore, index: InvertedIndex, mode: str, texts,
                                "decode_mults": meter.decode_mults},
                  "warnings": issued}
     else:
-        if mode == "no-cache":
-            prefix = build_prefix_cache(model, prefix_tokens, meter=meter)
-            entries = [build_document_cache(model, prefix, doc_tokens, doc_id=doc_id,
-                                            valid_len=valid, meter=meter)
-                       for doc_id, (doc_tokens, valid) in zip(doc_ids, passages)]
-        else:
-            prefix = store.load_prefix(manifest=manifest)
-            entries = [store.load_entry(doc_id, manifest=manifest) for doc_id in doc_ids]
-        if mode != "prune":
-            schedule, strategy = None, "none"
-        prepared = time.perf_counter() - t0
-        pipeline = Pipeline(model, store, index, query_reserve=query_reserve)
-        # pre-fill empties `entries`, the only holder of the entries
-        result = pipeline.run_with_entries(
-            query_text, entries, prefix=prefix, schedule=schedule, strategy=strategy,
-            gen_tokens=gen_tokens, meter=meter)
+        prefix = build_prefix_cache(model, prefix_tokens, meter=meter)
+        # pre-fill empties this list, the only holder of the entries
+        entries = [build_document_cache(model, prefix, doc_tokens, doc_id=doc_id,
+                                        valid_len=valid, meter=meter)
+                   for doc_id, (doc_tokens, valid) in zip(doc_ids, passages)]
+        t1 = time.perf_counter()
+        result = pipeline.run_with_entries(query_text, entries, prefix=prefix,
+                                           gen_tokens=gen_tokens, meter=meter)
         tokens, trace = result.tokens, asdict(result.trace)
-
-    timings = trace["timings"]
-    timings["prefill_s"] += prepared
-    timings["total_s"] += prepared
+    trace["timings"] = prepend_stages({"load_s": t1 - t0}, trace["timings"])
     return tokens, trace
 
 
@@ -114,6 +101,7 @@ class BenchRow:
     total_s: float
     prefill_mults: int
     decode_mults: int
+    load_s: float
 
 
 @dataclass
@@ -143,23 +131,31 @@ def select_documents(index, corpus_records, query_text: str, k: int) -> list[str
     return ranked
 
 
-def run_bench(store, index, corpus_records, query_text, *, doc_counts,
-              gen_tokens=100, modes=MODES, schedule=None, strategy="none",
-              query_reserve=128) -> BenchReport:
-    """Run every (mode, doc_count) cell sequentially and derive scaling ratios.
+def run_bench(pipeline: Pipeline, corpus_records, query_text, *, doc_counts,
+              gen_tokens=100, modes=MODES, schedule=None, strategy="none") -> BenchReport:
+    """Run every (mode, doc_count) cell sequentially through `pipeline` and
+    derive scaling ratios.
 
+    Every mode and doc count, and the corpus size, are checked before the
+    first cell runs.
     Wall-clock is reported but the multiply-accumulate counters are the
     stable signal: they are exact functions of the configuration.
     """
-    schedule = schedule or PruningSchedule()
+    modes, doc_counts = list(modes), list(doc_counts)
+    if not modes or not set(modes) <= set(MODES):
+        raise ValueError(f"modes must be one or more of {MODES}, got {modes}")
+    if not doc_counts or min(doc_counts) < 1:
+        raise ValueError(f"doc_counts must be one or more counts >= 1, got {doc_counts}")
     texts = {doc_id: (title, text) for doc_id, title, text in corpus_records}
+    if max(doc_counts) > len(texts):
+        raise ValueError(f"corpus holds only {len(texts)} documents, need {max(doc_counts)}")
+    schedule = schedule or PruningSchedule()
     rows = []
     for mode in modes:
         for doc_count in doc_counts:
-            ids = select_documents(index, corpus_records, query_text, doc_count)
-            _, trace = answer(store, index, mode, texts, query_text, ids,
-                              gen_tokens=gen_tokens, schedule=schedule, strategy=strategy,
-                              query_reserve=query_reserve)
+            ids = select_documents(pipeline.index, corpus_records, query_text, doc_count)
+            _, trace = answer(pipeline, mode, texts, query_text, ids, gen_tokens=gen_tokens,
+                              schedule=schedule, strategy=strategy)
             rows.append(BenchRow(mode=mode.replace("-", "_"), doc_count=doc_count,
                                  context_length=trace["context_length"], **trace["timings"],
                                  **trace["op_counts"]))
@@ -179,7 +175,7 @@ def run_bench(store, index, corpus_records, query_text, *, doc_counts,
             })
         ratios[mode.replace("-", "_")] = pairs
 
-    model = store.model
+    model = pipeline.model
     environment = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -192,7 +188,7 @@ def run_bench(store, index, corpus_records, query_text, *, doc_counts,
             "max_position": model.config.rope.max_position,
             "fingerprint": model.fingerprint,
         },
-        "passage_len": store.passage_len,
+        "passage_len": pipeline.store.passage_len,
     }
     return BenchReport(environment=environment, rows=rows, ratios=ratios)
 
@@ -202,8 +198,9 @@ def _ratio(new: int, base: int) -> float | None:
     return new / base if base else None
 
 
+# load_s is last, so the columns of earlier reports keep their places
 _CSV_COLUMNS = ("mode", "doc_count", "context_length", "prefill_s", "decode_s",
-                "total_s", "prefill_mults", "decode_mults")
+                "total_s", "prefill_mults", "decode_mults", "load_s")
 
 
 def report_to_csv(report: BenchReport) -> str:

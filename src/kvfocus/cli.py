@@ -19,7 +19,7 @@ import traceback
 from .bench import MODES, answer, report_to_csv, report_to_json, run_bench, score_answer
 from .cache_store import CacheFormatError, CacheStore, MissingEntryError, StaleCacheError
 from .corpus import CorpusError, read_corpus
-from .focus import STRATEGIES, ConfigurationError, PruningSchedule
+from .focus import STRATEGIES, ConfigurationError, Pipeline, PruningSchedule
 from .model import CapacityError, Model, WeightFormatError, make_config
 from .retrieval import IndexFormatError, index_corpus, load_index, save_index, search
 from .tokenizer import ByteTokenizer
@@ -28,6 +28,7 @@ USER_ERRORS = (
     ValueError,
     FileNotFoundError,
     NotADirectoryError,
+    IsADirectoryError,
     CorpusError,
     StaleCacheError,
     MissingEntryError,
@@ -73,15 +74,16 @@ def cmd_build_cache(args) -> int:
 def cmd_run(args) -> int:
     store = CacheStore.open(args.store)
     index = load_index(args.index)
+    pipeline = Pipeline(store.model, store, index, query_reserve=args.query_reserve)
     texts = ({doc_id: (title, text) for doc_id, title, text in read_corpus(args.corpus)}
              if args.corpus else None)
     if args.k < 0:
         raise ValueError(f"--k must be >= 0, got {args.k}")
     doc_ids = [doc_id for doc_id, _ in search(index, args.query, args.k)] if args.k > 0 else []
-    tokens, trace = answer(store, index, args.mode, texts, args.query, doc_ids,
+    tokens, trace = answer(pipeline, args.mode, texts, args.query, doc_ids,
                            gen_tokens=args.gen_tokens, schedule=_schedule_from_args(args),
-                           strategy=args.strategy, query_reserve=args.query_reserve)
-    payload = {"answer": ByteTokenizer().decode(tokens), "mode": args.mode, "trace": trace}
+                           strategy=args.strategy)
+    payload = {"answer": pipeline.tokenizer.decode(tokens), "mode": args.mode, "trace": trace}
     text = json.dumps(payload, indent=2)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -93,14 +95,14 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     store = CacheStore.open(args.store)
     index = load_index(args.index)
+    pipeline = Pipeline(store.model, store, index, query_reserve=args.query_reserve)
     records = list(read_corpus(args.corpus))
     doc_counts = [int(x) for x in args.doc_counts.split(",") if x]
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     report = run_bench(
-        store, index, records, args.query,
+        pipeline, records, args.query,
         doc_counts=doc_counts, gen_tokens=args.gen_tokens, modes=modes,
-        schedule=_schedule_from_args(args), strategy=args.strategy,
-        query_reserve=args.query_reserve)
+        schedule=_schedule_from_args(args), strategy=args.strategy)
     csv_text = report_to_csv(report)
     json_text = report_to_json(report)
     if args.csv_path:

@@ -495,33 +495,36 @@ class Pipeline:
     def run(self, query_text: str, k: int, *, schedule: PruningSchedule | None = None,
             strategy: str = "none", gen_tokens: int = 20,
             meter: CostMeter | None = None) -> PipelineResult:
-        """End-to-end run; k=0 answers from the prefix and query alone.
-
-        The store's manifest is read once per run and shared by every load, so
-        entries saved since the previous run are found. Pre-fill writes the
-        float64 decode cache as it goes wherever its layout is already final,
-        and frees each layer of the loaded entries once it is placed for the
-        last time, so the entries are gone before decoding starts and are
-        never all held beside the whole decode cache. Decoding appends to
-        that cache in place; with gen_tokens=1 no decode cache is built. The
-        trace times retrieval (retrieve_s) and loading (load_s) as well, and
-        total_s counts every stage.
-        """
+        """Retrieve the top k documents (k=0 answers from the prefix and query
+        alone) and run_documents on them; the trace adds retrieve_s first."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         t0 = time.perf_counter()
         retrieved = search(self.index, query_text, k) if k > 0 else []
         t1 = time.perf_counter()
+        result = self.run_documents(query_text, [doc_id for doc_id, _ in retrieved],
+                                    schedule=schedule, strategy=strategy,
+                                    gen_tokens=gen_tokens, meter=meter)
+        result.trace.timings = prepend_stages({"retrieve_s": t1 - t0}, result.trace.timings)
+        return result
+
+    def run_documents(self, query_text: str, doc_ids: list[str], *,
+                      schedule: PruningSchedule | None = None, strategy: str = "none",
+                      gen_tokens: int = 20, meter: CostMeter | None = None) -> PipelineResult:
+        """Load the prefix and the caches of `doc_ids` under one manifest read
+        per run, timed as load_s, and run_with_entries on them. Pre-fill
+        frees each loaded layer once it is placed for the last time, so the
+        entries are never all held beside the whole decode cache, which it
+        writes as it goes where the layout is final; gen_tokens=1 builds none."""
+        t0 = time.perf_counter()
         manifest = self.store.read_manifest()
         prefix = self.store.load_prefix(manifest=manifest)
         # pre-fill empties this list, the only holder of the entries
-        entries = [self.store.load_entry(doc_id, manifest=manifest) for doc_id, _ in retrieved]
-        t2 = time.perf_counter()
+        entries = [self.store.load_entry(doc_id, manifest=manifest) for doc_id in doc_ids]
+        t1 = time.perf_counter()
         result = self.run_with_entries(query_text, entries, prefix=prefix, schedule=schedule,
                                        strategy=strategy, gen_tokens=gen_tokens, meter=meter)
-        timings = result.trace.timings
-        result.trace.timings = {"retrieve_s": t1 - t0, "load_s": t2 - t1, **timings,
-                                "total_s": t2 - t0 + timings["total_s"]}
+        result.trace.timings = prepend_stages({"load_s": t1 - t0}, result.trace.timings)
         return result
 
     def run_with_entries(self, query_text: str, entries: list[CacheStoreEntry], *,
@@ -534,8 +537,8 @@ class Pipeline:
         Like prefill_with_pruning, this empties `entries`, so entries the
         caller holds nowhere else are freed during pre-fill; pass a copy of
         the list to keep them. The entries themselves are not changed. The
-        trace times pre-fill and decoding only, and keeps the warnings issued
-        on the way.
+        trace times pre-fill, up to a ready decode cache, and decoding only,
+        and keeps the warnings issued on the way.
         """
         meter = meter if meter is not None else CostMeter()
         meter.phase = "prefill"
@@ -596,6 +599,11 @@ class Pipeline:
             warnings=issued,
         )
         return PipelineResult(tokens=tokens, trace=trace)
+
+
+def prepend_stages(stages: dict[str, float], timings: dict[str, float]) -> dict[str, float]:
+    """The stages timed before a run, then its timings; total_s sums them all."""
+    return {**stages, **timings, "total_s": sum(stages.values()) + timings["total_s"]}
 
 
 def run_full_context(model: Model, prefix_tokens, passages, query_tokens, *,

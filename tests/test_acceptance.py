@@ -354,11 +354,11 @@ def bench_report(tmp_path_factory):
     # naive at 40 documents runs past the encoding range by design
     with pytest.warns(PositionOverflowWarning):
         return run_bench(
-            store, index, records, "cache engine tokens",
+            Pipeline(model, store, index, query_reserve=128), records, "cache engine tokens",
             doc_counts=[10, 20, 40], gen_tokens=100,
             modes=("naive", "no-cache", "cache", "prune"),
             schedule=PruningSchedule(interval=4, k_finish=5),
-            strategy="none", query_reserve=128)
+            strategy="none")
 
 
 def test_criterion_08_complexity_scaling(bench_report):

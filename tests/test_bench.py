@@ -4,6 +4,7 @@ patch points and the counts its tracer reads there."""
 
 import importlib.util
 import json
+import re
 import sys
 import time
 import warnings
@@ -33,12 +34,15 @@ def setup(tmp_path_factory):
     return model, store, index_corpus(CORPUS)
 
 
+def pipeline_of(setup):
+    model, store, index = setup
+    return Pipeline(model, store, index, query_reserve=48)
+
+
 def answer(setup, mode, doc_ids):
-    _, store, index = setup
     texts = {doc_id: (title, text) for doc_id, title, text in CORPUS}
-    return bench.answer(store, index, mode, texts, QUERY, doc_ids, gen_tokens=3,
-                        schedule=PruningSchedule(interval=1, k_finish=1), strategy="sort",
-                        query_reserve=48)
+    return bench.answer(pipeline_of(setup), mode, texts, QUERY, doc_ids, gen_tokens=3,
+                        schedule=PruningSchedule(interval=1, k_finish=1), strategy="sort")
 
 
 def count_manifest_reads(monkeypatch):
@@ -61,28 +65,62 @@ def test_an_answer_reads_the_manifest_once(setup, monkeypatch, mode):
 
 
 def test_bench_reads_the_manifest_once_per_cell(setup, monkeypatch):
-    _, store, index = setup
     reads = count_manifest_reads(monkeypatch)
-    bench.run_bench(store, index, CORPUS, QUERY, doc_counts=[2, 4], gen_tokens=2,
-                    query_reserve=48)
+    bench.run_bench(pipeline_of(setup), CORPUS, QUERY, doc_counts=[2, 4], gen_tokens=2)
     # eight cells, plus one read for the report's environment
     assert len(reads) == len(bench.MODES) * 2 + 1
 
 
-def test_no_cache_prefill_time_includes_encoding(setup, monkeypatch):
-    _, store, index = setup
-    build = bench.build_document_cache
+# what each mode does per document before pre-fill: tokenize it (naive),
+# encode it (no-cache) or load it (cache, prune)
+PER_DOCUMENT = {"naive": (bench, "passage_tokens"),
+                "no-cache": (bench, "build_document_cache"),
+                "cache": (CacheStore, "load_entry"),
+                "prune": (CacheStore, "load_entry")}
 
-    def slow_build(*args, **kwargs):
-        time.sleep(0.05)
-        return build(*args, **kwargs)
 
-    monkeypatch.setattr(bench, "build_document_cache", slow_build)
-    report = bench.run_bench(store, index, CORPUS, QUERY, doc_counts=[3],
-                             gen_tokens=2, modes=("no-cache",), query_reserve=48)
+def slow_documents(monkeypatch, mode, seconds=0.02):
+    owner, name = PER_DOCUMENT[mode]
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a, **kw: time.sleep(seconds) or original(*a, **kw))
+
+
+@pytest.mark.parametrize("mode", bench.MODES)
+def test_bench_row_times_loading_apart_from_prefill(setup, monkeypatch, mode):
+    """With 20 ms patched into each of three documents' load, encoding or
+    tokenizing, the row's load_s holds the sleeps, prefill_s does not, and
+    total_s is the sum of the stages; the CSV puts load_s last."""
+    slow_documents(monkeypatch, mode)
+    report = bench.run_bench(pipeline_of(setup), CORPUS, QUERY, doc_counts=[3],
+                             gen_tokens=2, modes=(mode,))
     (row,) = report.rows
-    assert row.prefill_s >= 0.05 * 3
-    assert row.total_s == pytest.approx(row.prefill_s + row.decode_s)
+    assert row.load_s >= 3 * 0.02
+    assert row.prefill_s < 3 * 0.02
+    assert row.total_s == pytest.approx(row.load_s + row.prefill_s + row.decode_s, abs=1e-9)
+    header, line = bench.report_to_csv(report).splitlines()
+    assert header.split(",")[-1] == "load_s"
+    assert float(line.split(",")[-1]) == row.load_s
+
+
+@pytest.mark.parametrize("modes, doc_counts, problem", [
+    ((), [2], f"modes must be one or more of {bench.MODES}, got []"),
+    (("cache", "bogus"), [2], f"modes must be one or more of {bench.MODES}, "
+                              "got ['cache', 'bogus']"),
+    (("cache",), [], "doc_counts must be one or more counts >= 1, got []"),
+    (("cache",), [2, 0], "doc_counts must be one or more counts >= 1, got [2, 0]"),
+    (("cache",), [2, 7], "corpus holds only 6 documents, need 7"),
+], ids=["no-modes", "unknown-mode", "no-doc-counts", "zero-doc-count", "beyond-corpus"])
+def test_bench_checks_its_cells_before_running_any(setup, monkeypatch, modes, doc_counts,
+                                                  problem):
+    """An empty list, an unknown mode, a count below 1 or above the corpus
+    size is refused before any cell is answered."""
+    calls = []
+    monkeypatch.setattr(bench, "answer", lambda *a, **kw: calls.append(1))
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        bench.run_bench(pipeline_of(setup), CORPUS, QUERY, doc_counts=doc_counts,
+                        gen_tokens=2, modes=modes)
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", bench.MODES)
@@ -100,11 +138,9 @@ def test_trace_reports_the_context_decode_sees(setup, mode):
 
 
 def naive_warnings(setup, doc_ids, gen_tokens):
-    _, store, index = setup
     texts = {doc_id: (title, text) for doc_id, title, text in CORPUS}
-    _, trace = bench.answer(store, index, "naive", texts, QUERY, doc_ids,
-                            gen_tokens=gen_tokens, schedule=None, strategy="none",
-                            query_reserve=48)
+    _, trace = bench.answer(pipeline_of(setup), "naive", texts, QUERY, doc_ids,
+                            gen_tokens=gen_tokens, schedule=None, strategy="none")
     return trace["warnings"]
 
 
@@ -125,9 +161,8 @@ def test_naive_trace_within_range_records_no_warning(setup):
 def test_ratios_over_zero_decode_mults_are_none(setup):
     """With one generated token no row decodes, so each decode ratio has a
     base of 0 and is reported as None (null in JSON)."""
-    _, store, index = setup
-    report = bench.run_bench(store, index, CORPUS, QUERY, doc_counts=[2, 4],
-                             gen_tokens=1, query_reserve=48)
+    report = bench.run_bench(pipeline_of(setup), CORPUS, QUERY, doc_counts=[2, 4],
+                             gen_tokens=1)
     assert all(row.decode_mults == 0 for row in report.rows)
     for pairs in report.ratios.values():
         (pair,) = pairs
@@ -192,6 +227,32 @@ def test_traced_query_and_ingest_fire_every_wrapper(setup, monkeypatch, tmp_path
         store.read_manifest()["prefix_len"] + 16 + len(ByteTokenizer().encode(QUERY))]
     assert max(recorded("rope.reposition", "vectors")) > 0
     assert recorded("model.decode", "tokens") == [len(result.tokens) - 1]
+
+
+def test_bench_answer_loads_through_the_traced_pipeline_path(setup, monkeypatch):
+    """A prune-mode bench.answer, the CLI's path, fires the wrapped manifest
+    read, prefix and entry loads and pre-fill exactly as often as
+    Pipeline.run over the same documents."""
+    tracer = load_tracer(monkeypatch)
+    names = ("cache_store.read_manifest", "cache_store.load_prefix",
+             "cache_store.load_entry", "focus.prefill")
+    schedule = PruningSchedule(interval=1, k_finish=1)
+
+    def fired(run):
+        recorder = tracer.Recorder()
+        with recorder.patched():
+            run()
+        return {name: recorder.fired[name] for name in names}
+
+    pipeline = pipeline_of(setup)
+    retrieved = [doc_id for doc_id, _ in retrieval.search(pipeline.index, QUERY, 3)]
+    via_answer = fired(lambda: bench.answer(pipeline, "prune", None, QUERY, retrieved,
+                                            gen_tokens=3, schedule=schedule, strategy="sort"))
+    via_run = fired(lambda: pipeline.run(QUERY, 3, schedule=schedule, strategy="sort",
+                                         gen_tokens=3))
+    assert via_answer == via_run == {"cache_store.read_manifest": 1,
+                                     "cache_store.load_prefix": 1,
+                                     "cache_store.load_entry": 3, "focus.prefill": 1}
 
 
 def test_traced_cache_mode_query_fires_every_wrapper(setup, monkeypatch, tmp_path):

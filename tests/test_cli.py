@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from kvfocus import bench, cli
 from kvfocus.bench import MODES, score_answer
 from kvfocus.cache_store import CACHE_FRAME, CacheStore
 from kvfocus.cli import main
-from kvfocus.focus import STRATEGIES, PruningSchedule
+from kvfocus.focus import STRATEGIES, Pipeline, PruningSchedule
 from kvfocus.model import Model, make_config, save_weights
 from kvfocus.retrieval import load_index, search
 from kvfocus.tokenizer import ByteTokenizer
@@ -251,6 +252,7 @@ class TestRunCommand:
         config = make_config(num_layers=2, num_heads=2, head_dim=8, max_position=128)
         seeded = CacheStore(workspace["store"], Model.from_seed(config, 7))
         index = load_index(workspace["index"])
+        pipeline = Pipeline(seeded.model, seeded, index, query_reserve=48)
         texts = {r["id"]: (r["title"], r["text"]) for r in CORPUS}
         query = "the capital of italy"
         doc_ids = [doc_id for doc_id, _ in search(index, query, 3)]
@@ -259,9 +261,8 @@ class TestRunCommand:
             payload = self.run_json(workspace, capsys, "--query", query, "--k", "3",
                                     "--mode", mode, "--n", "1", "--k-finish", "1",
                                     "--strategy", "sort")
-            tokens, _ = bench.answer(seeded, index, mode, texts, query, doc_ids,
-                                     gen_tokens=4, schedule=schedule, strategy="sort",
-                                     query_reserve=48)
+            tokens, _ = bench.answer(pipeline, mode, texts, query, doc_ids,
+                                     gen_tokens=4, schedule=schedule, strategy="sort")
             assert payload["answer"] == ByteTokenizer().decode(tokens), mode
         assert main(["bench", "--corpus", str(workspace["corpus"]),
                      "--index", str(workspace["index"]), "--store", str(workspace["store"]),
@@ -269,8 +270,8 @@ class TestRunCommand:
                      "--n", "1", "--k-finish", "1", *RUN_FLAGS]) == 0
         report = json.loads(capsys.readouterr().out)
         records = [(r["id"], r["title"], r["text"]) for r in CORPUS]
-        expected = bench.run_bench(seeded, index, records, query, doc_counts=[1, 3],
-                                   gen_tokens=4, schedule=schedule, query_reserve=48)
+        expected = bench.run_bench(pipeline, records, query, doc_counts=[1, 3],
+                                   gen_tokens=4, schedule=schedule)
         assert report["environment"]["model"]["fingerprint"] == seeded.model.fingerprint
         assert "seed" not in report["environment"]
         assert [(r["mode"], r["doc_count"], r["context_length"], r["prefill_mults"],
@@ -404,9 +405,30 @@ class TestRunCommand:
         for field in ("query", "retrieved_ids", "n_reuse", "plan", "per_layer_scores",
                       "pruned_at_layer", "final_ids", "strategy", "timings", "op_counts"):
             assert field in trace
-        assert set(trace["timings"]) == {"prefill_s", "decode_s", "total_s"}
+        assert set(trace["timings"]) == {"load_s", "prefill_s", "decode_s", "total_s"}
         assert set(trace["op_counts"]) == {"prefill_mults", "decode_mults"}
         assert len(trace["final_ids"]) == 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_times_loading_apart_from_prefill(self, workspace, capsys, monkeypatch,
+                                                  mode):
+        """With 20 ms patched into each of three documents' load (cache,
+        prune), encoding (no-cache) or tokenizing (naive), the trace's load_s
+        holds the sleeps, prefill_s does not, and the stages sum to total_s."""
+        owner, name = {"naive": (bench, "passage_tokens"),
+                       "no-cache": (bench, "build_document_cache"),
+                       "cache": (CacheStore, "load_entry"),
+                       "prune": (CacheStore, "load_entry")}[mode]
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, **kw: time.sleep(0.02) or original(*a, **kw))
+        timings = self.run_json(workspace, capsys, "--query", "the capital", "--k", "3",
+                                "--mode", mode, "--k-finish", "1", "--n", "1")["trace"]["timings"]
+        assert set(timings) == {"load_s", "prefill_s", "decode_s", "total_s"}
+        assert timings["load_s"] >= 3 * 0.02
+        assert timings["prefill_s"] < 3 * 0.02
+        assert timings["total_s"] == pytest.approx(
+            timings["load_s"] + timings["prefill_s"] + timings["decode_s"], abs=1e-9)
 
     def test_naive_equals_cache_for_single_document(self, workspace, capsys):
         naive = self.run_json(workspace, capsys, "--query", "capital of france",
@@ -514,6 +536,22 @@ class TestBenchCommand:
             assert pair["decode_mult_ratio"] is None
             assert pair["prefill_mult_ratio"] > 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--modes", ","), ("--modes", "cache,bogus"), ("--doc-counts", ","),
+        ("--doc-counts", "0"), ("--doc-counts", "1,9"),
+    ])
+    def test_bad_cells_are_refused_before_any_runs(self, workspace, capsys, monkeypatch,
+                                                   flag, value):
+        calls = []
+        monkeypatch.setattr(bench, "answer", lambda *a, **kw: calls.append(1))
+        code = main(["bench", "--corpus", str(workspace["corpus"]),
+                     "--index", str(workspace["index"]), "--store", str(workspace["store"]),
+                     "--query", "x", flag, value, *RUN_FLAGS])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert calls == []
+
     def test_doc_count_beyond_corpus_is_user_error(self, workspace, capsys):
         code = main(["bench", "--corpus", str(workspace["corpus"]),
                      "--index", str(workspace["index"]),
@@ -521,6 +559,24 @@ class TestBenchCommand:
                      "--query", "x", "--doc-counts", "9",
                      "--gen-tokens", "2", *RUN_FLAGS])
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--corpus", "{corpus}", "--index", "{index}", "--trace", "{dir}"],
+    ["bench", "--corpus", "{corpus}", "--index", "{index}", "--json-path", "{dir}",
+     "--doc-counts", "1", "--modes", "cache"],
+    ["run", "--index", "{dir}"],
+    ["index", "--corpus", "{dir}", "--index", "{index}"],
+], ids=["run-trace", "bench-json-path", "run-index", "index-corpus"])
+def test_path_flag_naming_a_directory_is_user_error(workspace, capsys, argv):
+    paths = {"corpus": workspace["corpus"], "index": workspace["index"],
+             "dir": workspace["tmp"]}
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] != "index":
+        argv += ["--store", str(workspace["store"]), "--query", "capital",
+                 "--gen-tokens", "2", *RUN_FLAGS]
+    assert main(argv) == 1
+    assert f"Is a directory: '{workspace['tmp']}'" in capsys.readouterr().err
 
 
 class TestHelp:

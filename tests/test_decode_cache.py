@@ -302,10 +302,10 @@ class TestPipelineReleasesEntries:
 
         monkeypatch.setattr(Model, "decode", checked)
         texts = {doc_id: (title, text) for doc_id, title, text in CORPUS}
-        tokens, _ = bench.answer(store, index_corpus(CORPUS), mode, texts,
-                                 "capital city", ["d0", "d1", "d2"], gen_tokens=3,
-                                 schedule=PruningSchedule(interval=1, k_finish=1),
-                                 strategy="sort", query_reserve=64)
+        pipeline = Pipeline(model, store, index_corpus(CORPUS), query_reserve=64)
+        tokens, _ = bench.answer(pipeline, mode, texts, "capital city", ["d0", "d1", "d2"],
+                                 gen_tokens=3, schedule=PruningSchedule(interval=1, k_finish=1),
+                                 strategy="sort")
         assert len(tokens) == 3
         assert len(finalizers) == 3
         assert alive_at_decode == [0]
