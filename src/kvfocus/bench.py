@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class BenchRow:
     total_s: float
     prefill_mults: int
     decode_mults: int
-    load_s: float
+    load_s: float  # last, so the CSV columns of earlier reports keep their places
 
 
 @dataclass
@@ -198,16 +198,10 @@ def _ratio(new: int, base: int) -> float | None:
     return new / base if base else None
 
 
-# load_s is last, so the columns of earlier reports keep their places
-_CSV_COLUMNS = ("mode", "doc_count", "context_length", "prefill_s", "decode_s",
-                "total_s", "prefill_mults", "decode_mults", "load_s")
-
-
 def report_to_csv(report: BenchReport) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
+    lines = [",".join(f.name for f in fields(BenchRow))]
     for row in report.rows:
-        values = [getattr(row, column) for column in _CSV_COLUMNS]
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in values))
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in astuple(row)))
     return "\n".join(lines) + "\n"
 
 

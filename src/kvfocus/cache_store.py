@@ -133,7 +133,7 @@ def build_prefix_cache(model: Model, prefix_tokens, *, meter: CostMeter | None =
     tokens = [int(t) for t in prefix_tokens]
     if not tokens:
         raise ValueError("prefix must be non-empty")
-    cache = model.new_cache()
+    cache = model.new_cache(len(tokens))
     model.forward(cache, tokens, positions=np.arange(len(tokens)), meter=meter)
     return CacheStoreEntry(
         doc_id="",
@@ -169,8 +169,7 @@ def build_document_cache(
         raise ValueError(f"valid_len {valid_len} out of range for {len(tokens)} tokens")
 
     p = prefix.token_count
-    cache = model.new_cache()
-    cache.reserve(p + len(tokens))
+    cache = model.new_cache(p + len(tokens))
     for layer, (keys, values) in zip(cache.layers, prefix.layers):
         layer.append(keys, values, prefix.positions, prefix.visible)
     visible = np.arange(len(tokens)) < valid_len
@@ -371,7 +370,7 @@ class CacheStore:
                     f"store at {self.root} was built on another prefix; pass force to rebuild it"
                 )
 
-        total_bytes = self.save_prefix(prefix_entry)
+        total_bytes = self._write(prefix_entry, self.root / "prefix.cfkv")
         docs: dict[str, dict] = {}
         for doc_id, (tokens, valid) in staged.items():
             entry = build_document_cache(self.model, prefix_entry, tokens, doc_id=doc_id,
@@ -397,9 +396,6 @@ class CacheStore:
         return {"documents": len(docs), "bytes": total_bytes}
 
     # -- persistence ------------------------------------------------------
-
-    def save_prefix(self, entry: CacheStoreEntry) -> int:
-        return self._write(entry, self.root / "prefix.cfkv")
 
     def save_entry(self, entry: CacheStoreEntry) -> int:
         """Write one entry's cache file and add it to the manifest; returns

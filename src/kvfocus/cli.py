@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 import traceback
 
 from .bench import MODES, answer, report_to_csv, report_to_json, run_bench, score_answer
 from .cache_store import CacheFormatError, CacheStore, MissingEntryError, StaleCacheError
 from .corpus import CorpusError, read_corpus
-from .focus import STRATEGIES, ConfigurationError, Pipeline, PruningSchedule
+from .focus import STRATEGIES, ConfigurationError, Pipeline, PruningSchedule, prepend_stages
 from .model import CapacityError, Model, WeightFormatError, make_config
 from .retrieval import IndexFormatError, index_corpus, load_index, save_index, search
 from .tokenizer import ByteTokenizer
@@ -79,10 +80,13 @@ def cmd_run(args) -> int:
              if args.corpus else None)
     if args.k < 0:
         raise ValueError(f"--k must be >= 0, got {args.k}")
+    t0 = time.perf_counter()
     doc_ids = [doc_id for doc_id, _ in search(index, args.query, args.k)] if args.k > 0 else []
+    t1 = time.perf_counter()
     tokens, trace = answer(pipeline, args.mode, texts, args.query, doc_ids,
                            gen_tokens=args.gen_tokens, schedule=_schedule_from_args(args),
                            strategy=args.strategy)
+    trace["timings"] = prepend_stages({"retrieve_s": t1 - t0}, trace["timings"])
     payload = {"answer": pipeline.tokenizer.decode(tokens), "mode": args.mode, "trace": trace}
     text = json.dumps(payload, indent=2)
     if args.trace:
@@ -97,7 +101,11 @@ def cmd_bench(args) -> int:
     index = load_index(args.index)
     pipeline = Pipeline(store.model, store, index, query_reserve=args.query_reserve)
     records = list(read_corpus(args.corpus))
-    doc_counts = [int(x) for x in args.doc_counts.split(",") if x]
+    try:
+        doc_counts = [int(x) for x in args.doc_counts.split(",") if x]
+    except ValueError:
+        raise ValueError(f"--doc-counts must be comma-separated integers, "
+                         f"got {args.doc_counts!r}") from None
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     report = run_bench(
         pipeline, records, args.query,

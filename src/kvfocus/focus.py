@@ -32,7 +32,7 @@ A layer whose pre-fill layout is already its decode layout (strategy none,
 no prune event after it, and tokens left to decode) is laid out straight
 into its own decode buffer, with room for the tokens still to come; the
 other layers refill one shared buffer. Final allocation builds only those
-other layers, with the same room, so decoding never reallocates the cache.
+other layers, with the same room: every buffer is sized when it is made.
 Pre-fill empties the entries list it is given and keeps the caches' layers
 in its own table, so each layer that no caller holds is freed once it is
 placed for the last time.
@@ -629,7 +629,7 @@ def run_full_context(model: Model, prefix_tokens, passages, query_tokens, *,
     tokens += query
     visible += [True] * len(query)
 
-    cache = model.new_cache()
+    cache = model.new_cache(len(tokens) + gen_tokens - 1)
     hidden = model.forward(cache, tokens, positions=np.arange(len(tokens)), visible=visible,
                            meter=meter)
     first = int(np.argmax(model.logits(hidden[-1:])[0]))

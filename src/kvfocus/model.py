@@ -52,11 +52,18 @@ from .tokenizer import VOCAB_SIZE
 FFN_MULT = 4
 NORM_EPS = 1e-5
 PREFILL_CHUNK = 256  # tokens per chunk of one Model.forward call
-MAX_CACHE_TOKENS = 16384  # hard limit on the tokens Model.forward may leave cached
+MAX_CACHE_TOKENS = 16384  # hard limit on the tokens a cache may hold
 
 
 class CapacityError(RuntimeError):
-    """The cache would exceed the hard token limit, MAX_CACHE_TOKENS."""
+    """A cache would be made over the hard token limit, MAX_CACHE_TOKENS, or
+    written past the capacity it was made with."""
+
+
+def _check_room(layer: LayerCache, extra: int) -> None:
+    if layer.token_count + extra > layer.capacity:
+        raise CapacityError(f"{extra} more tokens do not fit a cache holding "
+                            f"{layer.token_count} of its {layer.capacity}")
 
 
 class WeightFormatError(RuntimeError):
@@ -124,9 +131,9 @@ class LayerCache:
     position_ids. visible=False marks padding keys that attention must skip.
     The four fields are views of the buffers' first token_count rows.
     Appends write new rows in place, so a view taken earlier keeps its
-    values; an append that does not fit moves the cache into buffers with
-    room to grow. Replace a cache rather than its fields. Build one with
-    with_capacity() or Model.new_cache().
+    values; the buffers are sized when the cache is made, and an append past
+    them is refused (CapacityError). Replace a cache rather than its fields.
+    Build one with with_capacity() or Model.new_cache().
     """
 
     def __init__(self, buffers: tuple):
@@ -136,9 +143,15 @@ class LayerCache:
 
     @classmethod
     def with_capacity(cls, num_heads: int, head_dim: int, capacity: int) -> "LayerCache":
-        """An empty cache whose buffers hold `capacity` tokens; appends that
-        fit allocate nothing."""
-        return cls(_new_buffers(num_heads, capacity, head_dim))
+        """An empty cache whose buffers hold `capacity` tokens, at most
+        MAX_CACHE_TOKENS (CapacityError)."""
+        if capacity > MAX_CACHE_TOKENS:
+            raise CapacityError(f"cache would hold {capacity} tokens, over the limit of "
+                                f"{MAX_CACHE_TOKENS}")
+        return cls((np.empty((num_heads, capacity, head_dim), dtype=np.float64),
+                    np.empty((num_heads, capacity, head_dim), dtype=np.float64),
+                    np.empty(capacity, dtype=np.int64),
+                    np.empty(capacity, dtype=bool)))
 
     @property
     def token_count(self) -> int:
@@ -146,22 +159,16 @@ class LayerCache:
 
     @property
     def capacity(self) -> int:
-        """Tokens the buffers hold before the next append must reallocate."""
+        """Tokens the buffers hold."""
         return self._buffers[2].size
 
-    def reserve(self, extra: int) -> None:
-        """Make room for `extra` more tokens, so appending them allocates nothing."""
-        end = self.token_count + extra
-        if extra > 0 and end > self.capacity:
-            self._reallocate(end)
-
     def append(self, keys, values, position_ids, visible) -> None:
-        """Write new rows after the cached ones; keys/values are rounded to float32."""
+        """Write new rows after the cached ones; keys/values are rounded to
+        float32. Rows past the capacity are refused, and nothing is written."""
         keys, values = np.asarray(keys, np.float32), np.asarray(values, np.float32)
+        _check_room(self, keys.shape[1])
         start = self.keys.shape[1]
         end = start + keys.shape[1]
-        if end > self.capacity:
-            self._reallocate(max(end, 2 * self.capacity))
         k, v, pos, vis = self._buffers
         k[:, start:end] = keys
         v[:, start:end] = values
@@ -174,29 +181,12 @@ class LayerCache:
         appends, refilling overwrites what earlier views show)."""
         self._expose(0)
 
-    def _reallocate(self, capacity: int) -> None:
-        n = self.token_count
-        heads, _, dim = self.keys.shape
-        k, v, pos, vis = self._buffers = _new_buffers(heads, capacity, dim)
-        k[:, :n] = self.keys
-        v[:, :n] = self.values
-        pos[:n] = self.position_ids
-        vis[:n] = self.visible
-        self._expose(n)
-
     def _expose(self, n: int) -> None:
         k, v, pos, vis = self._buffers
         self.keys = k[:, :n]
         self.values = v[:, :n]
         self.position_ids = pos[:n]
         self.visible = vis[:n]
-
-
-def _new_buffers(heads: int, capacity: int, dim: int) -> tuple:
-    return (np.empty((heads, capacity, dim), dtype=np.float64),
-            np.empty((heads, capacity, dim), dtype=np.float64),
-            np.empty(capacity, dtype=np.int64),
-            np.empty(capacity, dtype=bool))
 
 
 @dataclass
@@ -216,11 +206,6 @@ class KVCache:
         if self.token_count == 0:
             return 0
         return int(self.layers[0].position_ids.max()) + 1
-
-    def reserve(self, extra: int) -> None:
-        """Make room in every layer for `extra` more tokens."""
-        for layer in self.layers:
-            layer.reserve(extra)
 
 
 class CostMeter:
@@ -372,11 +357,6 @@ def fingerprint(config: ModelConfig, weights: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()[:16]
 
 
-def _check_capacity(total: int) -> None:
-    if total > MAX_CACHE_TOKENS:
-        raise CapacityError(f"cache would hold {total} tokens, over the limit of {MAX_CACHE_TOKENS}")
-
-
 class Model:
     """Decoder-only transformer; immutable and shareable after construction.
 
@@ -416,9 +396,11 @@ class Model:
     def from_file(cls, path) -> "Model":
         return cls(*load_weights(path))
 
-    def new_cache(self) -> KVCache:
+    def new_cache(self, capacity: int) -> KVCache:
+        """An empty cache whose every layer holds `capacity` tokens, at most
+        MAX_CACHE_TOKENS (CapacityError)."""
         cfg = self.config
-        return KVCache([LayerCache.with_capacity(cfg.num_heads, cfg.head_dim, 0)
+        return KVCache([LayerCache.with_capacity(cfg.num_heads, cfg.head_dim, capacity)
                         for _ in range(cfg.num_layers)])
 
     def embed(self, tokens) -> np.ndarray:
@@ -506,16 +488,17 @@ class Model:
 
         positions default to the next sequential positions after the highest
         one already cached; visible holds a flag per token, None for all
-        visible. A cache that would hold more than MAX_CACHE_TOKENS is refused
-        (CapacityError). Inputs longer than PREFILL_CHUNK tokens run in chunks,
-        with room for all of them reserved once; that is exactly equivalent to
+        visible. Tokens that some layer of the cache has no room for are
+        refused (CapacityError) before any layer is written. Inputs longer
+        than PREFILL_CHUNK tokens run in chunks; that is exactly equivalent to
         one pass because cached keys/values round to float32 either way.
         Returns the last chunk's final hidden states (tokens, hidden_dim).
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError("tokens must be a non-empty 1-D sequence")
-        _check_capacity(cache.token_count + ids.size)
+        for layer in cache.layers:
+            _check_room(layer, ids.size)
         if positions is None:
             start = cache.next_position()
             positions = np.arange(start, start + ids.size, dtype=np.int64)
@@ -526,8 +509,6 @@ class Model:
                 raise ValueError(f"{name} shape {array.shape} does not match token "
                                  f"count {ids.size}")
 
-        if ids.size > PREFILL_CHUNK:
-            cache.reserve(ids.size)
         for lo in range(0, ids.size, PREFILL_CHUNK):
             chunk = slice(lo, lo + PREFILL_CHUNK)
             rotation = Rotation.at(self.config.rope, positions[chunk])
@@ -554,14 +535,13 @@ class Model:
         """Greedy decoding loop: feed the previous token, take the argmax.
 
         New tokens sit immediately after the highest occupied position.
-        Returns max_tokens generated tokens (prev_token not included). Room
-        for them is reserved up front, so the loop itself does not
-        reallocate the cache; a cache that already has the room, as the
-        pipeline's decode cache does, is not reallocated at all. A decode
-        that would pass MAX_CACHE_TOKENS is refused before anything grows.
+        Returns max_tokens generated tokens (prev_token not included). The
+        cache must have been made with room for them, as the pipeline's
+        decode cache is; a decode without that room is refused
+        (CapacityError) before any token is written.
         """
-        _check_capacity(cache.token_count + max_tokens)
-        cache.reserve(max_tokens)
+        for layer in cache.layers:
+            _check_room(layer, max_tokens)
         out: list[int] = []
         token = int(prev_token)
         position = cache.next_position()

@@ -44,15 +44,16 @@ class Layer(NamedTuple):
     visible: np.ndarray
 
 
-def layer_cache(layer) -> LayerCache:
+def layer_cache(layer, spare: int = 0) -> LayerCache:
     """A LayerCache holding the rows of `layer` (anything with the four
-    fields), with no spare room."""
+    fields), with room for `spare` more."""
     heads, tokens, dim = layer.keys.shape
-    cache = LayerCache.with_capacity(heads, dim, tokens)
+    cache = LayerCache.with_capacity(heads, dim, tokens + spare)
     cache.append(layer.keys, layer.values, layer.position_ids, layer.visible)
     return cache
 
 
-def copy_cache(layers) -> KVCache:
-    """An independent KVCache with the rows of `layers`, with no spare room."""
-    return KVCache([layer_cache(layer) for layer in layers])
+def copy_cache(layers, spare: int = 0) -> KVCache:
+    """An independent KVCache with the rows of `layers`, with room for
+    `spare` more in every layer."""
+    return KVCache([layer_cache(layer, spare) for layer in layers])

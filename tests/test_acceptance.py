@@ -96,8 +96,8 @@ def test_criterion_02_cache_equivalence():
         prefix = build_prefix_cache(model, prefix_tokens)
         entry = build_document_cache(model, prefix, doc_tokens, doc_id="d",
                                      valid_len=len(doc_tokens))
-        mono = model.new_cache()
         p = len(prefix_tokens)
+        mono = model.new_cache(p + len(doc_tokens))
         model.forward(
             mono,
             prefix_tokens + doc_tokens,
@@ -108,9 +108,9 @@ def test_criterion_02_cache_equivalence():
             assert np.abs(values - full.values[:, p:]).max() < 1e-5
 
         seq = list(outer.integers(1, 97, size=12))
-        single = model.new_cache()
+        single = model.new_cache(len(seq))
         h_single = model.forward(single, seq)
-        split = model.new_cache()
+        split = model.new_cache(len(seq))
         model.forward(split, seq[:5])
         h_split = model.forward(split, seq[5:])
         logits_single = model.logits(h_single[-1:])

@@ -40,9 +40,10 @@ def concatenated(parts):
 def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
     """Pre-fill as it used to run: every layer of every cache rotated up front,
     each layer's context concatenated in float32 and copied into a fresh
-    cache that the query's rows are appended to; each cache's score columns are the range
-    its own part filled in the concatenation, and scores cast the whole map
-    to float64 and mask it once per cache.
+    cache with room for the query's rows, which are appended to it; each
+    cache's score columns are the range its own part filled in the
+    concatenation, and scores cast the whole map to float64 and mask it once
+    per cache.
     Returns (first token, query keys, query values, query positions, state,
     per-layer scores)."""
     cfg = model.config
@@ -66,8 +67,8 @@ def reference_prefill(model, prefix, entries, query_tokens, schedule, plan):
                           plan.positions(cache_id), e.visible))
             spans[cache_id] = (start, start + e.token_count)
         hidden, k32, v32, weights = model.forward_layer(
-            layer_index, hidden, layer_cache(concatenated(parts)), query_rotation,
-            collect_map=True)
+            layer_index, hidden, layer_cache(concatenated(parts), query_tokens.size),
+            query_rotation, collect_map=True)
         query_keys.append(k32)
         query_values.append(v32)
         weights = weights.astype(np.float64)
@@ -162,7 +163,7 @@ def check_against_reference(strategy, schedule, n_reuse):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert np.array_equal(a, b), name
     tokens = model.decode(cache, first, 6)
-    assert tokens == model.decode(copy_cache(expected), first, 6)
+    assert tokens == model.decode(copy_cache(expected, 6), first, 6)
     return result
 
 

@@ -40,8 +40,8 @@ def model():
 
 def monolithic_cache(model, prefix_tokens, doc_tokens, visible_doc):
     """Oracle: one uncached pass over prefix followed by document."""
-    cache = model.new_cache()
     tokens = list(prefix_tokens) + list(doc_tokens)
+    cache = model.new_cache(len(tokens))
     visible = np.concatenate([np.ones(len(prefix_tokens), bool), visible_doc])
     model.forward(cache, tokens, positions=np.arange(len(tokens)), visible=visible)
     return cache
@@ -296,7 +296,7 @@ class TestStore:
         store = CacheStore(root, model)
         store.build([4, 5], self.corpus(), passage_len=10)
         before = store.load_entry("doc2")
-        model.forward(model.new_cache(), [33, 44, 55])  # unrelated query traffic
+        model.forward(model.new_cache(3), [33, 44, 55])  # unrelated query traffic
         store.build([4, 5], self.corpus(), passage_len=10)
         after = store.load_entry("doc2")
         for la, lb in zip(before.layers, after.layers):

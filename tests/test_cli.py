@@ -371,6 +371,22 @@ class TestRunCommand:
             assert "query_reserve must be >= 0, got -500" in captured.err, mode
             assert captured.out == "", mode
 
+    @pytest.mark.parametrize("mode, strategy", [("naive", "none"), ("cache", "none"),
+                                                ("prune", "sort")])
+    def test_oversized_gen_tokens_is_user_error(self, workspace, capsys, mode, strategy):
+        """Every cache is sized, and the limit checked, where it is made; the
+        one that would hold 100M generated tokens is refused before numpy
+        tries to allocate it."""
+        code = main(["run", "--store", str(workspace["store"]),
+                     "--index", str(workspace["index"]), "--query", "capital",
+                     "--corpus", str(workspace["corpus"]), "--k", "4", "--mode", mode,
+                     "--strategy", strategy, "--gen-tokens", "100000000", *RUN_FLAGS])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cache would hold ")
+        assert "over the limit of 16384" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_k_zero_answers_from_prefix_and_query(self, workspace, capsys):
         payload = self.run_json(workspace, capsys, "--query", "capital", "--k", "0",
                                 "--mode", "cache")
@@ -397,7 +413,7 @@ class TestRunCommand:
         assert f"index file {workspace['index']}: unsupported version 1" in (
             capsys.readouterr().err)
 
-    def test_trace_schema(self, workspace, capsys):
+    def test_trace_schema(self, workspace, capsys, monkeypatch):
         payload = self.run_json(workspace, capsys, "--query", "capital of italy",
                                 "--k", "2", "--mode", "prune", "--k-finish", "1",
                                 "--n", "1", "--strategy", "sort")
@@ -405,9 +421,20 @@ class TestRunCommand:
         for field in ("query", "retrieved_ids", "n_reuse", "plan", "per_layer_scores",
                       "pruned_at_layer", "final_ids", "strategy", "timings", "op_counts"):
             assert field in trace
-        assert set(trace["timings"]) == {"load_s", "prefill_s", "decode_s", "total_s"}
+        assert list(trace["timings"]) == ["retrieve_s", "load_s", "prefill_s", "decode_s",
+                                          "total_s"]
         assert set(trace["op_counts"]) == {"prefill_mults", "decode_mults"}
         assert len(trace["final_ids"]) == 1
+        # every mode times its retrieval first, here with 20 ms patched into the search
+        search = cli.search
+        monkeypatch.setattr(cli, "search", lambda *a: time.sleep(0.02) or search(*a))
+        for mode in MODES:
+            timings = self.run_json(workspace, capsys, "--query", "capital of italy",
+                                    "--k", "2", "--mode", mode)["trace"]["timings"]
+            assert list(timings) == list(trace["timings"]), mode
+            assert timings["retrieve_s"] >= 0.02, mode
+            assert timings["total_s"] == pytest.approx(
+                sum(timings[stage] for stage in list(timings)[:-1]), abs=1e-9), mode
 
     @pytest.mark.parametrize("mode", MODES)
     def test_run_times_loading_apart_from_prefill(self, workspace, capsys, monkeypatch,
@@ -424,11 +451,12 @@ class TestRunCommand:
                             lambda *a, **kw: time.sleep(0.02) or original(*a, **kw))
         timings = self.run_json(workspace, capsys, "--query", "the capital", "--k", "3",
                                 "--mode", mode, "--k-finish", "1", "--n", "1")["trace"]["timings"]
-        assert set(timings) == {"load_s", "prefill_s", "decode_s", "total_s"}
+        assert set(timings) == {"retrieve_s", "load_s", "prefill_s", "decode_s", "total_s"}
         assert timings["load_s"] >= 3 * 0.02
         assert timings["prefill_s"] < 3 * 0.02
         assert timings["total_s"] == pytest.approx(
-            timings["load_s"] + timings["prefill_s"] + timings["decode_s"], abs=1e-9)
+            timings["retrieve_s"] + timings["load_s"] + timings["prefill_s"]
+            + timings["decode_s"], abs=1e-9)
 
     def test_naive_equals_cache_for_single_document(self, workspace, capsys):
         naive = self.run_json(workspace, capsys, "--query", "capital of france",
@@ -538,7 +566,7 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--modes", ","), ("--modes", "cache,bogus"), ("--doc-counts", ","),
-        ("--doc-counts", "0"), ("--doc-counts", "1,9"),
+        ("--doc-counts", "0"), ("--doc-counts", "1,9"), ("--doc-counts", "abc"),
     ])
     def test_bad_cells_are_refused_before_any_runs(self, workspace, capsys, monkeypatch,
                                                    flag, value):

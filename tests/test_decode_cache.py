@@ -1,4 +1,5 @@
-"""Decode caches: in-place growth against the concatenate-and-cast reference."""
+"""Decode caches: in-place writes into buffers sized up front, against the
+concatenate-and-cast reference."""
 
 import tracemalloc
 import weakref
@@ -46,16 +47,16 @@ def split_heads(model, x):
     return x.reshape(x.shape[0], model.config.num_heads, -1).transpose(1, 0, 2)
 
 
-def context_cache(model, length=20):
+def context_cache(model, length=20, spare=0):
     """A cache like the one the pipeline assembles, a position gap and
-    invisible padding keys included, with no spare room."""
-    cache = model.new_cache()
+    invisible padding keys included, with room for `spare` more tokens."""
+    cache = model.new_cache(length)
     tokens = (np.arange(length) * 5 + 3) % model.config.vocab_size
     positions = np.concatenate([np.arange(length // 2), np.arange(length // 2) + 40])
     visible = np.arange(length) % 7 != 6
     hidden = model.forward(cache, tokens, positions=positions, visible=visible)
     first = int(np.argmax(model.logits(hidden[-1:])[0]))
-    return first, copy_cache(cache.layers)
+    return first, copy_cache(cache.layers, spare)
 
 
 def reference_layers(cache):
@@ -141,9 +142,7 @@ class TestSingleTokenMask:
         model, weights = tiny_model_and_weights(seed=5)
         _, context = context_cache(model)  # a position gap and padding keys
         assert not context.layers[0].visible.all()
-        fast, general = copy_cache(context.layers), copy_cache(context.layers)
-        fast.reserve(1)
-        general.reserve(1)
+        fast, general = copy_cache(context.layers, 1), copy_cache(context.layers, 1)
         rotation = Rotation.at(model.config.rope, [fast.next_position()])
         visible = None if new_visible is None else np.array([new_visible])
         masks = []
@@ -176,41 +175,34 @@ class TestSingleTokenMask:
 
 
 class TestBufferedDecode:
-    def test_growth_mid_decode_matches_reference(self):
+    def test_decode_by_forward_matches_reference(self):
         model, weights = tiny_model_and_weights(seed=3)
-        first, cache = context_cache(model)
+        first, cache = context_cache(model, spare=14)
         layers = reference_layers(cache)
         expected = reference_decode(model, weights, layers, first, 14)
 
-        cache.reserve(3)
-        start = cache.token_count
-        capacities = []
         token, tokens = first, []
         for _ in range(14):
             hidden = model.forward(cache, [token])
             token = int(np.argmax(model.logits(hidden[-1:])[0]))
             tokens.append(token)
-            capacities.append(cache.layers[0].capacity)
-        assert capacities[0] == start + 3
-        assert capacities[-1] > capacities[0], "the buffers should have grown mid-decode"
         assert tokens == expected
         assert_matches_reference(cache, layers)
 
     def test_model_decode_matches_reference_and_allocates_once(self):
         model, weights = tiny_model_and_weights(seed=4)
-        first, cache = context_cache(model, length=24)
+        first, cache = context_cache(model, length=24, spare=14)
         layers = reference_layers(cache)
         expected = reference_decode(model, weights, layers, first, 9)
-        start = cache.token_count
+        buffers = [layer._buffers for layer in cache.layers]
         tokens = model.decode(cache, first, 9)
         assert tokens == expected
         assert_matches_reference(cache, layers)
-        assert all(layer.capacity == start + 9 for layer in cache.layers)
-        # a second decode, past the first reservation, grows the buffers again
+        # a second decode writes into the same buffers
         more = reference_decode(model, weights, layers, tokens[-1], 5)
         assert model.decode(cache, tokens[-1], 5) == more
         assert_matches_reference(cache, layers)
-        assert all(layer.capacity == start + 14 for layer in cache.layers)
+        assert [layer._buffers for layer in cache.layers] == buffers
 
     def test_zero_token_decode_keeps_the_cache_buffers(self):
         model = tiny_model()
@@ -224,15 +216,13 @@ class TestBufferedDecode:
 class TestViewsAndCopies:
     def test_view_taken_before_append_is_unchanged(self):
         model = tiny_model(seed=5)
-        first, cache = context_cache(model)
-        views, capacities = [], {cache.layers[1].capacity}
-        for step in range(6):  # growth, then in-place writes
+        first, cache = context_cache(model, spare=6)
+        views = []
+        for step in range(6):
             layer = cache.layers[1]
             views.append({name: (getattr(layer, name), getattr(layer, name).copy())
                           for name in FIELDS})
             model.forward(cache, [(first + step) % model.config.vocab_size])
-            capacities.add(layer.capacity)
-        assert len(capacities) > 1
         for snapshot in views:
             for name, (view, before) in snapshot.items():
                 assert view.shape == before.shape, name
@@ -399,14 +389,13 @@ def test_decode_step_allocates_less_than_one_layer():
     """A decode step must not copy the whole cache: its peak allocation stays
     below one layer's float32 keys at a 2,000-token context."""
     model = Model.from_seed(make_config(max_position=4096), 0)
-    cache = model.new_cache()
     context = 2000
+    steps = 4
+    cache = model.new_cache(context + 1 + steps)
     hidden = model.forward(cache, (np.arange(context) * 31 + 7) % model.config.vocab_size)
     first = int(np.argmax(model.logits(hidden[-1:])[0]))
     cfg = model.config
     one_layer_keys = cfg.num_heads * context * cfg.head_dim * np.dtype(np.float32).itemsize
-    steps = 4
-    cache.reserve(1 + steps)
 
     tracemalloc.start()
     try:

@@ -27,6 +27,8 @@ from kvfocus.rope import PositionOverflowWarning, Rotation
 
 from reference import attention
 
+FIELDS = ("keys", "values", "position_ids", "visible")
+
 
 def tiny_model(seed=0, **overrides):
     defaults = dict(num_layers=2, num_heads=2, head_dim=8, max_position=64, vocab_size=61)
@@ -181,18 +183,20 @@ def test_fused_qkv_product_equals_separate_products(config):
 class TestForward:
     def test_cache_grows_by_token_count(self):
         model = tiny_model()
-        cache = model.new_cache()
-        assert [(layer.capacity, layer.keys.dtype) for layer in cache.layers] == [
-            (0, np.float64)] * model.config.num_layers
+        cache = model.new_cache(4)
+        assert cache.token_count == 0
         model.forward(cache, [5])
         assert cache.token_count == 1
         model.forward(cache, [1, 2, 3])
         assert cache.token_count == 4
         np.testing.assert_array_equal(cache.layers[0].position_ids, [0, 1, 2, 3])
+        # sized once, when it was made
+        assert [(layer.capacity, layer.keys.dtype) for layer in cache.layers] == [
+            (4, np.float64)] * model.config.num_layers
 
     def test_attention_map_shape_over_prefix(self):
         model = tiny_model()
-        cache = model.new_cache()
+        cache = model.new_cache(6)
         model.forward(cache, [1, 2, 3, 4])
         hidden = model.embed([5, 6])
         _, _, _, weights = model.forward_layer(0, hidden, cache.layers[0],
@@ -206,9 +210,9 @@ class TestForward:
         """Oracle: one whole-sequence pass versus prefix-then-rest."""
         model = tiny_model(seed=3)
         tokens = np.arange(1, 13) % 61
-        mono = model.new_cache()
+        mono = model.new_cache(12)
         hidden_mono = model.forward(mono, tokens)
-        split = model.new_cache()
+        split = model.new_cache(12)
         model.forward(split, tokens[:5])
         hidden_split = model.forward(split, tokens[5:])
         np.testing.assert_allclose(hidden_split, hidden_mono[5:], rtol=1e-5, atol=1e-7)
@@ -218,11 +222,11 @@ class TestForward:
 
     def test_invisible_keys_are_skipped(self):
         model = tiny_model(seed=8)
-        with_pad = model.new_cache()
+        with_pad = model.new_cache(5)
         model.forward(with_pad, [4, 5, 9, 9], visible=np.array([True, True, False, False]),
                       positions=np.arange(4))
         h_pad = model.forward(with_pad, [7], positions=[4])
-        without = model.new_cache()
+        without = model.new_cache(3)
         model.forward(without, [4, 5], positions=np.arange(2))
         h_clean = model.forward(without, [7], positions=[4])
         np.testing.assert_allclose(h_pad, h_clean, rtol=1e-6, atol=1e-9)
@@ -257,19 +261,19 @@ class TestPerCallWork:
     def test_rotation_is_built_once_per_forward_call(self, monkeypatch):
         model = tiny_model(num_layers=3, max_position=512)
         sizes = self.count_rotations(monkeypatch)
-        cache = model.new_cache()
+        cache = model.new_cache(8)
         model.forward(cache, [1, 2, 3])
         assert sizes == [3]
         model.decode(cache, 4, 5)
         assert sizes == [3] + [1] * 5
         sizes.clear()
-        model.forward(model.new_cache(), np.arange(PREFILL_CHUNK + 5) % 61)
+        model.forward(model.new_cache(PREFILL_CHUNK + 5), np.arange(PREFILL_CHUNK + 5) % 61)
         assert sizes == [PREFILL_CHUNK, 5]
 
     @pytest.mark.parametrize("tokens", [[5], [5, 6]])
     def test_positions_of_the_wrong_length_are_rejected(self, tokens):
         model = tiny_model()
-        cache = model.new_cache()
+        cache = model.new_cache(3 + len(tokens))
         model.forward(cache, [1, 2, 3])
         hidden = model.embed(tokens)
         t = len(tokens)
@@ -285,7 +289,7 @@ class TestPerCallWork:
 
     def test_decode_past_the_range_warns_once_per_token(self):
         model = tiny_model(max_position=64)
-        cache = model.new_cache()
+        cache = model.new_cache(70)
         first = greedy(model, model.forward(cache, np.arange(60) % 61))
         with warnings.catch_warnings(record=True) as issued:
             warnings.simplefilter("always")
@@ -298,7 +302,7 @@ class TestPerCallWork:
 class TestPrefillDecode:
     def test_prefill_emits_one_token(self):
         model = tiny_model()
-        cache = model.new_cache()
+        cache = model.new_cache(3)
         first = greedy(model, model.forward(cache, [1, 2, 3]))
         assert isinstance(first, int)
         assert cache.token_count == 3
@@ -307,9 +311,9 @@ class TestPrefillDecode:
     def test_split_prefill_equals_single_call(self):
         model = tiny_model(seed=5)
         tokens = (np.arange(40) * 7 + 1) % 61
-        cache_one = model.new_cache()
+        cache_one = model.new_cache(40)
         f_one = greedy(model, model.forward(cache_one, tokens))
-        cache_two = model.new_cache()
+        cache_two = model.new_cache(40)
         model.forward(cache_two, tokens[:13])
         f_two = greedy(model, model.forward(cache_two, tokens[13:]))
         assert f_one == f_two
@@ -320,11 +324,11 @@ class TestPrefillDecode:
         """Oracle: the two-phase loop run by hand, one token at a time."""
         model = tiny_model(seed=11)
         tokens = [3, 1, 4, 1, 5]
-        cache = model.new_cache()
+        cache = model.new_cache(9)
         first = greedy(model, model.forward(cache, tokens))
         generated = [first] + model.decode(cache, first, 4)
 
-        by_hand_cache = model.new_cache()
+        by_hand_cache = model.new_cache(9)
         hidden = model.forward(by_hand_cache, tokens)
         seq = [int(np.argmax(model.logits(hidden[-1:])[0]))]
         for _ in range(4):
@@ -336,15 +340,19 @@ class TestPrefillDecode:
         model = tiny_model(seed=2)
         runs = []
         for _ in range(2):
-            cache = model.new_cache()
+            cache = model.new_cache(13)
             first = greedy(model, model.forward(cache, [9, 8, 7]))
             runs.append(model.decode(cache, first, 10))
         assert runs[0] == runs[1]
 
     def test_capacity_limit_enforced(self, monkeypatch):
+        """The limit is checked where a cache is made, and a cache holds no
+        more than it was made for: a refused write changes nothing."""
         model = tiny_model()
         monkeypatch.setattr(model_module, "MAX_CACHE_TOKENS", 8)
-        cache = model.new_cache()
+        with pytest.raises(CapacityError, match="over the limit of 8"):
+            model.new_cache(9)
+        cache = model.new_cache(8)
         with pytest.raises(CapacityError):
             model.forward(cache, np.ones(9, dtype=int))
         assert cache.token_count == 0
@@ -355,25 +363,45 @@ class TestPrefillDecode:
                 run()
             assert cache.token_count == 8
 
-    def test_refused_decode_grows_nothing(self, monkeypatch):
+        layer = LayerCache.with_capacity(model.config.num_heads, model.config.head_dim, 3)
+        keys = np.ones((model.config.num_heads, 2, model.config.head_dim), dtype=np.float32)
+        layer.append(keys, keys, [0, 1], True)
+        before = [getattr(layer, name).copy() for name in FIELDS]
+        buffers = layer._buffers
+        with pytest.raises(CapacityError, match="do not fit"):
+            layer.append(2 * keys, 2 * keys, [2, 3], True)
+        assert layer.token_count == 2 and layer.capacity == 3 and layer._buffers is buffers
+        for name, was in zip(FIELDS, before):
+            assert np.array_equal(getattr(layer, name), was), name
+
+    def test_refused_decode_grows_nothing(self):
+        """forward and decode check every layer's room up front, so a call
+        that one layer has no room for writes no layer."""
         model = tiny_model()
-        monkeypatch.setattr(model_module, "MAX_CACHE_TOKENS", 8)
-        cache = model.new_cache()
+        cache = model.new_cache(10)
         model.forward(cache, np.ones(8, dtype=int))
-        capacities = [layer.capacity for layer in cache.layers]
-        with pytest.raises(CapacityError):
-            model.decode(cache, 1, 100)
-        assert cache.token_count == 8
-        assert [layer.capacity for layer in cache.layers] == capacities
+        cfg = model.config
+        # one layer shorter than the others: layer 0 alone has room
+        short = LayerCache.with_capacity(cfg.num_heads, cfg.head_dim, 8)
+        short.append(*(getattr(cache.layers[-1], name) for name in FIELDS))
+        cache.layers[-1] = short
+        buffers = [layer._buffers for layer in cache.layers]
+        for run in (lambda: model.decode(cache, 1, 100), lambda: model.decode(cache, 1, 2),
+                    lambda: model.forward(cache, [1, 2])):
+            with pytest.raises(CapacityError):
+                run()
+            assert [layer.token_count for layer in cache.layers] == [8] * cfg.num_layers
+            assert [layer._buffers for layer in cache.layers] == buffers
+            assert [layer.capacity for layer in cache.layers] == [10] * (cfg.num_layers - 1) + [8]
 
     def test_chunked_prefill_matches_unchunked(self, monkeypatch):
         model = tiny_model(seed=6)
         tokens = (np.arange(30) + 2) % 61
         monkeypatch.setattr(model_module, "PREFILL_CHUNK", 7)
-        cache_a = model.new_cache()
+        cache_a = model.new_cache(len(tokens))
         hidden_a = model.forward(cache_a, tokens)
         monkeypatch.setattr(model_module, "PREFILL_CHUNK", 1000)
-        cache_b = model.new_cache()
+        cache_b = model.new_cache(len(tokens))
         hidden_b = model.forward(cache_b, tokens)
         # a chunked call returns its last chunk's rows: 30 = 4 * 7 + 2
         assert hidden_a.shape == (2, model.config.hidden_dim)
@@ -383,8 +411,6 @@ class TestPrefillDecode:
             np.testing.assert_array_equal(la.keys, lb.keys)
             np.testing.assert_array_equal(la.values, lb.values)
             np.testing.assert_array_equal(la.position_ids, lb.position_ids)
-            # room for every chunk is reserved once, not grown chunk by chunk
-            assert la.capacity == len(tokens)
 
 
 class TestWeights:
@@ -434,8 +460,8 @@ class TestWeights:
         assert config.num_layers == model.config.num_layers
         assert fingerprint(config, weights) == model.fingerprint
         loaded = Model.from_file(path)
-        first_a = greedy(model, model.forward(model.new_cache(), [1, 2, 3]))
-        first_b = greedy(loaded, loaded.forward(loaded.new_cache(), [1, 2, 3]))
+        first_a = greedy(model, model.forward(model.new_cache(3), [1, 2, 3]))
+        first_b = greedy(loaded, loaded.forward(loaded.new_cache(3), [1, 2, 3]))
         assert first_a == first_b
 
     def test_corrupt_file_rejected(self, tmp_path):
@@ -462,7 +488,7 @@ class TestWeights:
 
     def test_mismatched_layer_counts_detected(self):
         model = tiny_model()
-        cache = model.new_cache()
+        cache = model.new_cache(1)
         model.forward(cache, [1])
         cache.layers[0] = LayerCache.with_capacity(model.config.num_heads,
                                                    model.config.head_dim, 0)
